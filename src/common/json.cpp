@@ -140,9 +140,15 @@ void JsonValue::set(const std::string& key, JsonValue value) {
 }
 
 std::string json_number_to_string(double value) {
-  // Prefer the shortest %.<p>g form that survives a strtod round trip;
-  // %.17g always does.
   char buf[40];
+  // Integral values below 2^53 print as plain integers ("30", never
+  // "3e+01"); %.0f keeps the sign of -0.
+  if (value == std::floor(value) && std::abs(value) < 0x1p53) {
+    std::snprintf(buf, sizeof(buf), "%.0f", value);
+    return buf;
+  }
+  // Otherwise the shortest %.<p>g form that survives a strtod round trip;
+  // %.17g always does.
   for (int precision = 1; precision <= 17; ++precision) {
     std::snprintf(buf, sizeof(buf), "%.*g", precision, value);
     if (std::strtod(buf, nullptr) == value) break;

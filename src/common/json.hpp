@@ -91,7 +91,9 @@ class JsonValue {
 JsonValue parse_json(const std::string& text,
                      const std::string& origin = "json");
 
-/// Shortest decimal form of `value` that strtod parses back bitwise equal.
+/// Decimal form of `value` that strtod parses back bitwise equal: a plain
+/// integer when `value` is integral with |value| < 2^53, else the shortest
+/// round-trip %g form.
 std::string json_number_to_string(double value);
 
 }  // namespace esched

@@ -129,6 +129,10 @@ std::pair<Vector, StationarySolveInfo> solve_stationary(
   metrics.counter(prefix + ".solves").add();
   metrics.histogram(prefix + ".seconds").record(seconds);
   metrics.histogram(prefix + ".states").record(static_cast<double>(n));
+  if (method == StationaryMethod::kSor) {
+    metrics.histogram("exact.method.sor.sweeps")
+        .record(static_cast<double>(solve_info.iterations));
+  }
   return {std::move(pi), std::move(solve_info)};
 }
 

@@ -24,10 +24,13 @@ namespace esched {
 struct ExactCtmcOptions {
   long imax = 120;  ///< inelastic truncation level
   long jmax = 120;  ///< elastic truncation level
-  /// Stationary-solver selection. kAuto keeps the historical behavior for
-  /// small chains (dense GTH up to gth_state_limit states) and otherwise
-  /// prefers the block-tridiagonal direct solver — falling back to SOR
-  /// when the block factors would exceed block_memory_limit bytes.
+  /// Stationary-solver selection. kAuto uses dense GTH up to
+  /// gth_state_limit states. Above that it picks the block-tridiagonal
+  /// direct solver when the chain is level-structured, the block factors
+  /// fit block_memory_limit bytes, and the estimated elimination work is
+  /// at most kAutoBlockFlopLimit flops; otherwise SOR. It also falls back
+  /// to SOR when the block elimination throws (a level without
+  /// down-transitions).
   StationaryMethod method = StationaryMethod::kAuto;
   /// Use dense GTH elimination when the state count is at most this (and
   /// method is kAuto). GTH is direct; SOR iterates to `sor_tol`.

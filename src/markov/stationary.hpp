@@ -59,8 +59,10 @@ Vector gth_stationary(const CsrMatrix& rates, const Vector& exit_rates);
 /// Gauss-Seidel / SOR iteration on the global balance equations of a sparse
 /// CTMC. `omega` in (0, 2); omega = 1 is plain Gauss-Seidel. Iterates until
 /// the residual max|pi Q| drops below `tol` or `max_iters` sweeps elapse.
-/// The in-adjacency is built once per call as a CSR transpose and reused
-/// by the convergence checks.
+/// Each sweep visits the states in a level schedule built once per call
+/// (states of one level share no edge), which reproduces the ascending
+/// Gauss-Seidel sweep bitwise — same iterates, iteration count and
+/// residual — while letting consecutive updates overlap.
 Vector sor_stationary(const SparseCtmc& chain, double tol = 1e-12,
                       int max_iters = 20000, double omega = 1.0,
                       StationarySolveInfo* info = nullptr);

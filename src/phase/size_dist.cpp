@@ -93,15 +93,9 @@ Moments3 pareto_moments(double alpha) {
 }
 
 /// Canonical parameter text: plain integers where exact ("20", never
-/// "2e+01"), shortest round-trip decimal otherwise.
+/// "2e+01"), shortest round-trip decimal otherwise; -0 reads as "0".
 std::string canonical_number(double value) {
-  if (value == std::floor(value) && std::abs(value) < 1e15) {
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "%lld",
-                  static_cast<long long>(value));
-    return buf;
-  }
-  return json_number_to_string(value);
+  return json_number_to_string(value == 0.0 ? 0.0 : value);
 }
 
 }  // namespace

@@ -1,13 +1,18 @@
 // Unit tests for common utilities: error macros, numeric helpers, the
-// table printer, and the CSV writer.
+// table printer, the CSV writer, and JSON number formatting.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "common/csv.hpp"
 #include "common/error.hpp"
+#include "common/json.hpp"
 #include "common/numeric.hpp"
 #include "common/table.hpp"
 
@@ -175,6 +180,23 @@ TEST(Csv, ParseRecordReportsTornLines) {
   EXPECT_EQ(cells, (std::vector<std::string>{"em\nbed", "2"}));
 
   EXPECT_THROW(csv_decode_row("a,\"unclosed"), Error);
+}
+
+TEST(Json, IntegralNumbersPrintAsPlainIntegers) {
+  // Counters in metrics, traces and queue records are integral doubles;
+  // they must read "30", not the shorter round-trip form "3e+01".
+  const std::vector<std::pair<double, std::string>> cases = {
+      {30.0, "30"},  {100.0, "100"}, {39200.0, "39200"},
+      {-0.0, "-0"},  {0.1, "0.1"},   {1e300, "1e+300"},
+      {9007199254740991.0, "9007199254740991"},
+      {9007199254740992.0, "9007199254740992"},
+  };
+  for (const auto& [value, text] : cases) {
+    EXPECT_EQ(json_number_to_string(value), text);
+    const double parsed = parse_json(text).as_number("n");
+    EXPECT_EQ(parsed, value) << text;
+    EXPECT_EQ(std::signbit(parsed), std::signbit(value)) << text;
+  }
 }
 
 }  // namespace

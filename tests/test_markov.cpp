@@ -4,8 +4,11 @@
 // busy-period closed forms it is meant to certify.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <random>
+#include <utility>
+#include <vector>
 
 #include "common/error.hpp"
 #include "markov/absorbing.hpp"
@@ -317,6 +320,143 @@ TEST(Stationary, SorCsrBitwiseMatchesNestedVectorReference) {
     EXPECT_EQ(ref_info.residual, csr_info.residual);
     EXPECT_EQ(ref_info.converged, csr_info.converged);
   }
+}
+
+/// A (imax+1) x (jmax+1) chain laid out like ExactCtmcBatch: state
+/// i * nj + j, arrivals to (i+1, j) and (i, j+1), k servers split between
+/// the classes. inelastic_first gives IF's allocation (min(i, k) servers
+/// to inelastic jobs, the rest to elastic), otherwise EF's (all k to
+/// elastic jobs when any are present).
+SparseCtmc two_class_chain(long imax, long jmax, bool inelastic_first) {
+  const long nj = jmax + 1;
+  const double k = 4.0, lambda_i = 1.1, lambda_e = 0.9, mu_i = 1.0,
+               mu_e = 0.7;
+  SparseCtmc chain(static_cast<std::size_t>((imax + 1) * nj));
+  const auto id = [&](long i, long j) {
+    return static_cast<std::size_t>(i * nj + j);
+  };
+  for (long i = 0; i <= imax; ++i) {
+    for (long j = 0; j <= jmax; ++j) {
+      const double i_servers =
+          inelastic_first || j == 0 ? std::min(static_cast<double>(i), k)
+                                    : 0.0;
+      const double e_servers = j > 0 ? k - i_servers : 0.0;
+      if (i < imax) chain.add_rate(id(i, j), id(i + 1, j), lambda_i);
+      if (j < jmax) chain.add_rate(id(i, j), id(i, j + 1), lambda_e);
+      if (i > 0) chain.add_rate(id(i, j), id(i - 1, j), i_servers * mu_i);
+      if (j > 0) chain.add_rate(id(i, j), id(i, j - 1), e_servers * mu_e);
+    }
+  }
+  chain.freeze();
+  return chain;
+}
+
+/// A sparse chain with non-local edges, numbered the way the phase-type
+/// builder numbers its states: breadth-first from state 0, so a state's
+/// neighbours can sit far from it in either direction.
+SparseCtmc bfs_numbered_chain(std::size_t n) {
+  std::mt19937 rng(7);
+  std::uniform_int_distribution<std::size_t> pick(0, n - 1);
+  std::uniform_real_distribution<double> rate(0.1, 2.0);
+  // Raw graph: a ring (irreducible) plus two random jumps per node.
+  std::vector<std::vector<std::pair<std::size_t, double>>> out(n);
+  for (std::size_t v = 0; v < n; ++v) {
+    out[v].push_back({(v + 1) % n, rate(rng)});
+    for (int e = 0; e < 2; ++e) {
+      const std::size_t w = pick(rng);
+      if (w != v) out[v].push_back({w, rate(rng)});
+    }
+  }
+  const std::size_t unseen = n;
+  std::vector<std::size_t> index(n, unseen);
+  std::vector<std::size_t> order = {0};
+  index[0] = 0;
+  for (std::size_t head = 0; head < order.size(); ++head) {
+    for (const auto& [w, r] : out[order[head]]) {
+      if (index[w] == unseen) {
+        index[w] = order.size();
+        order.push_back(w);
+      }
+    }
+  }
+  EXPECT_EQ(order.size(), n);
+  SparseCtmc chain(n);
+  for (std::size_t v = 0; v < n; ++v) {
+    for (const auto& [w, r] : out[v]) chain.add_rate(index[v], index[w], r);
+  }
+  chain.freeze();
+  return chain;
+}
+
+/// Eight transient states draining into two absorbing ones (exit rate 0),
+/// placed mid-range and last so the sweep skips them in both positions.
+SparseCtmc absorbing_chain() {
+  SparseCtmc chain(10);
+  for (std::size_t s = 0; s < 10; ++s) {
+    if (s == 4 || s == 9) continue;
+    if (s + 1 < 10) chain.add_rate(s, s + 1, 1.0 + 0.1 * s);
+    if (s > 0) chain.add_rate(s, s - 1, 0.5 + 0.05 * s);
+    chain.add_rate(s, (s * 3 + 2) % 10, 0.25);
+  }
+  chain.freeze();
+  return chain;
+}
+
+/// Runs sor_stationary and reference_sor and expects bitwise-equal pi,
+/// iteration count, residual and convergence flag.
+void expect_sor_matches_reference(const SparseCtmc& chain, double tol,
+                                  int max_iters, double omega,
+                                  StationarySolveInfo* info = nullptr) {
+  StationarySolveInfo ref_info, sor_info;
+  const Vector ref = reference_sor(chain, tol, max_iters, omega, &ref_info);
+  const Vector sor = sor_stationary(chain, tol, max_iters, omega, &sor_info);
+  ASSERT_EQ(ref.size(), sor.size());
+  for (std::size_t s = 0; s < ref.size(); ++s) {
+    EXPECT_EQ(ref[s], sor[s]) << "state " << s;  // bitwise, not NEAR
+  }
+  EXPECT_EQ(ref_info.iterations, sor_info.iterations);
+  EXPECT_EQ(ref_info.residual, sor_info.residual);
+  EXPECT_EQ(ref_info.converged, sor_info.converged);
+  if (info != nullptr) *info = sor_info;
+}
+
+TEST(Stationary, SorBitwiseMatchesReferenceOnTwoClassChains) {
+  for (const bool inelastic_first : {true, false}) {
+    const SparseCtmc chain = two_class_chain(39, 39, inelastic_first);
+    for (const double omega : {1.0, 1.2}) {
+      SCOPED_TRACE(::testing::Message() << "IF=" << inelastic_first
+                                        << " omega=" << omega);
+      expect_sor_matches_reference(chain, 1e-12, 20000, omega);
+    }
+  }
+}
+
+TEST(Stationary, SorBitwiseMatchesReferenceOnBfsNumberedChain) {
+  const SparseCtmc chain = bfs_numbered_chain(300);
+  for (const double omega : {1.0, 1.2}) {
+    SCOPED_TRACE(::testing::Message() << "omega=" << omega);
+    expect_sor_matches_reference(chain, 1e-12, 20000, omega);
+  }
+}
+
+TEST(Stationary, SorBitwiseMatchesReferenceWithAbsorbingStates) {
+  const SparseCtmc chain = absorbing_chain();
+  for (const double omega : {1.0, 1.2}) {
+    SCOPED_TRACE(::testing::Message() << "omega=" << omega);
+    expect_sor_matches_reference(chain, 1e-12, 2000, omega);
+  }
+}
+
+TEST(Stationary, SorBitwiseMatchesReferenceWhenStoppedAtMaxIters) {
+  // 37 is not a multiple of the 10-sweep check interval, so the final
+  // residual comes from the forced last-sweep check. Plain Gauss-Seidel:
+  // over-relaxed iterates can dip below zero before they converge, which
+  // the debug invariants reject.
+  StationarySolveInfo info;
+  expect_sor_matches_reference(two_class_chain(39, 39, true), 1e-30, 37, 1.0,
+                               &info);
+  EXPECT_FALSE(info.converged);
+  EXPECT_EQ(info.iterations, 37);
 }
 
 TEST(Stationary, PowerCsrBitwiseMatchesReference) {
