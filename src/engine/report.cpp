@@ -528,7 +528,7 @@ void print_sweep_summary(std::ostream& os, const std::vector<RunPoint>& points,
   ESCHED_CHECK(points.size() == results.size(),
                "points/results size mismatch");
   Table table({"k", "rho", "mu_i", "mu_e", "policy", "solver", "E[T]",
-               "E[T]_I", "E[T]_E", "cached"});
+               "E[T]_I", "E[T]_E"});
   const std::size_t shown = std::min(points.size(), max_rows);
   for (std::size_t n = 0; n < shown; ++n) {
     const SystemParams& p = points[n].params;
@@ -537,8 +537,7 @@ void print_sweep_summary(std::ostream& os, const std::vector<RunPoint>& points,
                    points[n].policy, solver_name(points[n].solver),
                    format_double(results[n].mean_response_time),
                    format_double(results[n].mean_response_time_i),
-                   format_double(results[n].mean_response_time_e),
-                   results[n].from_cache ? "y" : "n"});
+                   format_double(results[n].mean_response_time_e)});
   }
   table.print(os);
   if (shown < points.size()) {
@@ -556,10 +555,9 @@ void print_stats_line(std::ostream& os, const SweepStats& stats) {
 }
 
 // ---------------------------------------------------------------------------
-// Named views. Each renders one classic report layout from engine results;
-// the formats reproduce the pre-engine harnesses byte for byte (with the
-// prose bits injected through ViewOptions), which is what lets the bench
-// binaries stay golden while sharing this code with `esched --view`.
+// Named views. Each renders one classic report layout from engine results.
+// They print no wall time and no cache provenance, so a view's text is
+// pinned by the tests/golden/<builtin>.txt files like the CSV beside it.
 
 namespace {
 
@@ -633,22 +631,10 @@ std::size_t solver_index(const Scenario& scenario, SolverKind kind,
               solver_name(kind) + "' on the scenario's solver axis");
 }
 
-/// Labels with defaults: pick options value when provided, else fallback.
-std::vector<std::string> labels_or(const std::vector<std::string>& given,
-                                   const std::vector<std::string>& fallback,
-                                   const char* view, const char* what) {
-  if (given.empty()) return fallback;
-  ESCHED_CHECK(given.size() == fallback.size(),
-               std::string("view '") + view + "': " + what + " needs " +
-                   std::to_string(fallback.size()) + " labels");
-  return given;
-}
-
 // --- heatmap: per-rho winner maps over the (mu_I, mu_E) grid -------------
 
 void print_heatmap_view(std::ostream& os, const Scenario& s,
-                        const std::vector<RunResult>& results,
-                        const ViewOptions& options) {
+                        const std::vector<RunResult>& results) {
   const char* view = "heatmap";
   require(s.cases.empty(), view, "an axes-based scenario (rho/mu grids)");
   require(s.k_values.size() == 1 && s.elastic_caps.size() == 1, view,
@@ -674,10 +660,9 @@ void print_heatmap_view(std::ostream& os, const Scenario& s,
   for (std::size_t r = 0; r < s.rho_values.size(); ++r) {
     const double rho = s.rho_values[r];
     osprintf(os,
-             "\n%srho = %.1f, k = %d (rows mu_E top-down, cols mu_I "
+             "\nrho = %.1f, k = %d (rows mu_E top-down, cols mu_I "
              "left-right; %c = %s wins, %c = %s wins)\n",
-             options.title_prefix.c_str(), rho, k, pol0[0], pol0.c_str(),
-             pol1[0], pol1.c_str());
+             rho, k, pol0[0], pol0.c_str(), pol1[0], pol1.c_str());
     osprintf(os, "%7s", "mu_E\\I");
     for (const double mu_i : grid) osprintf(os, "%5.2f", mu_i);
     osprintf(os, "\n");
@@ -714,8 +699,7 @@ void print_heatmap_view(std::ostream& os, const Scenario& s,
 // --- vs-mu: per-rho E[T] tables along the mu_I axis ----------------------
 
 void print_vs_mu_view(std::ostream& os, const Scenario& s,
-                      const std::vector<RunResult>& results,
-                      const ViewOptions& options) {
+                      const std::vector<RunResult>& results) {
   const char* view = "vs-mu";
   require(s.cases.empty(), view, "an axes-based scenario (rho/mu_i axes)");
   require(s.k_values.size() == 1 && s.mu_e_values.size() == 1 &&
@@ -740,8 +724,7 @@ void print_vs_mu_view(std::ostream& os, const Scenario& s,
       table.add_row({format_double(s.mu_i_values[m]), format_double(et0),
                      format_double(et1), et0 <= et1 ? pol0 : pol1});
     }
-    osprintf(os, "\n--- rho = %.1f%s ---\n", s.rho_values[r],
-             options.rho_note.c_str());
+    osprintf(os, "\n--- rho = %.1f ---\n", s.rho_values[r]);
     table.print(os);
   }
 }
@@ -749,8 +732,7 @@ void print_vs_mu_view(std::ostream& os, const Scenario& s,
 // --- vs-k: per-mu_I panels of E[T] along the k axis ----------------------
 
 void print_vs_k_view(std::ostream& os, const Scenario& s,
-                     const std::vector<RunResult>& results,
-                     const ViewOptions& options) {
+                     const std::vector<RunResult>& results) {
   const char* view = "vs-k";
   require(s.cases.empty(), view, "an axes-based scenario (k axis)");
   require(s.rho_values.size() == 1 && s.mu_e_values.size() == 1 &&
@@ -764,13 +746,6 @@ void print_vs_k_view(std::ostream& os, const Scenario& s,
 
   const std::string& pol0 = s.policies[0];
   const std::string& pol1 = s.policies[1];
-  std::vector<std::string> default_labels;
-  for (const double mu_i : s.mu_i_values) {
-    default_labels.push_back("mu_I = " + format_double(mu_i) + ", mu_E = " +
-                             format_double(s.mu_e_values.front()));
-  }
-  const auto labels =
-      labels_or(options.panel_labels, default_labels, view, "panel_labels");
   const std::size_t nmu = s.mu_i_values.size();
   for (std::size_t panel = 0; panel < nmu; ++panel) {
     Table table({"k", "E[T] " + pol0, "E[T] " + pol1,
@@ -783,7 +758,9 @@ void print_vs_k_view(std::ostream& os, const Scenario& s,
       table.add_row({std::to_string(s.k_values[n]), format_double(et0),
                      format_double(et1), format_double(et1 - et0)});
     }
-    osprintf(os, "\n--- %s ---\n", labels[panel].c_str());
+    osprintf(os, "\n--- mu_I = %s, mu_E = %s ---\n",
+             format_double(s.mu_i_values[panel]).c_str(),
+             format_double(s.mu_e_values.front()).c_str());
     table.print(os);
   }
 }
@@ -791,23 +768,18 @@ void print_vs_k_view(std::ostream& os, const Scenario& s,
 // --- family: per-case policy-family E[T] + Thm. 5 check ------------------
 
 void print_family_view(std::ostream& os, const Scenario& s,
-                       const std::vector<RunResult>& results,
-                       const ViewOptions& options) {
+                       const std::vector<RunResult>& results) {
   const char* view = "family";
   require(!s.cases.empty(), view, "a cases-based scenario");
   const GridShape shape = shape_of(s);
   require(shape.nsol == 1 && shape.ntrunc == 1 && shape.nfit == 1 &&
               shape.ndist == 1,
           view, "a single solver and no truncation/fit/size_dist axes");
-  const auto policy_labels =
-      labels_or(options.policy_labels, s.policies, view, "policy_labels");
-  const auto column_labels =
-      labels_or(options.column_labels, s.policies, view, "column_labels");
 
   std::vector<std::string> header = {"mu_I", "mu_E", "rho"};
-  for (const auto& label : column_labels) header.push_back("E[T] " + label);
+  for (const auto& policy : s.policies) header.push_back("E[T] " + policy);
   header.push_back("best");
-  header.push_back(policy_labels[0] + " optimal?");
+  header.push_back(s.policies[0] + " optimal?");
   Table table(std::move(header));
 
   int theorem5_checks = 0;
@@ -833,7 +805,7 @@ void print_family_view(std::ostream& os, const Scenario& s,
                                     format_double(setting.mu_e),
                                     format_double(setting.rho)};
     for (const double value : et) row.push_back(format_double(value));
-    row.push_back(policy_labels[best]);
+    row.push_back(s.policies[best]);
     row.push_back(first_optimal ? "yes" : "no");
     table.add_row(std::move(row));
   }
@@ -841,7 +813,7 @@ void print_family_view(std::ostream& os, const Scenario& s,
   osprintf(os,
            "\nTheorem 5 (mu_I >= mu_E => %s optimal in family): %d/%d "
            "settings hold.\n",
-           policy_labels[0].c_str(), theorem5_holds, theorem5_checks);
+           s.policies[0].c_str(), theorem5_holds, theorem5_checks);
 }
 
 // --- accuracy: QBD vs exact vs simulation per case -----------------------
@@ -938,16 +910,14 @@ void print_truncation_view(std::ostream& os, const Scenario& s,
         results[shape.at(c, last, 0, 0, 0, exact)].mean_response_time;
     const double et_qbd =
         results[shape.at(c, 0, 0, 0, 0, qbd)].mean_response_time;
-    Table table({"truncation", "states", "E[T]", "rel err", "boundary mass",
-                 "solve ms"});
+    Table table({"truncation", "states", "E[T]", "rel err", "boundary mass"});
     for (std::size_t t = 0; t < last; ++t) {
       const RunResult& r = results[shape.at(c, t, 0, 0, 0, exact)];
       table.add_row(
           {std::to_string(s.trunc_values[t]), std::to_string(r.num_states),
            format_double(r.mean_response_time),
            format_double(relative_error(r.mean_response_time, reference), 3),
-           format_double(r.boundary_mass, 3),
-           format_double(r.solve_seconds * 1000.0, 4)});
+           format_double(r.boundary_mass, 3)});
     }
     osprintf(os,
              "\n--- rho = %.1f (reference E[T] = %.6f at truncation %ld; "
@@ -1109,18 +1079,18 @@ void print_scv_view(std::ostream& os, const Scenario& s,
 void print_view(const std::string& view, std::ostream& os,
                 const Scenario& scenario, const std::vector<RunPoint>& points,
                 const std::vector<RunResult>& results, const SweepStats& stats,
-                const ViewOptions& options) {
+                std::size_t max_rows) {
   if (view == "table") {
     ESCHED_CHECK(points.size() == results.size(),
                  "points/results size mismatch");
-    print_sweep_summary(os, points, results, stats, options.max_rows);
+    print_sweep_summary(os, points, results, stats, max_rows);
     return;
   }
   check_view_inputs(view.c_str(), scenario, points, results);
-  if (view == "heatmap") return print_heatmap_view(os, scenario, results, options);
-  if (view == "vs-mu") return print_vs_mu_view(os, scenario, results, options);
-  if (view == "vs-k") return print_vs_k_view(os, scenario, results, options);
-  if (view == "family") return print_family_view(os, scenario, results, options);
+  if (view == "heatmap") return print_heatmap_view(os, scenario, results);
+  if (view == "vs-mu") return print_vs_mu_view(os, scenario, results);
+  if (view == "vs-k") return print_vs_k_view(os, scenario, results);
+  if (view == "family") return print_family_view(os, scenario, results);
   if (view == "accuracy") return print_accuracy_view(os, scenario, results);
   if (view == "tail") return print_tail_view(os, scenario, results);
   if (view == "truncation") return print_truncation_view(os, scenario, results);

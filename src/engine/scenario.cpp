@@ -115,7 +115,6 @@ std::string RunPoint::cache_key() const {
       key += ";jobs=" + std::to_string(options.sim_jobs);
       key += ";warmup=" + std::to_string(options.sim_warmup);
       key += ";seed=" + std::to_string(options.base_seed);
-      key += options.sim_raw_seed ? ";raw=1" : ";raw=0";
       if (options.sim_tails) {
         key += ";tails=1;span=" + key_double(options.sim_tail_span);
         key += ";bins=" + std::to_string(options.sim_tail_bins);

@@ -64,9 +64,6 @@ struct RunOptions {
   /// Base seed; each point derives its own deterministic seed from this
   /// and its cache key, so results are independent of thread count.
   std::uint64_t base_seed = 1;
-  /// Use base_seed directly as the simulation seed instead of deriving a
-  /// per-point seed (matches the fixed-seed pre-engine harnesses).
-  bool sim_raw_seed = false;
   /// Collect response-time histograms and fill the RunResult tail
   /// percentiles (P50/P95/P99 per class).
   bool sim_tails = false;

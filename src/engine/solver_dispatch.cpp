@@ -153,10 +153,8 @@ RunResult run_simulation(const RunPoint& point) {
   SimOptions options;
   options.num_jobs = point.options.sim_jobs;
   options.warmup_jobs = point.options.sim_warmup;
-  // Raw seeding reproduces the fixed-seed pre-engine harnesses; derived
-  // seeding keeps distinct points on independent streams.
-  options.seed = point.options.sim_raw_seed ? point.options.base_seed
-                                            : point.seed();
+  // The derived seed keeps distinct points on independent streams.
+  options.seed = point.seed();
   // Exponential specs keep size_dist_* null so the simulator's closed-form
   // sampling path — and therefore its RNG stream — is bitwise identical to
   // the pre-refactor behavior.

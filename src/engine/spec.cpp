@@ -24,12 +24,16 @@ std::string joined(const std::vector<std::string>& names) {
   return all;
 }
 
+/// Rejects keys outside `allowed`, naming the offending field by its full
+/// path ("options.sim_job"). `where` is the object's own path, empty for
+/// the spec root.
 void check_known_keys(const JsonValue& object, const std::string& where,
                       const std::vector<std::string>& allowed) {
-  for (const auto& [key, value] : object.as_object(where)) {
+  for (const auto& [key, value] :
+       object.as_object(where.empty() ? "scenario spec" : where)) {
     if (std::find(allowed.begin(), allowed.end(), key) == allowed.end()) {
-      throw Error(where + ": unknown key '" + key + "' (expected one of: " +
-                  joined(allowed) + ")");
+      throw Error((where.empty() ? key : where + "." + key) +
+                  ": unknown key (expected one of: " + joined(allowed) + ")");
     }
   }
 }
@@ -196,9 +200,9 @@ void parse_options(const JsonValue& json_options, RunOptions& options) {
   check_known_keys(json_options, where,
                    {"fit_order", "truncation_epsilon", "imax", "jmax",
                     "method", "sim_jobs", "sim_warmup", "base_seed",
-                    "sim_raw_seed", "sim_tails", "sim_tail_span",
-                    "sim_tail_bins", "trace_horizon", "trace_seed",
-                    "size_dist_i", "size_dist_e"});
+                    "sim_tails", "sim_tail_span", "sim_tail_bins",
+                    "trace_horizon", "trace_seed", "size_dist_i",
+                    "size_dist_e"});
   if (const JsonValue* v = json_options.find("fit_order")) {
     options.fit_order = static_cast<BusyFitOrder>(
         v->as_integer("options.fit_order", 1, 3));
@@ -234,9 +238,6 @@ void parse_options(const JsonValue& json_options, RunOptions& options) {
   if (const JsonValue* v = json_options.find("base_seed")) {
     options.base_seed = static_cast<std::uint64_t>(
         v->as_integer("options.base_seed", 0, 4000000000LL));
-  }
-  if (const JsonValue* v = json_options.find("sim_raw_seed")) {
-    options.sim_raw_seed = v->as_bool("options.sim_raw_seed");
   }
   if (const JsonValue* v = json_options.find("sim_tails")) {
     options.sim_tails = v->as_bool("options.sim_tails");
@@ -276,7 +277,7 @@ void parse_options(const JsonValue& json_options, RunOptions& options) {
 }  // namespace
 
 Scenario scenario_from_json(const JsonValue& root) {
-  check_known_keys(root, "scenario spec",
+  check_known_keys(root, "",
                    {"name", "description", "view", "axes", "cases",
                     "options"});
   Scenario scenario;
@@ -423,7 +424,6 @@ JsonValue scenario_to_json(const Scenario& scenario) {
               JsonValue::make_number(static_cast<double>(o.sim_warmup)));
   options.set("base_seed",
               JsonValue::make_number(static_cast<double>(o.base_seed)));
-  options.set("sim_raw_seed", JsonValue::make_bool(o.sim_raw_seed));
   options.set("sim_tails", JsonValue::make_bool(o.sim_tails));
   options.set("sim_tail_span", JsonValue::make_number(o.sim_tail_span));
   options.set("sim_tail_bins",
@@ -512,7 +512,7 @@ constexpr BuiltinSpec kBuiltinSpecs[] = {
     })json"},
     {"optimality-family", R"json({
       "name": "optimality-family",
-      "description": "S4 optimality table (bench_optimality_sweep): exact E[T] for the enumerable policy family across the diagonal spot settings of Thms. 1/5 and App. B",
+      "description": "S4 optimality table: exact E[T] for the enumerable policy family across the diagonal spot settings of Thms. 1/5 and App. B",
       "view": "family",
       "cases": [
         {"k": 4, "mu_i": 1, "mu_e": 1, "rho": 0.5},
@@ -551,7 +551,7 @@ constexpr BuiltinSpec kBuiltinSpecs[] = {
       "options": {
         "truncation_epsilon": 1e-9,
         "sim_jobs": 150000, "sim_warmup": 15000,
-        "base_seed": 99, "sim_raw_seed": true
+        "base_seed": 99
       }
     })json"},
     {"tail-latency", R"json({
@@ -569,7 +569,7 @@ constexpr BuiltinSpec kBuiltinSpecs[] = {
       },
       "options": {
         "sim_jobs": 250000, "sim_warmup": 25000,
-        "base_seed": 1234, "sim_raw_seed": true,
+        "base_seed": 1234,
         "sim_tails": true
       }
     })json"},

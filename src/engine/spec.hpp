@@ -30,8 +30,7 @@
 //       "fit_order": 3, "truncation_epsilon": 1e-9,
 //       "imax": 0, "jmax": 0,
 //       "sim_jobs": 200000, "sim_warmup": 20000, "base_seed": 1,
-//       "sim_raw_seed": false, "sim_tails": false,
-//       "sim_tail_span": 400, "sim_tail_bins": 20000,
+//       "sim_tails": false, "sim_tail_span": 400, "sim_tail_bins": 20000,
 //       "trace_horizon": 1500, "trace_seed": 2026
 //     }
 //   }

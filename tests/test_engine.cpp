@@ -19,6 +19,8 @@
 #include "engine/solver_dispatch.hpp"
 #include "engine/sweep_runner.hpp"
 #include "queueing/mmk.hpp"
+#include "sim/cluster_sim.hpp"
+#include "stats/histogram.hpp"
 
 namespace esched {
 namespace {
@@ -152,9 +154,6 @@ TEST(Scenario, CacheKeyIsBackendCanonical) {
   sim2.options.fit_order = BusyFitOrder::kOneMoment;
   EXPECT_EQ(sim.cache_key(), sim2.cache_key());
   sim2.options.sim_tails = true;
-  EXPECT_NE(sim.cache_key(), sim2.cache_key());
-  sim2 = sim;
-  sim2.options.sim_raw_seed = true;
   EXPECT_NE(sim.cache_key(), sim2.cache_key());
 }
 
@@ -336,39 +335,34 @@ TEST(Dispatch, SimTailsFillPercentiles) {
   point.options.sim_jobs = 4000;
   point.options.sim_warmup = 400;
   point.options.sim_tails = true;
-  // Pin the seed: the derived per-point seed hashes the cache key, which
-  // includes the tails flag, so the tails-on/off comparison below needs a
-  // shared raw seed to run the same sample path.
-  point.options.sim_raw_seed = true;
-  point.options.base_seed = 7;
   const RunResult result = dispatch_run(point);
   EXPECT_GT(result.p50_i, 0.0);
   EXPECT_LE(result.p50_i, result.p95_i);
   EXPECT_LE(result.p95_i, result.p99_i);
   EXPECT_LE(result.p50_e, result.p99_e);
-  // Tails off: percentiles stay zero but the means are unchanged (the
-  // histograms are passive observers of the same sample path).
   RunPoint plain = point;
   plain.options.sim_tails = false;
-  const RunResult bare = dispatch_run(plain);
-  EXPECT_EQ(bare.p99_i, 0.0);
-  EXPECT_EQ(bare.mean_response_time, result.mean_response_time);
-}
+  EXPECT_EQ(dispatch_run(plain).p99_i, 0.0);
 
-TEST(Dispatch, RawSeedUsesBaseSeedDirectly) {
-  const SystemParams p = SystemParams::from_load(2, 1.0, 1.0, 0.5);
-  RunPoint a{p, "IF", SolverKind::kSimulation, {}};
-  a.options.sim_jobs = 2000;
-  a.options.sim_warmup = 200;
-  a.options.sim_raw_seed = true;
-  a.options.base_seed = 42;
-  // Same raw seed, different policies: streams coincide by construction,
-  // so results differ only through the policy. Flipping the seed flips
-  // the sample path.
-  RunPoint b = a;
-  b.options.base_seed = 43;
-  EXPECT_NE(dispatch_run(a).mean_response_time,
-            dispatch_run(b).mean_response_time);
+  // The histograms are passive observers: one SimOptions.seed with and
+  // without them runs the same sample path, so the means agree exactly.
+  SimOptions options;
+  options.num_jobs = 4000;
+  options.warmup_jobs = 400;
+  options.seed = 7;
+  const auto policy = make_policy("IF");
+  const SimResult bare = simulate(p, *policy, options);
+  Histogram hist_i(0.0, 400.0, 2000);
+  Histogram hist_e(0.0, 400.0, 2000);
+  options.response_hist_i = &hist_i;
+  options.response_hist_e = &hist_e;
+  const SimResult observed = simulate(p, *policy, options);
+  EXPECT_GT(hist_i.quantile(0.99), 0.0);
+  EXPECT_EQ(observed.mean_response_time.mean, bare.mean_response_time.mean);
+  EXPECT_EQ(observed.inelastic.response_time.mean,
+            bare.inelastic.response_time.mean);
+  EXPECT_EQ(observed.elastic.response_time.mean,
+            bare.elastic.response_time.mean);
 }
 
 TEST(ExactBatch, MatchesUnbatchedSolveBitwise) {

@@ -157,6 +157,10 @@ TEST(Spec, UnknownKeysAreNamed) {
       parse_scenario_text(R"({"axes": {"mu": [1]}})", "t"), "mu");
   EXPECT_THROWS_NAMING(
       parse_scenario_text(R"({"options": {"sim_job": 5}})", "t"), "sim_job");
+  // Retired keys are rejected like typos, by their full path.
+  EXPECT_THROWS_NAMING(
+      parse_scenario_text(R"({"options": {"sim_raw_seed": true}})", "t"),
+      "options.sim_raw_seed");
   EXPECT_THROWS_NAMING(
       parse_scenario_text(R"({"cases": [{"mu_i": 1, "mu_e": 1, "rho": 0.5,
                              "kk": 4}]})", "t"),

@@ -1165,10 +1165,8 @@ int main(int argc, char** argv) {
       // generic table.
       std::string view = view_override.empty() ? scenario.view : view_override;
       if (shard_count > 1) view = "table";
-      esched::ViewOptions view_options;
-      view_options.max_rows = summary_rows;
       esched::print_view(view, std::cout, scenario, points, results, stats,
-                         view_options);
+                         summary_rows);
       if (view != "table") {
         // The table view already ends with this trailer.
         std::printf("\n");
