@@ -159,14 +159,13 @@ ExactCtmcBatch::ExactCtmcBatch(const SystemParams& params,
   const auto num_states = static_cast<std::size_t>(ni * nj);
   skeleton_.begin_rows(num_states, num_states);
   base_exit_.assign(num_states, 0.0);
-  level_of_.resize(num_states);
-  // Level along the longer truncation axis: more levels of smaller blocks
-  // (the block solve costs levels * block^3).
-  const bool level_by_i = ni >= nj;
+  level_by_i_.resize(num_states);
+  level_by_j_.resize(num_states);
   for (long i = 0; i < ni; ++i) {
     for (long j = 0; j < nj; ++j) {
       const std::size_t s = state_index(i, j, nj);
-      level_of_[s] = static_cast<std::uint32_t>(level_by_i ? i : j);
+      level_by_i_[s] = static_cast<std::uint32_t>(i);
+      level_by_j_[s] = static_cast<std::uint32_t>(j);
       double exit = 0.0;
       if (i + 1 < ni && params_.lambda_i > 0.0) exit += params_.lambda_i;
       if (j + 1 < nj && params_.lambda_e > 0.0) exit += params_.lambda_e;
@@ -221,8 +220,23 @@ ExactCtmcResult ExactCtmcBatch::solve(const AllocationPolicy& policy) {
     }
   }
 
-  auto [pi, solve_info] =
-      solve_stationary(scratch_rates_, scratch_exit_, level_of_, options_);
+  // Level along the axis whose fold densifies fewer columns under this
+  // policy; a tie keeps the longer axis (more levels of smaller blocks).
+  const double flops_i =
+      block_solver_flop_estimate(scratch_rates_, level_by_i_);
+  const double flops_j =
+      block_solver_flop_estimate(scratch_rates_, level_by_j_);
+  const bool by_j = flops_j < flops_i || (flops_j == flops_i && nj > ni);
+  auto [pi, solve_info] = solve_stationary(
+      scratch_rates_, scratch_exit_, by_j ? level_by_j_ : level_by_i_,
+      options_);
+  if (solve_info.method == "block") {
+    if (by_j) {
+      global_metrics().counter("exact.method.block.axis.j").add();
+    } else {
+      global_metrics().counter("exact.method.block.axis.i").add();
+    }
+  }
 
   ExactCtmcResult result;
   result.num_states = num_states;
@@ -437,6 +451,9 @@ class PhChainBuilder {
 
     auto [pi, solve_info] = solve_stationary(
         chain.rate_matrix(), chain.exit_rates(), level_of, options_);
+    if (solve_info.method == "block") {
+      global_metrics().counter("exact.method.block.axis.i").add();
+    }
 
     ExactCtmcResult result;
     result.num_states = states_.size();

@@ -30,7 +30,9 @@ struct ExactCtmcOptions {
   /// fit block_memory_limit bytes, and the estimated elimination work is
   /// at most kAutoBlockFlopLimit flops; otherwise SOR. It also falls back
   /// to SOR when the block elimination throws (a level without
-  /// down-transitions).
+  /// down-transitions). On the exponential (N_I, N_E) chain the block
+  /// solver (auto or explicit) levels along whichever axis has the lower
+  /// flop estimate for the policy at hand; see ExactCtmcBatch.
   StationaryMethod method = StationaryMethod::kAuto;
   /// Use dense GTH elimination when the state count is at most this (and
   /// method is kAuto). GTH is direct; SOR iterates to `sor_tol`.
@@ -100,9 +102,16 @@ class ExactCtmcBatch {
   /// state's exit rate.
   CsrMatrix skeleton_;
   Vector base_exit_;
-  /// Level assignment along the longer truncation axis (more, smaller
-  /// blocks) for the block solver.
-  std::vector<std::uint32_t> level_of_;
+  /// Block-solver level assignments along each truncation axis: by N_I
+  /// (level = i) and by N_E (level = j). Both are policy-independent;
+  /// solve() hands the solver the one whose fold densifies fewer columns
+  /// under the policy's rates (block_solver_flop_estimate). Under IF an
+  /// elastic completion leaves at most k states of an N_E level, while
+  /// every state of an N_I level has an inelastic completion, so IF-type
+  /// chains fold along N_E and EF along N_I. Ties keep the longer axis
+  /// (more, smaller blocks).
+  std::vector<std::uint32_t> level_by_i_;
+  std::vector<std::uint32_t> level_by_j_;
   /// Reusable per-solve scratch: the full generator (skeleton + policy
   /// service rates) and its exit rates, rebuilt in place each solve.
   CsrMatrix scratch_rates_;

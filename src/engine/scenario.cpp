@@ -104,6 +104,10 @@ std::string RunPoint::cache_key() const {
       key += ";eps=" + key_double(options.truncation_epsilon);
       key += ";imax=" + std::to_string(options.imax);
       key += ";jmax=" + std::to_string(options.jmax);
+      // Bumped whenever the solver path behind a key can change result
+      // bytes, so warm caches miss instead of serving the old path's rows.
+      // rev=2: the block solver levels along the cheaper axis per policy.
+      key += ";rev=2";
       // Only non-auto methods appear, keeping pre-existing keys — and the
       // disk-cache entries stored under them — byte-identical.
       if (options.exact_method != StationaryMethod::kAuto) {

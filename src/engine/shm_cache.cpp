@@ -7,6 +7,7 @@
 #include <cstring>
 #include <filesystem>
 #include <iterator>
+#include <thread>
 #include <vector>
 
 #include "common/atomic_file.hpp"
@@ -61,6 +62,12 @@ constexpr std::uint64_t kSlotPayload = 40;
 /// key's home slot before giving up (a store that gives up spills to the
 /// file tier, so a nearly-full table degrades, never fails).
 constexpr std::uint64_t kMaxProbes = 64;
+
+/// How long a store waits for slots that other stores are filling before
+/// it claims a slot of its own (see ShmResultCache::store). Long enough to
+/// outlast a writer descheduled under load; a writer killed mid-store
+/// never publishes, and this caps what its wedged slot costs a store.
+constexpr std::chrono::milliseconds kInFlightWait{20};
 
 std::uint64_t read_u64(const unsigned char* p) {
   std::uint64_t v;
@@ -336,26 +343,57 @@ bool ShmResultCache::store(const std::string& key, const RunResult& result) {
   const std::uint64_t probes = std::min(kMaxProbes, slot_count_);
   unsigned char payload[kSlotBytes];
   pack_run_result(result, payload);
+  // Results are deterministic in the key, so an existing entry for this
+  // key makes the store a no-op (first writer wins). Only call on a slot
+  // whose `valid` state was acquire-read.
+  const auto holds_key = [&](const unsigned char* slot) {
+    return read_u64(slot + kSlotKeyHash) == hash &&
+           read_u64(slot + kSlotKeyLen) == key.size() &&
+           std::memcmp(slot + key_off, key.data(), key.size()) == 0;
+  };
+  // Slots passed while another store was filling them. One of those may
+  // be a concurrent store of this very key, so before claiming an empty
+  // slot, wait (bounded, one deadline per call) for them to publish:
+  // otherwise two racing stores of one key leave two entries.
+  std::uint64_t in_flight[kMaxProbes];
+  std::size_t num_in_flight = 0;
+  std::chrono::steady_clock::time_point deadline{};
+  const auto stored_meanwhile = [&] {
+    if (num_in_flight == 0) return false;
+    if (deadline == std::chrono::steady_clock::time_point{}) {
+      deadline = std::chrono::steady_clock::now() + kInFlightWait;
+    }
+    for (std::size_t n = 0; n < num_in_flight; ++n) {
+      unsigned char* slot = slot_ptr(in_flight[n]);
+      const auto state = as_atomic_u64(slot + kSlotState);
+      while (state.load(std::memory_order_acquire) != kStateValid &&
+             std::chrono::steady_clock::now() < deadline) {
+        std::this_thread::yield();
+      }
+      if (state.load(std::memory_order_acquire) == kStateValid &&
+          holds_key(slot)) {
+        return true;
+      }
+    }
+    return false;
+  };
   for (std::uint64_t probe = 0; probe < probes; ++probe) {
-    unsigned char* slot = slot_ptr((hash + probe) & mask);
+    const std::uint64_t index = (hash + probe) & mask;
+    unsigned char* slot = slot_ptr(index);
     auto state = as_atomic_u64(slot + kSlotState);
     const std::uint64_t seen = state.load(std::memory_order_acquire);
     if (seen == kStateValid) {
-      // Results are deterministic in the key, so an existing entry for
-      // this key makes the store a no-op (first writer wins).
-      if (read_u64(slot + kSlotKeyHash) == hash &&
-          read_u64(slot + kSlotKeyLen) == key.size() &&
-          std::memcmp(slot + key_off, key.data(), key.size()) == 0) {
-        return true;
-      }
+      if (holds_key(slot)) return true;
       continue;
     }
-    if (seen != kStateEmpty) continue;  // someone else is writing here
+    if (seen == kStateEmpty && stored_meanwhile()) return true;
     std::uint64_t expected = kStateEmpty;
-    if (!state.compare_exchange_strong(expected, kStateWriting,
+    if (seen != kStateEmpty ||
+        !state.compare_exchange_strong(expected, kStateWriting,
                                        std::memory_order_acq_rel,
                                        std::memory_order_acquire)) {
-      continue;  // lost the claim race; probe onward
+      in_flight[num_in_flight++] = index;  // someone else is writing here
+      continue;
     }
     // Slot is ours. A crash between here and the publish wedges the slot
     // at `writing` — readers skip it, gc compaction reclaims it.

@@ -18,6 +18,9 @@
 //     rebuilds the table without it.
 //   - Slots are immutable once valid (results are deterministic in the
 //     key, so the first writer wins and there is nothing to update).
+//     Before claiming an empty slot, a store waits (at most 20 ms per
+//     call) for the `writing` slots it probed past to publish, and stops
+//     if one holds its key, so racing stores of one key leave one entry.
 // Oversized keys (and probe-exhausted stores) spill to the file-per-entry
 // DiskResultCache tier; TieredResultCache glues the two together.
 #pragma once

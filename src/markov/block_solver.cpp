@@ -49,9 +49,9 @@ LevelPartition partition_levels(const std::vector<std::uint32_t>& level_of,
 /// File-local LU for the censored level generators (-S)^T. Same pivoting
 /// and singularity conventions as LuFactorization, but tuned for this
 /// caller: the update loop touches only the nonzero entries of the pivot
-/// row, and the factors are compressed into sparse column/row lists for
-/// the many solves that follow. The level generators are banded except in
-/// the few fold-modified columns (see the backward sweep), and (-S)^T is
+/// row, and the factors are compressed into CSR-style column/row arrays
+/// for the many solves that follow. The level generators are banded except
+/// in the few fold-modified columns (see the backward sweep), and (-S)^T is
 /// column-wise diagonally dominant, so pivoting essentially never swaps
 /// and the elimination preserves the caller's dense-rows-last ordering —
 /// the factors stay near the sparsity of the inputs instead of filling.
@@ -90,15 +90,19 @@ class FoldFactor {
       }
     }
     diag_.resize(n);
-    l_cols_.resize(n);
-    u_rows_.resize(n);
+    l_cols_.begin(n);
+    u_rows_.begin(n);
     for (std::size_t r = 0; r < n; ++r) {
       diag_[r] = g(r, r);
       for (std::size_t c = r + 1; c < n; ++c) {
-        if (g(r, c) != 0.0) u_rows_[r].emplace_back(c, g(r, c));
-        if (g(c, r) != 0.0) l_cols_[r].emplace_back(c, g(c, r));
+        if (g(r, c) != 0.0) u_rows_.push(c, g(r, c));
+        if (g(c, r) != 0.0) l_cols_.push(c, g(c, r));
       }
+      u_rows_.next_line();
+      l_cols_.next_line();
     }
+    u_rows_.finish();
+    l_cols_.finish();
   }
 
   std::size_t dim() const { return diag_.size(); }
@@ -111,11 +115,15 @@ class FoldFactor {
     for (std::size_t k = 0; k < n; ++k) {
       const double xk = x[k];
       if (xk == 0.0) continue;
-      for (const auto& [r, m] : l_cols_[k]) x[r] -= m * xk;
+      for (std::size_t e = l_cols_.ptr[k]; e < l_cols_.ptr[k + 1]; ++e) {
+        x[l_cols_.index[e]] -= l_cols_.value[e] * xk;
+      }
     }
     for (std::size_t k = n; k-- > 0;) {
       double acc = x[k];
-      for (const auto& [c, v] : u_rows_[k]) acc -= v * x[c];
+      for (std::size_t e = u_rows_.ptr[k]; e < u_rows_.ptr[k + 1]; ++e) {
+        acc -= u_rows_.value[e] * x[u_rows_.index[e]];
+      }
       x[k] = acc / diag_[k];
     }
     return x;
@@ -129,11 +137,15 @@ class FoldFactor {
       const double yk = y[k] / diag_[k];
       y[k] = yk;
       if (yk == 0.0) continue;
-      for (const auto& [c, v] : u_rows_[k]) y[c] -= v * yk;
+      for (std::size_t e = u_rows_.ptr[k]; e < u_rows_.ptr[k + 1]; ++e) {
+        y[u_rows_.index[e]] -= u_rows_.value[e] * yk;
+      }
     }
     for (std::size_t k = n; k-- > 0;) {
       double acc = y[k];
-      for (const auto& [r, m] : l_cols_[k]) acc -= m * y[r];
+      for (std::size_t e = l_cols_.ptr[k]; e < l_cols_.ptr[k + 1]; ++e) {
+        acc -= l_cols_.value[e] * y[l_cols_.index[e]];
+      }
       y[k] = acc;
     }
     Vector x(n);
@@ -142,11 +154,35 @@ class FoldFactor {
   }
 
  private:
+  /// One compressed factor: the entries of line k (a column of L or a row
+  /// of U) are index/value[ptr[k] .. ptr[k+1]), in ascending index order.
+  struct Compressed {
+    std::vector<std::size_t> ptr;
+    std::vector<std::uint32_t> index;
+    std::vector<double> value;
+
+    void begin(std::size_t lines) {
+      ptr.reserve(lines + 1);
+      ptr.push_back(0);
+    }
+    void push(std::size_t i, double v) {
+      index.push_back(static_cast<std::uint32_t>(i));
+      value.push_back(v);
+    }
+    void next_line() { ptr.push_back(index.size()); }
+    /// Drops the growth slack: every level's factor stays alive until
+    /// the forward pass, so slack would add up across levels.
+    void finish() {
+      index.shrink_to_fit();
+      value.shrink_to_fit();
+    }
+  };
+
   std::vector<std::size_t> perm_;
   Vector diag_;
   /// Strict lower factor by column / strict upper factor by row.
-  std::vector<std::vector<std::pair<std::size_t, double>>> l_cols_;
-  std::vector<std::vector<std::pair<std::size_t, double>>> u_rows_;
+  Compressed l_cols_;
+  Compressed u_rows_;
 };
 
 /// A level's factored censored generator: FoldFactor over (-S_{l+1})^T

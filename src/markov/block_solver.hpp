@@ -1,7 +1,8 @@
 // Block-tridiagonal direct stationary solver for level-structured CTMCs.
 //
 // The truncated (N_I, N_E) chains — including the phase-augmented chain —
-// only move between adjacent levels of N_I, so grouping states by level
+// only move between adjacent levels of N_I (and the exponential chain
+// also between adjacent levels of N_E), so grouping states by level
 // yields a block-tridiagonal generator
 //
 //     [ A_0  B_0            ]

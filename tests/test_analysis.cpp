@@ -5,6 +5,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <string>
+#include <vector>
 
 #include "common/error.hpp"
 #include "common/numeric.hpp"
@@ -12,6 +15,9 @@
 #include "core/exact_ctmc.hpp"
 #include "core/if_analysis.hpp"
 #include "core/policies.hpp"
+#include "markov/block_solver.hpp"
+#include "markov/ctmc.hpp"
+#include "obs/metrics.hpp"
 #include "phase/phase_type.hpp"
 #include "queueing/mm1.hpp"
 #include "queueing/mmk.hpp"
@@ -247,6 +253,120 @@ TEST(ExactCtmc, PhaseTypeBlockAgreesWithSor) {
   EXPECT_EQ(a.num_states, b.num_states);
   EXPECT_NEAR(a.mean_response_time, b.mean_response_time, 1e-7);
   EXPECT_NEAR(a.mean_jobs_i, b.mean_jobs_i, 1e-7);
+}
+
+std::uint64_t block_axis_solves(char axis) {
+  return global_metrics()
+      .counter(std::string("exact.method.block.axis.") + axis)
+      .total();
+}
+
+/// Auto-routed solve of `policy` that also reports which block axis ran
+/// ('i', 'j', or '-' when the block solver did not run).
+ExactCtmcResult solve_auto(const SystemParams& p,
+                           const AllocationPolicy& policy,
+                           const ExactCtmcOptions& options, char* axis) {
+  const std::uint64_t i_before = block_axis_solves('i');
+  const std::uint64_t j_before = block_axis_solves('j');
+  ExactCtmcResult r = solve_exact_ctmc(p, policy, options);
+  const std::uint64_t di = block_axis_solves('i') - i_before;
+  const std::uint64_t dj = block_axis_solves('j') - j_before;
+  EXPECT_LE(di + dj, 1u);
+  *axis = di == 1 ? 'i' : dj == 1 ? 'j' : '-';
+  return r;
+}
+
+TEST(ExactCtmc, AutoBlockLevelsIfAlongElasticAxisAndEfAlongInelastic) {
+  // Under IF an elastic completion leaves at most k states of an N_E
+  // level, so the fold along N_E densifies k columns per level instead of
+  // all of them; EF serves inelastic jobs only at j == 0, so N_I is its
+  // cheap axis.
+  const SystemParams p = SystemParams::from_load(4, 1.0, 1.0, 0.9);
+  ExactCtmcOptions options;
+  options.imax = options.jmax = 40;  // 1681 states: auto skips dense GTH
+  struct Case {
+    const AllocationPolicy& policy;
+    char axis;
+  };
+  const InelasticFirst inelastic_first;
+  const ElasticFirst elastic_first;
+  for (const Case& c : {Case{inelastic_first, 'j'}, Case{elastic_first, 'i'}}) {
+    SCOPED_TRACE(c.policy.name());
+    char axis = '?';
+    const ExactCtmcResult automatic = solve_auto(p, c.policy, options, &axis);
+    EXPECT_EQ(automatic.solve_info.method, "block");
+    EXPECT_EQ(axis, c.axis);
+    ExactCtmcOptions gth = options;
+    gth.method = StationaryMethod::kGth;
+    // SOR stops on the residual; at the default 1e-12 its E[T] here is
+    // off by ~2e-9, so the reference iterates further.
+    ExactCtmcOptions sor = options;
+    sor.method = StationaryMethod::kSor;
+    sor.sor_tol = 1e-14;
+    EXPECT_NEAR(automatic.mean_response_time,
+                solve_exact_ctmc(p, c.policy, gth).mean_response_time, 1e-10);
+    EXPECT_NEAR(automatic.mean_response_time,
+                solve_exact_ctmc(p, c.policy, sor).mean_response_time, 1e-9);
+    // The batch and the one-shot entry point share the axis pick.
+    ExactCtmcBatch batch(p, options);
+    const ExactCtmcResult batched = batch.solve(c.policy);
+    EXPECT_EQ(batched.mean_response_time, automatic.mean_response_time);
+    EXPECT_EQ(batched.mean_jobs_i, automatic.mean_jobs_i);
+    EXPECT_EQ(batched.mean_jobs_e, automatic.mean_jobs_e);
+    EXPECT_EQ(batched.boundary_mass, automatic.boundary_mass);
+    EXPECT_EQ(batched.solve_info.residual, automatic.solve_info.residual);
+  }
+}
+
+TEST(ExactCtmc, NonSquareChainTakesTheAxisWithTheLowerFlopEstimate) {
+  // 61 N_I levels of 21 states against 21 N_E levels of 61: the longer
+  // axis is N_I, but under IF it folds every column, so N_E must win.
+  const SystemParams p = SystemParams::from_load(4, 1.0, 1.0, 0.7);
+  const InelasticFirst policy;
+  const long imax = 60, jmax = 20;
+  const long nj = jmax + 1;
+  SparseCtmc chain(static_cast<std::size_t>((imax + 1) * nj));
+  std::vector<std::uint32_t> by_i(chain.num_states());
+  std::vector<std::uint32_t> by_j(chain.num_states());
+  for (long i = 0; i <= imax; ++i) {
+    for (long j = 0; j <= jmax; ++j) {
+      const auto s = static_cast<std::size_t>(i * nj + j);
+      by_i[s] = static_cast<std::uint32_t>(i);
+      by_j[s] = static_cast<std::uint32_t>(j);
+      const Allocation a = policy.allocate({i, j}, p);
+      if (i > 0 && a.inelastic > 0.0) {
+        chain.add_rate(s, s - static_cast<std::size_t>(nj),
+                       a.inelastic * p.mu_i);
+      }
+      const double usable = p.usable_elastic(a.elastic, j);
+      if (j > 0 && usable > 0.0) chain.add_rate(s, s - 1, usable * p.mu_e);
+      if (j < jmax) chain.add_rate(s, s + 1, p.lambda_e);
+      if (i < imax) {
+        chain.add_rate(s, s + static_cast<std::size_t>(nj), p.lambda_i);
+      }
+    }
+  }
+  chain.freeze();
+  const double flops_i = block_solver_flop_estimate(chain.rate_matrix(), by_i);
+  const double flops_j = block_solver_flop_estimate(chain.rate_matrix(), by_j);
+  EXPECT_LT(flops_j, flops_i);
+
+  ExactCtmcOptions options;
+  options.imax = imax;
+  options.jmax = jmax;
+  char axis = '?';
+  const ExactCtmcResult automatic = solve_auto(p, policy, options, &axis);
+  EXPECT_EQ(automatic.solve_info.method, "block");
+  EXPECT_EQ(axis, 'j');
+  ExactCtmcOptions gth = options;
+  gth.method = StationaryMethod::kGth;
+  EXPECT_NEAR(automatic.mean_response_time,
+              solve_exact_ctmc(p, policy, gth).mean_response_time, 1e-10);
+  // Explicit 'block' takes the same axis, so it matches auto bitwise.
+  ExactCtmcOptions block = options;
+  block.method = StationaryMethod::kBlock;
+  EXPECT_EQ(solve_exact_ctmc(p, policy, block).mean_response_time,
+            automatic.mean_response_time);
 }
 
 }  // namespace
