@@ -1,8 +1,10 @@
 #include "core/exact_ctmc.hpp"
 
 #include <algorithm>
+#include <array>
 #include <chrono>
 #include <cmath>
+#include <limits>
 #include <numeric>
 #include <unordered_map>
 #include <utility>
@@ -11,6 +13,7 @@
 #include "common/error.hpp"
 #include "markov/block_solver.hpp"
 #include "markov/ctmc.hpp"
+#include "markov/nested_dissection.hpp"
 #include "markov/stationary.hpp"
 #include "obs/metrics.hpp"
 
@@ -34,19 +37,52 @@ std::size_t state_index(long i, long j, long nj) {
 /// request for O(n^2) memory and O(n^3) time that block/SOR do better.
 constexpr std::size_t kDenseGthLimit = 5000;
 
-/// Auto only picks the block solver when its estimated elimination work
-/// stays below this (~a second or two of arithmetic). Chains whose blocks
-/// are effectively dense — e.g. multi-server phase-augmented chains where
-/// nearly every state receives a down-transition — exceed it and go to
-/// SOR, which scales with nnz * sweeps instead of block^3.
+/// Auto takes the block method on the phase-type chain only when its
+/// estimated elimination work stays below this (~a second or two of
+/// arithmetic). Multi-server phase-augmented chains where nearly every
+/// state receives a down-transition have effectively dense blocks, exceed
+/// it and go to SOR, which scales with nnz * sweeps instead of block^3.
+/// The exponential chain does not need it: nested dissection bounds its
+/// direct elimination at O(n^1.5) work.
 constexpr double kAutoBlockFlopLimit = 2e9;
 
+/// One direct elimination order for the block method: the levels of a
+/// block-tridiagonal fold (`level_of`), or nested dissection of the chain's
+/// grid (`level_of` null). `counter` is the exact.method.block.* counter a
+/// solve in this order bumps.
+struct BlockOrdering {
+  const std::vector<std::uint32_t>* level_of = nullptr;
+  const char* counter = "";
+  double flops = 0.0;
+  std::size_t bytes = 0;
+};
+
+/// The block method as a chain offers it: the orderings in the order auto
+/// tries them (the cheapest, then nested dissection when a level
+/// elimination throws), the grid nested dissection runs on, and the
+/// estimate above which auto prefers SOR. No ordering means none fits
+/// block_memory_limit; `min_bytes` is the smallest one considered.
+struct BlockPlan {
+  std::vector<BlockOrdering> tries;
+  std::size_t ni = 0;
+  std::size_t nj = 0;
+  double auto_flop_limit = std::numeric_limits<double>::infinity();
+  std::size_t min_bytes = 0;
+};
+
+/// Whether solve_stationary can reach the block method, i.e. whether the
+/// caller needs to plan its orderings.
+bool may_run_block(const ExactCtmcOptions& options, std::size_t n) {
+  return options.method == StationaryMethod::kBlock ||
+         (options.method == StationaryMethod::kAuto &&
+          n > options.gth_state_limit);
+}
+
 /// Runs the stationary solve with the selected (or auto-chosen) method,
-/// recording per-method solve-time / state-count metrics. `level_of` may
-/// be empty when the chain has no usable level structure.
+/// recording per-method solve-time / state-count metrics and, for the
+/// block method, the counter of the ordering that produced the result.
 std::pair<Vector, StationarySolveInfo> solve_stationary(
-    const CsrMatrix& rates, const Vector& exit_rates,
-    const std::vector<std::uint32_t>& level_of,
+    const CsrMatrix& rates, const Vector& exit_rates, const BlockPlan& plan,
     const ExactCtmcOptions& options) {
   const std::size_t n = rates.rows();
   const bool auto_selected = options.method == StationaryMethod::kAuto;
@@ -54,11 +90,8 @@ std::pair<Vector, StationarySolveInfo> solve_stationary(
   if (auto_selected) {
     if (n <= options.gth_state_limit) {
       method = StationaryMethod::kGth;
-    } else if (!level_of.empty() &&
-               block_solver_workspace_bytes(level_of) <=
-                   options.block_memory_limit &&
-               block_solver_flop_estimate(rates, level_of) <=
-                   kAutoBlockFlopLimit) {
+    } else if (!plan.tries.empty() &&
+               plan.tries[0].flops <= plan.auto_flop_limit) {
       method = StationaryMethod::kBlock;
     } else {
       method = StationaryMethod::kSor;
@@ -68,6 +101,7 @@ std::pair<Vector, StationarySolveInfo> solve_stationary(
   const auto start = std::chrono::steady_clock::now();
   Vector pi;
   StationarySolveInfo solve_info;
+  const char* block_counter = nullptr;
   const auto run_sor = [&] {
     pi = sor_stationary(rates, exit_rates, options.sor_tol,
                         options.sor_max_iters, options.sor_omega, &solve_info);
@@ -89,30 +123,34 @@ std::pair<Vector, StationarySolveInfo> solve_stationary(
       run_sor();
       break;
     case StationaryMethod::kBlock:
-      ESCHED_CHECK(!level_of.empty(),
-                   "method 'block' needs a level-structured chain");
-      ESCHED_CHECK(
-          block_solver_workspace_bytes(level_of) <= options.block_memory_limit,
-          "method 'block' would need " +
-              std::to_string(block_solver_workspace_bytes(level_of)) +
-              " workspace bytes, over the " +
-              std::to_string(options.block_memory_limit) +
-              "-byte limit (raise block_memory_limit or use 'sor')");
-      if (auto_selected) {
-        // Some policies (e.g. idling variants) leave a level with no
-        // down-transitions, which the direct elimination rejects; those
-        // chains are still solvable iteratively, so auto falls back.
+      ESCHED_CHECK(!plan.tries.empty(),
+                   "method 'block' would need " +
+                       std::to_string(plan.min_bytes) +
+                       " workspace bytes, over the " +
+                       std::to_string(options.block_memory_limit) +
+                       "-byte limit (raise block_memory_limit or use 'sor')");
+      for (const BlockOrdering& ordering : plan.tries) {
         try {
-          pi = block_tridiagonal_stationary(rates, exit_rates, level_of,
-                                            &solve_info);
+          pi = ordering.level_of != nullptr
+                   ? block_tridiagonal_stationary(rates, exit_rates,
+                                                  *ordering.level_of,
+                                                  &solve_info)
+                   : nested_dissection_stationary(rates, exit_rates, plan.ni,
+                                                  plan.nj, &solve_info);
+          block_counter = ordering.counter;
+          break;
         } catch (const Error&) {
+          // Some policies (e.g. idling variants) leave a level with no
+          // down-transitions, or a state with no path to the states after
+          // it; an explicit request reports that, auto moves on to the
+          // next ordering and then to SOR, which still solves the chain.
+          if (!auto_selected) throw;
           global_metrics().counter("exact.method.block.fallbacks").add();
-          method = StationaryMethod::kSor;
-          run_sor();
         }
-      } else {
-        pi = block_tridiagonal_stationary(rates, exit_rates, level_of,
-                                          &solve_info);
+      }
+      if (block_counter == nullptr) {
+        method = StationaryMethod::kSor;
+        run_sor();
       }
       break;
     case StationaryMethod::kAuto:
@@ -129,6 +167,7 @@ std::pair<Vector, StationarySolveInfo> solve_stationary(
   metrics.counter(prefix + ".solves").add();
   metrics.histogram(prefix + ".seconds").record(seconds);
   metrics.histogram(prefix + ".states").record(static_cast<double>(n));
+  if (block_counter != nullptr) metrics.counter(block_counter).add();
   if (method == StationaryMethod::kSor) {
     metrics.histogram("exact.method.sor.sweeps")
         .record(static_cast<double>(solve_info.iterations));
@@ -220,23 +259,45 @@ ExactCtmcResult ExactCtmcBatch::solve(const AllocationPolicy& policy) {
     }
   }
 
-  // Level along the axis whose fold densifies fewer columns under this
-  // policy; a tie keeps the longer axis (more levels of smaller blocks).
-  const double flops_i =
-      block_solver_flop_estimate(scratch_rates_, level_by_i_);
-  const double flops_j =
-      block_solver_flop_estimate(scratch_rates_, level_by_j_);
-  const bool by_j = flops_j < flops_i || (flops_j == flops_i && nj > ni);
-  auto [pi, solve_info] = solve_stationary(
-      scratch_rates_, scratch_exit_, by_j ? level_by_j_ : level_by_i_,
-      options_);
-  if (solve_info.method == "block") {
-    if (by_j) {
-      global_metrics().counter("exact.method.block.axis.j").add();
-    } else {
-      global_metrics().counter("exact.method.block.axis.i").add();
+  // The block method takes the cheapest of three orderings: levels along
+  // N_I, levels along N_E (both by their fold's flop estimate under this
+  // policy) and nested dissection (its exact count, the same for every
+  // policy). A tie between the axes keeps the longer one (more levels of
+  // smaller blocks); nested dissection must be strictly cheaper. It is
+  // also auto's retry when a level elimination throws.
+  BlockPlan plan;
+  if (may_run_block(options_, num_states)) {
+    plan.ni = static_cast<std::size_t>(ni);
+    plan.nj = static_cast<std::size_t>(nj);
+    const BlockOrdering by_i{
+        &level_by_i_, "exact.method.block.axis.i",
+        block_solver_flop_estimate(scratch_rates_, level_by_i_),
+        block_solver_workspace_bytes(level_by_i_)};
+    const BlockOrdering by_j{
+        &level_by_j_, "exact.method.block.axis.j",
+        block_solver_flop_estimate(scratch_rates_, level_by_j_),
+        block_solver_workspace_bytes(level_by_j_)};
+    const NestedDissectionCost nd_cost =
+        nested_dissection_cost(plan.ni, plan.nj);
+    const BlockOrdering nd{nullptr, "exact.method.block.nd", nd_cost.flops,
+                           nd_cost.workspace_bytes};
+    std::array<BlockOrdering, 3> orderings = {nj > ni ? by_j : by_i,
+                                              nj > ni ? by_i : by_j, nd};
+    std::stable_sort(orderings.begin(), orderings.end(),
+                     [](const BlockOrdering& a, const BlockOrdering& b) {
+                       return a.flops < b.flops;
+                     });
+    plan.min_bytes = std::min({by_i.bytes, by_j.bytes, nd.bytes});
+    for (const BlockOrdering& ordering : orderings) {
+      if (ordering.bytes > options_.block_memory_limit) continue;
+      if (plan.tries.empty() || ordering.level_of == nullptr) {
+        plan.tries.push_back(ordering);
+      }
+      if (ordering.level_of == nullptr) break;
     }
   }
+  auto [pi, solve_info] =
+      solve_stationary(scratch_rates_, scratch_exit_, plan, options_);
 
   ExactCtmcResult result;
   result.num_states = num_states;
@@ -449,11 +510,19 @@ class PhChainBuilder {
       level_of[n] = static_cast<std::uint32_t>(started + st.w);
     }
 
-    auto [pi, solve_info] = solve_stationary(
-        chain.rate_matrix(), chain.exit_rates(), level_of, options_);
-    if (solve_info.method == "block") {
-      global_metrics().counter("exact.method.block.axis.i").add();
+    BlockPlan plan;
+    plan.auto_flop_limit = kAutoBlockFlopLimit;
+    if (may_run_block(options_, states_.size())) {
+      plan.min_bytes = block_solver_workspace_bytes(level_of);
+      if (plan.min_bytes <= options_.block_memory_limit) {
+        plan.tries.push_back(
+            {&level_of, "exact.method.block.axis.i",
+             block_solver_flop_estimate(chain.rate_matrix(), level_of),
+             plan.min_bytes});
+      }
     }
+    auto [pi, solve_info] = solve_stationary(
+        chain.rate_matrix(), chain.exit_rates(), plan, options_);
 
     ExactCtmcResult result;
     result.num_states = states_.size();

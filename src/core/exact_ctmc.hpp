@@ -25,14 +25,15 @@ struct ExactCtmcOptions {
   long imax = 120;  ///< inelastic truncation level
   long jmax = 120;  ///< elastic truncation level
   /// Stationary-solver selection. kAuto uses dense GTH up to
-  /// gth_state_limit states. Above that it picks the block-tridiagonal
-  /// direct solver when the chain is level-structured, the block factors
-  /// fit block_memory_limit bytes, and the estimated elimination work is
-  /// at most kAutoBlockFlopLimit flops; otherwise SOR. It also falls back
-  /// to SOR when the block elimination throws (a level without
-  /// down-transitions). On the exponential (N_I, N_E) chain the block
-  /// solver (auto or explicit) levels along whichever axis has the lower
-  /// flop estimate for the policy at hand; see ExactCtmcBatch.
+  /// gth_state_limit states and the block method above that. On the
+  /// exponential (N_I, N_E) chain the block method (auto or explicit)
+  /// eliminates in the cheapest of three orderings that fit
+  /// block_memory_limit: levels along N_I, levels along N_E, or nested
+  /// dissection of the grid; see ExactCtmcBatch. When a level elimination
+  /// throws (a level without down-transitions), auto retries nested
+  /// dissection, and when that throws too (a reducible chain), SOR. The
+  /// phase-type chain levels along i only, and auto sends it to SOR instead
+  /// when the fold's estimated work is over a fixed flop limit.
   StationaryMethod method = StationaryMethod::kAuto;
   /// Use dense GTH elimination when the state count is at most this (and
   /// method is kAuto). GTH is direct; SOR iterates to `sor_tol`.
@@ -40,9 +41,10 @@ struct ExactCtmcOptions {
   double sor_tol = 1e-12;
   int sor_max_iters = 200000;
   double sor_omega = 1.0;
-  /// Workspace cap for the block solver (see
-  /// block_solver_workspace_bytes). kAuto falls back to SOR above it; an
-  /// explicit kBlock request throws instead.
+  /// Workspace cap for the block method (block_solver_workspace_bytes per
+  /// axis, NestedDissectionCost::workspace_bytes). Orderings over it are
+  /// not considered; when none fits, kAuto falls back to SOR and an
+  /// explicit kBlock request throws.
   std::size_t block_memory_limit = std::size_t{4} << 30;
 };
 
@@ -104,12 +106,15 @@ class ExactCtmcBatch {
   Vector base_exit_;
   /// Block-solver level assignments along each truncation axis: by N_I
   /// (level = i) and by N_E (level = j). Both are policy-independent;
-  /// solve() hands the solver the one whose fold densifies fewer columns
-  /// under the policy's rates (block_solver_flop_estimate). Under IF an
-  /// elastic completion leaves at most k states of an N_E level, while
-  /// every state of an N_I level has an inelastic completion, so IF-type
-  /// chains fold along N_E and EF along N_I. Ties keep the longer axis
-  /// (more, smaller blocks).
+  /// solve() compares the flop estimate of each axis's fold under the
+  /// policy's rates (block_solver_flop_estimate) with the exact count of
+  /// nested dissection (nested_dissection_cost) and runs the cheapest.
+  /// Under IF an elastic completion leaves at most k states of an N_E
+  /// level, while every state of an N_I level has an inelastic completion,
+  /// so IF-type chains fold along N_E and EF along N_I. FairShare and Cap2
+  /// move both i and j in every state, fill both folds, and take nested
+  /// dissection. Ties between the axes keep the longer axis (more, smaller
+  /// blocks).
   std::vector<std::uint32_t> level_by_i_;
   std::vector<std::uint32_t> level_by_j_;
   /// Reusable per-solve scratch: the full generator (skeleton + policy

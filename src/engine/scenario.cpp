@@ -107,7 +107,8 @@ std::string RunPoint::cache_key() const {
       // Bumped whenever the solver path behind a key can change result
       // bytes, so warm caches miss instead of serving the old path's rows.
       // rev=2: the block solver levels along the cheaper axis per policy.
-      key += ";rev=2";
+      // rev=3: the block method may eliminate in nested-dissection order.
+      key += ";rev=3";
       // Only non-auto methods appear, keeping pre-existing keys — and the
       // disk-cache entries stored under them — byte-identical.
       if (options.exact_method != StationaryMethod::kAuto) {

@@ -7,6 +7,7 @@
 #include <cmath>
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/error.hpp"
@@ -17,6 +18,8 @@
 #include "core/policies.hpp"
 #include "markov/block_solver.hpp"
 #include "markov/ctmc.hpp"
+#include "markov/nested_dissection.hpp"
+#include "markov/stationary.hpp"
 #include "obs/metrics.hpp"
 #include "phase/phase_type.hpp"
 #include "queueing/mm1.hpp"
@@ -255,25 +258,76 @@ TEST(ExactCtmc, PhaseTypeBlockAgreesWithSor) {
   EXPECT_NEAR(a.mean_jobs_i, b.mean_jobs_i, 1e-7);
 }
 
-std::uint64_t block_axis_solves(char axis) {
-  return global_metrics()
-      .counter(std::string("exact.method.block.axis.") + axis)
-      .total();
+std::uint64_t counter_total(const std::string& name) {
+  return global_metrics().counter(name).total();
 }
 
-/// Auto-routed solve of `policy` that also reports which block axis ran
-/// ('i', 'j', or '-' when the block solver did not run).
+/// Auto-routed solve of `policy` that also reports which block ordering
+/// ran: 'i' or 'j' for levels along that axis, 'n' for nested dissection,
+/// '-' when the block method did not run.
 ExactCtmcResult solve_auto(const SystemParams& p,
                            const AllocationPolicy& policy,
-                           const ExactCtmcOptions& options, char* axis) {
-  const std::uint64_t i_before = block_axis_solves('i');
-  const std::uint64_t j_before = block_axis_solves('j');
+                           const ExactCtmcOptions& options, char* ordering) {
+  const char* names[] = {"exact.method.block.axis.i",
+                         "exact.method.block.axis.j", "exact.method.block.nd"};
+  std::uint64_t before[3];
+  for (int c = 0; c < 3; ++c) before[c] = counter_total(names[c]);
   ExactCtmcResult r = solve_exact_ctmc(p, policy, options);
-  const std::uint64_t di = block_axis_solves('i') - i_before;
-  const std::uint64_t dj = block_axis_solves('j') - j_before;
-  EXPECT_LE(di + dj, 1u);
-  *axis = di == 1 ? 'i' : dj == 1 ? 'j' : '-';
+  const std::uint64_t di = counter_total(names[0]) - before[0];
+  const std::uint64_t dj = counter_total(names[1]) - before[1];
+  const std::uint64_t dn = counter_total(names[2]) - before[2];
+  EXPECT_LE(di + dj + dn, 1u);
+  *ordering = di == 1 ? 'i' : dj == 1 ? 'j' : dn == 1 ? 'n' : '-';
   return r;
+}
+
+/// The exponential (N_I, N_E) chain of `policy` on the (imax + 1) x
+/// (jmax + 1) grid, state i * (jmax + 1) + j, with the same rates
+/// ExactCtmcBatch overlays.
+SparseCtmc policy_chain(const SystemParams& p, const AllocationPolicy& policy,
+                        long imax, long jmax) {
+  const long nj = jmax + 1;
+  SparseCtmc chain(static_cast<std::size_t>((imax + 1) * nj));
+  for (long i = 0; i <= imax; ++i) {
+    for (long j = 0; j <= jmax; ++j) {
+      const auto s = static_cast<std::size_t>(i * nj + j);
+      const Allocation a = policy.allocate({i, j}, p);
+      if (i > 0 && a.inelastic > 0.0) {
+        chain.add_rate(s, s - static_cast<std::size_t>(nj),
+                       a.inelastic * p.mu_i);
+      }
+      const double usable = p.usable_elastic(a.elastic, j);
+      if (j > 0 && usable > 0.0) chain.add_rate(s, s - 1, usable * p.mu_e);
+      if (j < jmax) chain.add_rate(s, s + 1, p.lambda_e);
+      if (i < imax) {
+        chain.add_rate(s, s + static_cast<std::size_t>(nj), p.lambda_i);
+      }
+    }
+  }
+  chain.freeze();
+  return chain;
+}
+
+/// Level vectors of an ni x nj grid along N_I (level = i) or N_E (= j).
+std::vector<std::uint32_t> grid_levels(long ni, long nj, bool by_j) {
+  std::vector<std::uint32_t> level_of(static_cast<std::size_t>(ni * nj));
+  for (std::size_t s = 0; s < level_of.size(); ++s) {
+    const auto nj_size = static_cast<std::size_t>(nj);
+    level_of[s] = static_cast<std::uint32_t>(by_j ? s % nj_size : s / nj_size);
+  }
+  return level_of;
+}
+
+/// pi agrees with `reference` to `rel` relative on every state holding
+/// more than 1e-12 mass.
+void expect_relative_match(const Vector& pi, const Vector& reference,
+                           double rel) {
+  ASSERT_EQ(pi.size(), reference.size());
+  for (std::size_t s = 0; s < pi.size(); ++s) {
+    if (reference[s] > 1e-12) {
+      EXPECT_NEAR(pi[s], reference[s], rel * reference[s]) << "state " << s;
+    }
+  }
 }
 
 TEST(ExactCtmc, AutoBlockLevelsIfAlongElasticAxisAndEfAlongInelastic) {
@@ -292,10 +346,11 @@ TEST(ExactCtmc, AutoBlockLevelsIfAlongElasticAxisAndEfAlongInelastic) {
   const ElasticFirst elastic_first;
   for (const Case& c : {Case{inelastic_first, 'j'}, Case{elastic_first, 'i'}}) {
     SCOPED_TRACE(c.policy.name());
-    char axis = '?';
-    const ExactCtmcResult automatic = solve_auto(p, c.policy, options, &axis);
+    char ordering = '?';
+    const ExactCtmcResult automatic =
+        solve_auto(p, c.policy, options, &ordering);
     EXPECT_EQ(automatic.solve_info.method, "block");
-    EXPECT_EQ(axis, c.axis);
+    EXPECT_EQ(ordering, c.axis);
     ExactCtmcOptions gth = options;
     gth.method = StationaryMethod::kGth;
     // SOR stops on the residual; at the default 1e-12 its E[T] here is
@@ -324,29 +379,9 @@ TEST(ExactCtmc, NonSquareChainTakesTheAxisWithTheLowerFlopEstimate) {
   const SystemParams p = SystemParams::from_load(4, 1.0, 1.0, 0.7);
   const InelasticFirst policy;
   const long imax = 60, jmax = 20;
-  const long nj = jmax + 1;
-  SparseCtmc chain(static_cast<std::size_t>((imax + 1) * nj));
-  std::vector<std::uint32_t> by_i(chain.num_states());
-  std::vector<std::uint32_t> by_j(chain.num_states());
-  for (long i = 0; i <= imax; ++i) {
-    for (long j = 0; j <= jmax; ++j) {
-      const auto s = static_cast<std::size_t>(i * nj + j);
-      by_i[s] = static_cast<std::uint32_t>(i);
-      by_j[s] = static_cast<std::uint32_t>(j);
-      const Allocation a = policy.allocate({i, j}, p);
-      if (i > 0 && a.inelastic > 0.0) {
-        chain.add_rate(s, s - static_cast<std::size_t>(nj),
-                       a.inelastic * p.mu_i);
-      }
-      const double usable = p.usable_elastic(a.elastic, j);
-      if (j > 0 && usable > 0.0) chain.add_rate(s, s - 1, usable * p.mu_e);
-      if (j < jmax) chain.add_rate(s, s + 1, p.lambda_e);
-      if (i < imax) {
-        chain.add_rate(s, s + static_cast<std::size_t>(nj), p.lambda_i);
-      }
-    }
-  }
-  chain.freeze();
+  const SparseCtmc chain = policy_chain(p, policy, imax, jmax);
+  const auto by_i = grid_levels(imax + 1, jmax + 1, false);
+  const auto by_j = grid_levels(imax + 1, jmax + 1, true);
   const double flops_i = block_solver_flop_estimate(chain.rate_matrix(), by_i);
   const double flops_j = block_solver_flop_estimate(chain.rate_matrix(), by_j);
   EXPECT_LT(flops_j, flops_i);
@@ -354,10 +389,10 @@ TEST(ExactCtmc, NonSquareChainTakesTheAxisWithTheLowerFlopEstimate) {
   ExactCtmcOptions options;
   options.imax = imax;
   options.jmax = jmax;
-  char axis = '?';
-  const ExactCtmcResult automatic = solve_auto(p, policy, options, &axis);
+  char ordering = '?';
+  const ExactCtmcResult automatic = solve_auto(p, policy, options, &ordering);
   EXPECT_EQ(automatic.solve_info.method, "block");
-  EXPECT_EQ(axis, 'j');
+  EXPECT_EQ(ordering, 'j');
   ExactCtmcOptions gth = options;
   gth.method = StationaryMethod::kGth;
   EXPECT_NEAR(automatic.mean_response_time,
@@ -367,6 +402,175 @@ TEST(ExactCtmc, NonSquareChainTakesTheAxisWithTheLowerFlopEstimate) {
   block.method = StationaryMethod::kBlock;
   EXPECT_EQ(solve_exact_ctmc(p, policy, block).mean_response_time,
             automatic.mean_response_time);
+}
+
+TEST(ExactCtmc, NestedDissectionMatchesGthOnPolicyChains) {
+  // The §4 family on a square and a non-square grid: every state holding
+  // mass agrees with dense GTH to 1e-12 relative.
+  const SystemParams p = SystemParams::from_load(4, 2.0, 1.0, 0.7);
+  const InelasticFirst inelastic_first;
+  const ElasticFirst elastic_first;
+  const FairShare fair_share;
+  const InelasticCap cap2(2);
+  const IdlingPolicy idle1(make_inelastic_first(), 1.0);
+  const AllocationPolicy* policies[] = {&fair_share, &cap2, &inelastic_first,
+                                        &elastic_first, &idle1};
+  const std::pair<long, long> grids[] = {{40, 40}, {60, 20}};
+  for (const auto& [imax, jmax] : grids) {
+    for (const AllocationPolicy* policy : policies) {
+      SCOPED_TRACE(::testing::Message() << policy->name() << " " << imax
+                                        << " x " << jmax);
+      const SparseCtmc chain = policy_chain(p, *policy, imax, jmax);
+      const Vector nd = nested_dissection_stationary(
+          chain.rate_matrix(), chain.exit_rates(),
+          static_cast<std::size_t>(imax + 1),
+          static_cast<std::size_t>(jmax + 1));
+      expect_relative_match(nd, gth_stationary(chain), 1e-12);
+    }
+  }
+}
+
+TEST(ExactCtmc, NestedDissectionMatchesBlockOnIfAndEfAt39204States) {
+  const SystemParams p = SystemParams::from_load(4, 1.0, 1.0, 0.5);
+  const long imax = 197, jmax = 197;  // 198 x 198 = 39,204 states
+  const InelasticFirst inelastic_first;
+  const ElasticFirst elastic_first;
+  struct Case {
+    const AllocationPolicy& policy;
+    bool by_j;  // the axis auto levels along
+  };
+  for (const Case& c :
+       {Case{inelastic_first, true}, Case{elastic_first, false}}) {
+    SCOPED_TRACE(c.policy.name());
+    const SparseCtmc chain = policy_chain(p, c.policy, imax, jmax);
+    const Vector block = block_tridiagonal_stationary(
+        chain, grid_levels(imax + 1, jmax + 1, c.by_j), nullptr);
+    const Vector nd = nested_dissection_stationary(
+        chain.rate_matrix(), chain.exit_rates(), imax + 1, jmax + 1);
+    expect_relative_match(nd, block, 1e-12);
+  }
+}
+
+TEST(ExactCtmc, AutoRoutesEachPolicyToItsCheapestOrdering) {
+  // FairShare and Cap2 fill the fold along either axis, so nested
+  // dissection wins; IF and EF keep their cheap axis.
+  const SystemParams p = SystemParams::from_load(4, 1.0, 1.0, 0.9);
+  ExactCtmcOptions options;
+  options.imax = options.jmax = 80;  // 6,561 states
+  const FairShare fair_share;
+  const InelasticCap cap2(2);
+  const InelasticFirst inelastic_first;
+  const ElasticFirst elastic_first;
+  struct Case {
+    const AllocationPolicy& policy;
+    char ordering;
+  };
+  const Case cases[] = {{fair_share, 'n'}, {cap2, 'n'}, {inelastic_first, 'j'},
+                        {elastic_first, 'i'}};
+  ExactCtmcBatch batch(p, options);
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.policy.name());
+    char ordering = '?';
+    const ExactCtmcResult automatic =
+        solve_auto(p, c.policy, options, &ordering);
+    EXPECT_EQ(automatic.solve_info.method, "block");
+    EXPECT_EQ(automatic.solve_info.iterations, 0);
+    EXPECT_EQ(ordering, c.ordering);
+    // Explicit 'block' makes the same pick, and the batch (which has
+    // solved the other policies first) matches the one-shot entry point
+    // bitwise.
+    ExactCtmcOptions block = options;
+    block.method = StationaryMethod::kBlock;
+    EXPECT_EQ(solve_exact_ctmc(p, c.policy, block).mean_response_time,
+              automatic.mean_response_time);
+    const ExactCtmcResult batched = batch.solve(c.policy);
+    EXPECT_EQ(batched.mean_response_time, automatic.mean_response_time);
+    EXPECT_EQ(batched.mean_jobs_i, automatic.mean_jobs_i);
+    EXPECT_EQ(batched.mean_jobs_e, automatic.mean_jobs_e);
+    EXPECT_EQ(batched.boundary_mass, automatic.boundary_mass);
+    EXPECT_EQ(batched.solve_info.residual, automatic.solve_info.residual);
+  }
+}
+
+TEST(ExactCtmc, NestedDissectionSurvivesNegligibleMassOnThePinnedState) {
+  // Back-substitution pins the root separator's last state, (60, 120)
+  // here, whose mass is ~rho^180 of the empty state's at rho 0.02: the
+  // unnormalized values would overflow without rescaling. The truncation
+  // is far past the mass, so a 41 x 41 GTH solve gives the same E[T].
+  const SystemParams p = SystemParams::from_load(4, 1.0, 1.0, 0.02);
+  ExactCtmcOptions options;
+  options.imax = options.jmax = 120;
+  char ordering = '?';
+  const ExactCtmcResult nd = solve_auto(p, FairShare{}, options, &ordering);
+  EXPECT_EQ(ordering, 'n');
+  ExactCtmcOptions gth;
+  gth.imax = gth.jmax = 40;
+  gth.method = StationaryMethod::kGth;
+  const ExactCtmcResult dense = solve_exact_ctmc(p, FairShare{}, gth);
+  EXPECT_NEAR(nd.mean_response_time, dense.mean_response_time,
+              1e-12 * dense.mean_response_time);
+}
+
+/// Never serves inelastic jobs, so N_I only grows: the row i == imax is
+/// closed and every other state is transient.
+class NoInelasticService final : public AllocationPolicy {
+ public:
+  Allocation allocate(const State& state,
+                      const SystemParams& params) const override {
+    return {0.0, state.j > 0 ? static_cast<double>(params.k) : 0.0};
+  }
+  std::string name() const override { return "NoInelasticService"; }
+};
+
+TEST(ExactCtmc, AutoFallsBackToSorWhenEveryEliminationThrows) {
+  // Levels along N_I are the cheapest ordering, but no level has a
+  // down-transition; nested dissection then eliminates the closed row
+  // before the middle separator and hits a zero pivot. Auto counts both
+  // fallbacks and solves the chain with SOR; explicit 'block' throws.
+  const SystemParams p = SystemParams::from_load(4, 1.0, 1.0, 0.5);
+  ExactCtmcOptions options;
+  options.imax = options.jmax = 30;  // 961 states
+  const NoInelasticService policy;
+  const std::uint64_t fallbacks_before =
+      counter_total("exact.method.block.fallbacks");
+  char ordering = '?';
+  const ExactCtmcResult automatic = solve_auto(p, policy, options, &ordering);
+  EXPECT_EQ(automatic.solve_info.method, "sor");
+  EXPECT_EQ(ordering, '-');
+  EXPECT_EQ(counter_total("exact.method.block.fallbacks") - fallbacks_before,
+            2u);
+  EXPECT_NEAR(automatic.mean_jobs_i, 30.0, 1e-9);
+  ExactCtmcOptions block = options;
+  block.method = StationaryMethod::kBlock;
+  EXPECT_THROW(solve_exact_ctmc(p, policy, block), Error);
+}
+
+TEST(ExactCtmc, EveryBlockSolveBumpsExactlyOneOrderingCounter) {
+  const SystemParams p = SystemParams::from_load(4, 1.0, 1.0, 0.7);
+  ExactCtmcOptions options;
+  options.imax = options.jmax = 40;
+  const char* names[] = {"exact.method.block.solves",
+                         "exact.method.block.axis.i",
+                         "exact.method.block.axis.j",
+                         "exact.method.block.nd"};
+  std::uint64_t before[4];
+  for (int c = 0; c < 4; ++c) before[c] = counter_total(names[c]);
+  (void)solve_exact_ctmc(p, InelasticFirst{}, options);  // axis j
+  (void)solve_exact_ctmc(p, ElasticFirst{}, options);    // axis i
+  (void)solve_exact_ctmc(p, FairShare{}, options);       // nested dissection
+  (void)solve_exact_ctmc(p, NoInelasticService{}, options);  // SOR
+  ExactCtmcOptions ph = options;
+  ph.imax = ph.jmax = 12;
+  ph.method = StationaryMethod::kBlock;
+  (void)solve_exact_ctmc_ph(p, ElasticFirst{},
+                            PhaseType::erlang(2, 2.0 * p.mu_i), ph);  // axis i
+  std::uint64_t delta[4];
+  for (int c = 0; c < 4; ++c) delta[c] = counter_total(names[c]) - before[c];
+  EXPECT_EQ(delta[0], 4u);
+  EXPECT_EQ(delta[1], 2u);
+  EXPECT_EQ(delta[2], 1u);
+  EXPECT_EQ(delta[3], 1u);
+  EXPECT_EQ(delta[0], delta[1] + delta[2] + delta[3]);
 }
 
 }  // namespace

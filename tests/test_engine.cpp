@@ -149,10 +149,10 @@ TEST(Scenario, CacheKeyIsBackendCanonical) {
   exact2.options.imax = 40;
   EXPECT_NE(exact.cache_key(), exact2.cache_key());
   // Every exact key carries the solver-path revision, auto or not, so a
-  // warm cache from before the per-policy level axis misses.
-  EXPECT_NE(exact.cache_key().find(";rev=2"), std::string::npos);
+  // warm cache from before nested-dissection ordering misses.
+  EXPECT_NE(exact.cache_key().find(";rev=3"), std::string::npos);
   exact2.options.exact_method = StationaryMethod::kSor;
-  EXPECT_NE(exact2.cache_key().find(";rev=2;method=sor"), std::string::npos);
+  EXPECT_NE(exact2.cache_key().find(";rev=3;method=sor"), std::string::npos);
   EXPECT_EQ(qbd.cache_key().find(";rev="), std::string::npos);
 
   RunPoint sim{p, "IF", SolverKind::kSimulation, {}};

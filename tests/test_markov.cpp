@@ -6,7 +6,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <random>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -15,6 +17,7 @@
 #include "markov/birth_death.hpp"
 #include "markov/block_solver.hpp"
 #include "markov/ctmc.hpp"
+#include "markov/nested_dissection.hpp"
 #include "markov/stationary.hpp"
 
 namespace esched {
@@ -601,6 +604,127 @@ TEST(BlockSolver, FlopEstimateCountsFoldDensifiedColumns) {
   }
   EXPECT_DOUBLE_EQ(block_solver_flop_estimate(line.rate_matrix(), levels),
                    1.0 + 39.0 * 2.0);
+}
+
+// ---------------------------------------------------------------------------
+// Nested-dissection GTH elimination on grid chains.
+
+/// An ni x nj grid chain (state i * nj + j) with random rates on every
+/// 4-neighbour edge.
+SparseCtmc random_grid_chain(std::size_t ni, std::size_t nj,
+                             std::uint64_t seed) {
+  std::mt19937_64 rng(seed);
+  std::uniform_real_distribution<double> rate(0.1, 2.0);
+  SparseCtmc chain(ni * nj);
+  for (std::size_t i = 0; i < ni; ++i) {
+    for (std::size_t j = 0; j < nj; ++j) {
+      const std::size_t s = i * nj + j;
+      if (i > 0) chain.add_rate(s, s - nj, rate(rng));
+      if (j > 0) chain.add_rate(s, s - 1, rate(rng));
+      if (j + 1 < nj) chain.add_rate(s, s + 1, rate(rng));
+      if (i + 1 < ni) chain.add_rate(s, s + nj, rate(rng));
+    }
+  }
+  chain.freeze();
+  return chain;
+}
+
+TEST(NestedDissection, MatchesGthOnGridsOfEveryShape) {
+  // Single states and lines, a 2 x 2, grids that are one leaf (2 x 4) or
+  // just over it (3 x 3), and non-square grids deep enough to refactor
+  // subtrees during back-substitution (61 x 21).
+  const std::pair<std::size_t, std::size_t> shapes[] = {
+      {1, 1}, {1, 37}, {29, 1}, {2, 2}, {2, 4}, {3, 3}, {5, 3}, {9, 13},
+      {61, 21}};
+  std::uint64_t seed = 1;
+  for (const auto& [ni, nj] : shapes) {
+    SCOPED_TRACE(::testing::Message() << ni << " x " << nj);
+    const SparseCtmc chain = random_grid_chain(ni, nj, seed++);
+    const Vector exact = gth_stationary(chain);
+    StationarySolveInfo info;
+    const Vector nd = nested_dissection_stationary(
+        chain.rate_matrix(), chain.exit_rates(), ni, nj, &info);
+    EXPECT_TRUE(info.converged);
+    EXPECT_EQ(info.iterations, 0);
+    EXPECT_LT(info.residual, 1e-14);
+    ASSERT_EQ(nd.size(), exact.size());
+    for (std::size_t s = 0; s < exact.size(); ++s) {
+      EXPECT_NEAR(nd[s], exact[s], 1e-12 * exact[s]) << "state " << s;
+    }
+  }
+}
+
+TEST(NestedDissection, RepeatedSolvesAreBitwiseIdentical) {
+  // 64 x 64 cuts the tree well below the depth that keeps its factors, so
+  // the back-substitution refactors subtrees; a solve depends only on the
+  // rates, never on the scratch state a previous solve left behind.
+  const SparseCtmc chain = random_grid_chain(64, 64, 99);
+  const Vector first = nested_dissection_stationary(
+      chain.rate_matrix(), chain.exit_rates(), 64, 64);
+  const Vector second = nested_dissection_stationary(
+      chain.rate_matrix(), chain.exit_rates(), 64, 64);
+  ASSERT_EQ(first.size(), second.size());
+  for (std::size_t s = 0; s < first.size(); ++s) {
+    ASSERT_EQ(first[s], second[s]) << "state " << s;
+  }
+}
+
+TEST(NestedDissection, ZeroPivotThrowsNamedError) {
+  // 0 <-> 1 is closed and 2 -> 1 is transient. The 1 x 3 grid is a single
+  // leaf eliminated in order 0, 1, 2: once 0 is gone, state 1 has no rate
+  // to state 2. Dense GTH (which eliminates from the last state) copes.
+  SparseCtmc chain(3);
+  chain.add_rate(0, 1, 1.0);
+  chain.add_rate(1, 0, 2.0);
+  chain.add_rate(2, 1, 1.0);
+  chain.freeze();
+  const Vector exact = gth_stationary(chain);
+  EXPECT_NEAR(exact[2], 0.0, 1e-15);
+  try {
+    nested_dissection_stationary(chain.rate_matrix(), chain.exit_rates(), 1,
+                                 3);
+    FAIL() << "expected a zero-pivot error";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("zero GTH pivot at state (0, 1)"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(NestedDissection, RejectsTransitionsBetweenNonNeighbours) {
+  SparseCtmc chain(4);  // 2 x 2 grid
+  chain.add_rate(0, 3, 1.0);  // diagonal
+  chain.add_rate(3, 0, 1.0);
+  chain.freeze();
+  EXPECT_THROW(nested_dissection_stationary(chain.rate_matrix(),
+                                            chain.exit_rates(), 2, 2),
+               Error);
+  // Wrapping from the end of one grid row to the start of the next.
+  SparseCtmc wrap(4);
+  wrap.add_rate(1, 2, 1.0);
+  wrap.add_rate(2, 1, 1.0);
+  wrap.freeze();
+  EXPECT_THROW(nested_dissection_stationary(wrap.rate_matrix(),
+                                            wrap.exit_rates(), 2, 2),
+               Error);
+}
+
+TEST(NestedDissection, CostCountsTheDenseFronts) {
+  // A 2 x 4 grid is one leaf with no boundary: 7 pivots, pivot k updates
+  // the (7-k)^2 later entries and sums and scales its 7-k rates (196 in
+  // all), and back-substitution reads the 28 packed factor entries.
+  const NestedDissectionCost leaf = nested_dissection_cost(2, 4);
+  EXPECT_EQ(leaf.flops, 196.0 + 28.0);
+  // 28 factor doubles + the 8 x 8 front, plus the 8-entry state map and
+  // the front's index scratch.
+  EXPECT_EQ(leaf.workspace_bytes,
+            (28 + 64) * sizeof(double) + 8 * sizeof(std::int32_t) +
+                8 * (2 * sizeof(std::uint32_t) + sizeof(std::size_t)));
+  // O(n^1.5): quadrupling the states multiplies the work by about 8.
+  const double small = nested_dissection_cost(99, 99).flops;
+  const double large = nested_dissection_cost(198, 198).flops;
+  EXPECT_GT(large / small, 6.0);
+  EXPECT_LT(large / small, 10.0);
 }
 
 }  // namespace
