@@ -6,6 +6,12 @@
 // job-level simulator and is all that is needed for E[N]/E[T] estimates
 // (Little's law). The job-level simulator remains the ground truth for
 // per-job response times and non-exponential extensions.
+//
+// Only tests call this simulator. It stays as an independent oracle: it
+// shares no event loop with the job-level simulator (sim/cluster_sim), so
+// CtmcSim.AgreesWithJobLevelSimulator checks cluster_sim's dynamics
+// rather than restating them, and BoundedElastic.CtmcSimulatorHonorsCap
+// checks the elastic cap by simulation against the exact chain.
 #pragma once
 
 #include <cstdint>

@@ -256,6 +256,20 @@ TEST(ExactCtmc, PhaseTypeBlockAgreesWithSor) {
   EXPECT_EQ(a.num_states, b.num_states);
   EXPECT_NEAR(a.mean_response_time, b.mean_response_time, 1e-7);
   EXPECT_NEAR(a.mean_jobs_i, b.mean_jobs_i, 1e-7);
+
+  // Over kAutoBlockFlopLimit auto must not fold: IF with erlang:3 sizes at
+  // k=4, rho 0.6, imax = jmax = 40 (23,575 states) estimates ~6.4e9 flops
+  // for the fold, which runs ~20x longer than SOR here.
+  const SystemParams p4 = SystemParams::from_load(4, 1.0, 1.0, 0.6);
+  ExactCtmcOptions over_limit;
+  over_limit.imax = 40;
+  over_limit.jmax = 40;
+  const ExactCtmcResult c = solve_exact_ctmc_ph(
+      p4, InelasticFirst{}, PhaseType::erlang(3, 3.0 * p4.mu_i), over_limit);
+  EXPECT_EQ(c.num_states, 23575u);
+  EXPECT_EQ(c.solve_info.method, "sor");
+  EXPECT_GT(c.solve_info.iterations, 0);
+  EXPECT_TRUE(c.solve_info.converged);
 }
 
 std::uint64_t counter_total(const std::string& name) {

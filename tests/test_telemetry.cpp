@@ -1,12 +1,12 @@
 // Tests for fleet observability: live telemetry publication and merging
 // (src/obs/telemetry), snapshot JSON round-trips and bucket-wise
-// histogram merging (src/obs/metrics), multi-worker span-tree
-// reconstruction (src/obs/trace_report), and the bench regression gate
-// (src/obs/bench_diff). The load-bearing contracts: a torn telemetry
-// file reads as absent, merged fleet counters equal the sum of the
-// per-worker finals, merged quantiles are re-derived from combined
-// buckets (never averaged across processes), and the span merger orders
-// interleaved two-process traces deterministically by (t, pid, seq).
+// histogram merging (src/obs/metrics), and multi-worker span-tree
+// reconstruction (src/obs/trace_report). The load-bearing contracts: a
+// torn telemetry file reads as absent, merged fleet counters equal the
+// sum of the per-worker finals, merged quantiles are re-derived from
+// combined buckets (never averaged across processes), and the span
+// merger orders interleaved two-process traces deterministically by
+// (t, pid, seq).
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -20,7 +20,6 @@
 #include "common/atomic_file.hpp"
 #include "common/error.hpp"
 #include "common/json.hpp"
-#include "obs/bench_diff.hpp"
 #include "obs/metrics.hpp"
 #include "obs/telemetry.hpp"
 #include "obs/trace.hpp"
@@ -438,100 +437,6 @@ TEST(TraceReport, SortsEqualTimestampsByPidThenSeq) {
   // pid 2's span 2 parents under pid 2's span 1, begun earlier in merge
   // order, despite pid 1 owning an identical id.
   EXPECT_EQ(forest.spans[2].parent, 1u);
-}
-
-// --- bench diff and the regression gate -----------------------------------
-
-std::string bench_snapshot_json(
-    const std::vector<std::pair<std::string, double>>& cases) {
-  JsonValue root = JsonValue::make_object();
-  root.set("format", JsonValue::make_string(kBenchFormat));
-  root.set("schema_version",
-           JsonValue::make_number(static_cast<double>(kBenchSchemaVersion)));
-  root.set("mode", JsonValue::make_string("smoke"));
-  JsonValue host = JsonValue::make_object();
-  host.set("hostname", JsonValue::make_string("test"));
-  host.set("compiler", JsonValue::make_string("test"));
-  root.set("host", std::move(host));
-  JsonValue benchmarks = JsonValue::make_array();
-  for (const auto& [name, seconds] : cases) {
-    JsonValue entry = JsonValue::make_object();
-    entry.set("name", JsonValue::make_string(name));
-    entry.set("iterations", JsonValue::make_number(3));
-    entry.set("mean_seconds", JsonValue::make_number(seconds));
-    entry.set("min_seconds", JsonValue::make_number(seconds));
-    entry.set("max_seconds", JsonValue::make_number(seconds));
-    entry.set("p50_seconds", JsonValue::make_number(seconds));
-    entry.set("p90_seconds", JsonValue::make_number(seconds));
-    entry.set("p99_seconds", JsonValue::make_number(seconds));
-    benchmarks.push_back(std::move(entry));
-  }
-  root.set("benchmarks", std::move(benchmarks));
-  return root.dump() + "\n";
-}
-
-TEST(BenchDiff, LoadRejectsMalformedSnapshots) {
-  const std::string dir = fresh_dir("esched_bench_load");
-  EXPECT_THROW(load_bench_snapshot(dir + "/missing.json"), Error);
-  write_file(dir + "/wrong.json", "{\"format\":\"other\"}");
-  EXPECT_THROW(load_bench_snapshot(dir + "/wrong.json"), Error);
-  // Non-monotone percentiles are a corrupted snapshot, not a slow case.
-  write_file(dir + "/mono.json",
-             "{\"format\":\"esched-bench\",\"schema_version\":1,"
-             "\"mode\":\"smoke\",\"host\":{\"hostname\":\"h\","
-             "\"compiler\":\"c\"},\"benchmarks\":[{\"name\":\"x\","
-             "\"iterations\":1,\"mean_seconds\":1.0,\"min_seconds\":2.0,"
-             "\"p50_seconds\":1.0,\"p90_seconds\":1.0,\"p99_seconds\":1.0,"
-             "\"max_seconds\":1.0}]}");
-  EXPECT_THROW(load_bench_snapshot(dir + "/mono.json"), Error);
-}
-
-TEST(BenchDiff, FlagsInjectedRegressionAndHonorsThreshold) {
-  const std::string dir = fresh_dir("esched_bench_diff");
-  write_file(dir + "/old.json", bench_snapshot_json({{"solve/a", 1.0},
-                                                     {"solve/b", 1.0},
-                                                     {"gone", 1.0}}));
-  write_file(dir + "/new.json", bench_snapshot_json({{"solve/a", 1.10},
-                                                     {"solve/b", 2.0},
-                                                     {"fresh", 1.0}}));
-  const BenchSnapshot old_snapshot = load_bench_snapshot(dir + "/old.json");
-  const BenchSnapshot new_snapshot = load_bench_snapshot(dir + "/new.json");
-
-  // +10% and +100%: at the default 25% threshold only b regresses.
-  const BenchDiffResult diff =
-      diff_bench_snapshots(old_snapshot, new_snapshot, 0.25);
-  ASSERT_EQ(diff.cases.size(), 2u);
-  EXPECT_EQ(diff.regressions, 1u);
-  EXPECT_FALSE(diff.cases[0].regressed);  // solve/a, +10%
-  EXPECT_TRUE(diff.cases[1].regressed);   // solve/b, +100%
-  EXPECT_NEAR(diff.cases[1].mean_ratio, 2.0, 1e-12);
-  ASSERT_EQ(diff.only_old.size(), 1u);
-  EXPECT_EQ(diff.only_old[0], "gone");
-  ASSERT_EQ(diff.only_new.size(), 1u);
-  EXPECT_EQ(diff.only_new[0], "fresh");
-
-  // Tighten the threshold to 5% and the +10% case regresses too; loosen
-  // to 150% and nothing does. Appeared/disappeared cases never gate.
-  EXPECT_EQ(diff_bench_snapshots(old_snapshot, new_snapshot, 0.05)
-                .regressions,
-            2u);
-  EXPECT_EQ(diff_bench_snapshots(old_snapshot, new_snapshot, 1.5).regressions,
-            0u);
-
-  // The printed report names the regression.
-  std::ostringstream out;
-  print_bench_diff(diff, out);
-  EXPECT_NE(out.str().find("REGRESSED"), std::string::npos);
-  EXPECT_NE(out.str().find("solve/b"), std::string::npos);
-}
-
-TEST(BenchDiff, IdenticalSnapshotsNeverRegress) {
-  const std::string dir = fresh_dir("esched_bench_same");
-  write_file(dir + "/snap.json", bench_snapshot_json({{"solve/a", 0.5}}));
-  const BenchSnapshot snapshot = load_bench_snapshot(dir + "/snap.json");
-  // Threshold 0: even equality must pass (ratio 1.0 is not > 1.0).
-  const BenchDiffResult diff = diff_bench_snapshots(snapshot, snapshot, 0.0);
-  EXPECT_EQ(diff.regressions, 0u);
 }
 
 }  // namespace

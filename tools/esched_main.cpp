@@ -58,7 +58,6 @@
 #include "engine/scenario.hpp"
 #include "engine/spec.hpp"
 #include "engine/sweep_runner.hpp"
-#include "obs/bench_diff.hpp"
 #include "obs/metrics.hpp"
 #include "obs/telemetry.hpp"
 #include "obs/trace.hpp"
@@ -92,7 +91,6 @@ void print_usage() {
       "       esched collect --queue-dir Q --out merged.csv [--json m.json]\n"
       "       esched trace report <trace.jsonl>... [--format text|folded]\n"
       "                     [--rows N] [--out P]\n"
-      "       esched bench diff <old.json> <new.json> [--threshold X]\n"
       "\n"
       "A scenario argument is a built-in name (see `esched list`) or a\n"
       "path to a JSON spec file (anything containing '/' or ending in\n"
@@ -143,9 +141,6 @@ void print_usage() {
       "                  print a per-phase breakdown plus the slowest\n"
       "                  points; --format folded emits flamegraph-ready\n"
       "                  folded stacks (self time in microseconds)\n"
-      "  bench diff      compare two bench_perf_solvers snapshots case by\n"
-      "                  case; exits 1 when any case's mean AND p50 both\n"
-      "                  grew more than --threshold (default 0.25 = +25%%)\n"
       "\n"
       "cache options:\n"
       "  --max-age S     gc: evict entries older than S seconds\n"
@@ -562,37 +557,6 @@ int run_trace(const std::vector<std::string>& args) {
   return 0;
 }
 
-/// `esched bench diff <old.json> <new.json> [--threshold X]` — the perf
-/// gate: exit 1 when any case regressed past the threshold.
-int run_bench(const std::vector<std::string>& args) {
-  if (args.empty() || args[0] != "diff") {
-    throw esched::Error("bench expects a subcommand: diff");
-  }
-  std::vector<std::string> paths;
-  double threshold = 0.25;
-  for (std::size_t n = 1; n < args.size(); ++n) {
-    if (args[n] == "--threshold") {
-      threshold = parse_double("--threshold",
-                               next_value(args, &n, "--threshold"));
-    } else if (!args[n].empty() && args[n][0] == '-') {
-      throw esched::Error("unknown bench diff option '" + args[n] + "'");
-    } else {
-      paths.push_back(args[n]);
-    }
-  }
-  if (paths.size() != 2) {
-    throw esched::Error("bench diff expects exactly two snapshots: old new");
-  }
-  const esched::BenchSnapshot old_snapshot =
-      esched::load_bench_snapshot(paths[0]);
-  const esched::BenchSnapshot new_snapshot =
-      esched::load_bench_snapshot(paths[1]);
-  const esched::BenchDiffResult diff =
-      esched::diff_bench_snapshots(old_snapshot, new_snapshot, threshold);
-  esched::print_bench_diff(diff, std::cout);
-  return diff.regressions > 0 ? 1 : 0;
-}
-
 /// `esched work --queue-dir Q [...]`
 int run_work(const std::vector<std::string>& args) {
   std::string queue_dir;
@@ -973,7 +937,6 @@ int main(int argc, char** argv) {
       if (subcommand == "status") return run_status(rest);
       if (subcommand == "collect") return run_collect(rest);
       if (subcommand == "trace") return run_trace(rest);
-      if (subcommand == "bench") return run_bench(rest);
     }
     for (int n = 1; n < argc; ++n) {
       const std::string arg = argv[n];
