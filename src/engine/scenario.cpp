@@ -75,6 +75,11 @@ void RunOptions::validate() const {
                    ") must exceed options.sim_warmup (" +
                    std::to_string(sim_warmup) +
                    "); a sweep that is mostly warmup measures noise");
+  // simulate() splits the measured jobs into SimOptions::batches (20)
+  // batch-means batches.
+  ESCHED_CHECK(sim_jobs >= 40,
+               "options.sim_jobs must be >= 40 (two observations per "
+               "batch-means batch)");
   ESCHED_CHECK(sim_tail_span > 0.0, "options.sim_tail_span must be > 0");
   ESCHED_CHECK(sim_tail_bins > 0, "options.sim_tail_bins must be > 0");
   ESCHED_CHECK(trace_horizon > 0.0, "options.trace_horizon must be > 0");

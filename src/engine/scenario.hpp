@@ -88,9 +88,10 @@ struct RunOptions {
   SizeDistSpec size_dist_e;
 
   /// Throws esched::Error when a numeric knob is degenerate (sim_jobs not
-  /// exceeding sim_warmup, non-positive trace_horizon / tail histogram
-  /// shape, truncation_epsilon outside (0,1), ...). Scenario::validate()
-  /// calls this, so bad options fail loudly before a sweep runs.
+  /// exceeding sim_warmup or below 40, non-positive trace_horizon / tail
+  /// histogram shape, truncation_epsilon outside (0,1), ...).
+  /// Scenario::validate() calls this, so bad options fail loudly before a
+  /// sweep runs.
   void validate() const;
 };
 

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
-#include <deque>
 #include <vector>
 
 #include "common/error.hpp"
@@ -11,68 +10,11 @@
 #include "obs/metrics.hpp"
 #include "rng/distributions.hpp"
 #include "rng/xoshiro.hpp"
+#include "sim/fcfs.hpp"
+#include "stats/accumulator.hpp"
 #include "stats/time_average.hpp"
 
 namespace esched {
-
-namespace {
-
-struct Job {
-  double arrival_time;
-  double remaining;
-};
-
-/// Assigns per-job service rates for one class in FCFS order and returns
-/// the index (within the queue) and time-to-finish of the earliest
-/// completion, if any job is being served.
-struct ClassService {
-  std::vector<double> rates;  // parallel to the queue prefix being served
-  std::optional<std::size_t> soonest_index;
-  double soonest_dt = kInf;
-  double total_rate = 0.0;
-};
-
-ClassService serve_inelastic(const std::deque<Job>& queue, double servers) {
-  ClassService s;
-  // One server per job down the FCFS queue; a fractional remainder goes to
-  // the next job in line.
-  double left = servers;
-  for (std::size_t idx = 0; idx < queue.size() && left > 1e-12; ++idx) {
-    const double rate = std::min(1.0, left);
-    left -= rate;
-    s.rates.push_back(rate);
-    s.total_rate += rate;
-    const double dt = queue[idx].remaining / rate;
-    if (dt < s.soonest_dt) {
-      s.soonest_dt = dt;
-      s.soonest_index = idx;
-    }
-  }
-  return s;
-}
-
-ClassService serve_elastic(const std::deque<Job>& queue, double servers,
-                           double per_job_cap) {
-  ClassService s;
-  // The head-of-line elastic job absorbs the class allocation up to its
-  // parallelism cap; the remainder flows down the FCFS queue (with the
-  // paper's fully elastic jobs, cap = k, the head takes everything).
-  double left = servers;
-  for (std::size_t idx = 0; idx < queue.size() && left > 1e-12; ++idx) {
-    const double rate = std::min(per_job_cap, left);
-    left -= rate;
-    s.rates.push_back(rate);
-    s.total_rate += rate;
-    const double dt = queue[idx].remaining / rate;
-    if (dt < s.soonest_dt) {
-      s.soonest_dt = dt;
-      s.soonest_index = idx;
-    }
-  }
-  return s;
-}
-
-}  // namespace
 
 SimResult simulate(const SystemParams& params, const AllocationPolicy& policy,
                    const SimOptions& options) {
@@ -80,7 +22,10 @@ SimResult simulate(const SystemParams& params, const AllocationPolicy& policy,
   params.validate();
   ESCHED_CHECK(params.lambda_i + params.lambda_e > 0.0,
                "simulation requires some arrivals");
-  ESCHED_CHECK(options.num_jobs > 0, "num_jobs must be positive");
+  ESCHED_CHECK(options.batches >= 2, "need at least two batches");
+  ESCHED_CHECK(options.num_jobs >= 2 * static_cast<std::uint64_t>(
+                                          options.batches),
+               "num_jobs must give two observations per batch-means batch");
 
   Xoshiro256 master(options.seed);
   Xoshiro256 rng_arrival_i = master.stream(1);
@@ -99,8 +44,11 @@ SimResult simulate(const SystemParams& params, const AllocationPolicy& policy,
                : exponential(rng_size_e, params.mu_e);
   };
 
-  std::deque<Job> queue_i;
-  std::deque<Job> queue_e;
+  sim_detail::JobRing queue_i;
+  sim_detail::JobRing queue_e;
+  sim_detail::ClassService svc_i;
+  sim_detail::ClassService svc_e;
+  const double elastic_cap = params.elastic_cap_or_k();
   double now = 0.0;
   double next_arrival_i =
       params.lambda_i > 0.0 ? exponential(rng_arrival_i, params.lambda_i)
@@ -117,8 +65,17 @@ SimResult simulate(const SystemParams& params, const AllocationPolicy& policy,
   double work_area = 0.0;     // integral of W(t) dt after warmup
   double work_area_t0 = 0.0;  // start of the measured interval
 
-  std::vector<double> rt_all, rt_i, rt_e;
-  rt_all.reserve(options.num_jobs);
+  // Exactly num_jobs completions are measured (warmup ones are dropped and
+  // the loop stops at warmup + num_jobs), so the overall batch-means
+  // boundaries are known up front and the overall stream is folded into
+  // its batches as it arrives: the same split as batch_means_ci, the last
+  // batch taking the remainder. Per-class counts are not known up front,
+  // so those streams are stored.
+  const auto batches = static_cast<std::uint64_t>(options.batches);
+  const std::uint64_t batch_size = options.num_jobs / batches;
+  std::vector<Accumulator> batch_acc(batches);
+  std::uint64_t measured = 0;
+  std::vector<double> rt_i, rt_e;
   std::uint64_t completed = 0;  // total completions (incl. warmup)
   bool warm = options.warmup_jobs == 0;
 
@@ -135,9 +92,8 @@ SimResult simulate(const SystemParams& params, const AllocationPolicy& policy,
     if (options.check_invariants) policy.check_feasible(state, params);
     const Allocation alloc = policy.allocate(state, params);
 
-    const ClassService svc_i = serve_inelastic(queue_i, alloc.inelastic);
-    const ClassService svc_e =
-        serve_elastic(queue_e, alloc.elastic, params.elastic_cap_or_k());
+    sim_detail::serve_fcfs(queue_i, alloc.inelastic, 1.0, svc_i);
+    sim_detail::serve_fcfs(queue_e, alloc.elastic, elastic_cap, svc_e);
     const double total_rate = svc_i.total_rate + svc_e.total_rate;
 
     const double next_arrival = std::min(next_arrival_i, next_arrival_e);
@@ -156,26 +112,21 @@ SimResult simulate(const SystemParams& params, const AllocationPolicy& policy,
     avg_util.advance(t_next);
     if (warm) work_area += dt * (work - 0.5 * total_rate * dt);
     work = std::max(0.0, work - total_rate * dt);
-    for (std::size_t idx = 0; idx < svc_i.rates.size(); ++idx) {
-      queue_i[idx].remaining =
-          std::max(0.0, queue_i[idx].remaining - svc_i.rates[idx] * dt);
-    }
-    for (std::size_t idx = 0; idx < svc_e.rates.size(); ++idx) {
-      queue_e[idx].remaining =
-          std::max(0.0, queue_e[idx].remaining - svc_e.rates[idx] * dt);
-    }
+    sim_detail::deplete(queue_i, svc_i, dt);
+    sim_detail::deplete(queue_e, svc_e, dt);
     now = t_next;
 
     if (completion_next) {
       const bool inelastic_completes = svc_i.soonest_dt <= svc_e.soonest_dt;
-      std::deque<Job>& queue = inelastic_completes ? queue_i : queue_e;
-      const std::size_t idx = inelastic_completes ? *svc_i.soonest_index
-                                                  : *svc_e.soonest_index;
+      sim_detail::JobRing& queue = inelastic_completes ? queue_i : queue_e;
+      const std::size_t idx = inelastic_completes ? svc_i.soonest_index
+                                                  : svc_e.soonest_index;
       const double response = now - queue[idx].arrival_time;
-      queue.erase(queue.begin() + static_cast<long>(idx));
+      queue.erase(idx);
       ++completed;
       if (warm) {
-        rt_all.push_back(response);
+        batch_acc[std::min(measured++ / batch_size, batches - 1)].add(
+            response);
         (inelastic_completes ? rt_i : rt_e).push_back(response);
         Histogram* hist = inelastic_completes ? options.response_hist_i
                                               : options.response_hist_e;
@@ -210,8 +161,10 @@ SimResult simulate(const SystemParams& params, const AllocationPolicy& policy,
   result.mean_jobs_e = avg_nj.average();
   result.utilization = avg_util.average();
   result.mean_work = work_area / (now - work_area_t0);
-  result.mean_response_time =
-      batch_means_ci(rt_all, options.batches, options.confidence);
+  std::vector<double> batch_means;
+  batch_means.reserve(batches);
+  for (const Accumulator& acc : batch_acc) batch_means.push_back(acc.mean());
+  result.mean_response_time = replication_ci(batch_means, options.confidence);
   result.inelastic.completed = rt_i.size();
   result.elastic.completed = rt_e.size();
   if (rt_i.size() >= static_cast<std::size_t>(2 * options.batches)) {

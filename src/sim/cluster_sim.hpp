@@ -10,7 +10,6 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
 
 #include "core/params.hpp"
 #include "core/policy.hpp"

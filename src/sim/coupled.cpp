@@ -2,10 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
-#include <deque>
 
 #include "common/error.hpp"
 #include "common/numeric.hpp"
+#include "sim/fcfs.hpp"
 
 namespace esched {
 
@@ -41,30 +41,28 @@ double WorkPath::inelastic_work_at(double t) const {
 
 double WorkPath::end_time() const { return samples_.back().time; }
 
-namespace {
-
-struct Job {
-  double remaining;
-};
-
-}  // namespace
-
 WorkPath run_on_trace(const Trace& trace, const SystemParams& params,
                       const AllocationPolicy& policy) {
   params.validate();
-  std::deque<Job> queue_i;
-  std::deque<Job> queue_e;
+  sim_detail::JobRing queue_i;
+  sim_detail::JobRing queue_e;
+  sim_detail::ClassService svc_i;
+  sim_detail::ClassService svc_e;
+  const double elastic_cap = params.elastic_cap_or_k();
   double now = 0.0;
   double work_i = 0.0;
   double work_e = 0.0;
   std::size_t next_arrival = 0;
 
+  const auto admit = [&]() {
+    const TraceArrival& a = trace.arrivals[next_arrival++];
+    (a.elastic ? queue_e : queue_i).push_back({a.time, a.size});
+    (a.elastic ? work_e : work_i) += a.size;
+  };
   // Admit any time-0 arrivals before the first sample.
   while (next_arrival < trace.arrivals.size() &&
          trace.arrivals[next_arrival].time <= 0.0) {
-    const TraceArrival& a = trace.arrivals[next_arrival++];
-    (a.elastic ? queue_e : queue_i).push_back({a.size});
-    (a.elastic ? work_e : work_i) += a.size;
+    admit();
   }
 
   std::vector<WorkSample> samples;
@@ -80,46 +78,11 @@ WorkPath run_on_trace(const Trace& trace, const SystemParams& params,
     const Allocation alloc = policy.allocate(state, params);
 
     // Per-job rates, FCFS within class (class P's service order).
-    double left = alloc.inelastic;
-    std::vector<double> rates_i;
-    double soonest_dt = kInf;
-    enum class Next { kNone, kInelastic, kElastic } completing = Next::kNone;
-    std::size_t completing_idx = 0;
-    double rate_i_total = 0.0;
-    for (std::size_t idx = 0; idx < queue_i.size() && left > 1e-12; ++idx) {
-      const double rate = std::min(1.0, left);
-      left -= rate;
-      rates_i.push_back(rate);
-      rate_i_total += rate;
-      const double dt = queue_i[idx].remaining / rate;
-      if (dt < soonest_dt) {
-        soonest_dt = dt;
-        completing = Next::kInelastic;
-        completing_idx = idx;
-      }
-    }
-    double rate_e_total = 0.0;
-    std::vector<double> rates_e;
-    {
-      // FCFS down the elastic queue, each job up to its parallelism cap.
-      const double cap = params.elastic_cap_or_k();
-      double left_e = alloc.elastic;
-      for (std::size_t idx = 0; idx < queue_e.size() && left_e > 1e-12;
-           ++idx) {
-        const double rate = std::min(cap, left_e);
-        left_e -= rate;
-        rates_e.push_back(rate);
-        rate_e_total += rate;
-        const double dt = queue_e[idx].remaining / rate;
-        if (dt < soonest_dt) {
-          soonest_dt = dt;
-          completing = Next::kElastic;
-          completing_idx = idx;
-        }
-      }
-    }
-    record(rate_i_total, rate_e_total);
+    sim_detail::serve_fcfs(queue_i, alloc.inelastic, 1.0, svc_i);
+    sim_detail::serve_fcfs(queue_e, alloc.elastic, elastic_cap, svc_e);
+    record(svc_i.total_rate, svc_e.total_rate);
 
+    const double soonest_dt = std::min(svc_i.soonest_dt, svc_e.soonest_dt);
     const double arrival_time = next_arrival < trace.arrivals.size()
                                     ? trace.arrivals[next_arrival].time
                                     : kInf;
@@ -129,28 +92,21 @@ WorkPath run_on_trace(const Trace& trace, const SystemParams& params,
     const bool completion_next = soonest_dt <= dt_arrival;
     const double dt = completion_next ? soonest_dt : dt_arrival;
 
-    for (std::size_t idx = 0; idx < rates_i.size(); ++idx) {
-      queue_i[idx].remaining =
-          std::max(0.0, queue_i[idx].remaining - rates_i[idx] * dt);
-    }
-    for (std::size_t idx = 0; idx < rates_e.size(); ++idx) {
-      queue_e[idx].remaining =
-          std::max(0.0, queue_e[idx].remaining - rates_e[idx] * dt);
-    }
-    work_i = std::max(0.0, work_i - rate_i_total * dt);
-    work_e = std::max(0.0, work_e - rate_e_total * dt);
+    sim_detail::deplete(queue_i, svc_i, dt);
+    sim_detail::deplete(queue_e, svc_e, dt);
+    work_i = std::max(0.0, work_i - svc_i.total_rate * dt);
+    work_e = std::max(0.0, work_e - svc_e.total_rate * dt);
     now += dt;
 
     if (completion_next) {
-      if (completing == Next::kInelastic) {
-        queue_i.erase(queue_i.begin() + static_cast<long>(completing_idx));
+      // Ties complete the inelastic job.
+      if (svc_i.soonest_dt <= svc_e.soonest_dt) {
+        queue_i.erase(svc_i.soonest_index);
       } else {
-        queue_e.erase(queue_e.begin() + static_cast<long>(completing_idx));
+        queue_e.erase(svc_e.soonest_index);
       }
     } else {
-      const TraceArrival& a = trace.arrivals[next_arrival++];
-      (a.elastic ? queue_e : queue_i).push_back({a.size});
-      (a.elastic ? work_e : work_i) += a.size;
+      admit();
     }
   }
   record(0.0, 0.0);

@@ -13,20 +13,6 @@ Histogram::Histogram(double lo, double hi, std::size_t num_bins)
   ESCHED_CHECK(num_bins > 0, "histogram needs at least one bin");
 }
 
-void Histogram::add(double x) {
-  ++total_;
-  if (x < lo_) {
-    ++underflow_;
-    return;
-  }
-  if (x >= hi_) {
-    ++overflow_;
-    return;
-  }
-  const auto bin = static_cast<std::size_t>((x - lo_) / width_);
-  ++counts_[bin < counts_.size() ? bin : counts_.size() - 1];
-}
-
 std::uint64_t Histogram::bin_count(std::size_t bin) const {
   ESCHED_CHECK(bin < counts_.size(), "bin index out of range");
   return counts_[bin];

@@ -11,7 +11,19 @@ class Histogram {
  public:
   Histogram(double lo, double hi, std::size_t num_bins);
 
-  void add(double x);
+  void add(double x) {
+    ++total_;
+    if (x < lo_) {
+      ++underflow_;
+      return;
+    }
+    if (x >= hi_) {
+      ++overflow_;
+      return;
+    }
+    const auto bin = static_cast<std::size_t>((x - lo_) / width_);
+    ++counts_[bin < counts_.size() ? bin : counts_.size() - 1];
+  }
 
   std::size_t num_bins() const { return counts_.size(); }
   std::uint64_t bin_count(std::size_t bin) const;

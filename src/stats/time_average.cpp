@@ -11,16 +11,6 @@ void TimeAverage::start(double t0, double v0) {
   area_ = 0.0;
 }
 
-void TimeAverage::update(double t, double value) {
-  ESCHED_CHECK(started_, "TimeAverage::start must be called first");
-  ESCHED_CHECK(t >= last_t_, "time must be non-decreasing");
-  area_ += value_ * (t - last_t_);
-  last_t_ = t;
-  value_ = value;
-}
-
-void TimeAverage::advance(double t) { update(t, value_); }
-
 double TimeAverage::average() const {
   ESCHED_CHECK(started_, "TimeAverage::start must be called first");
   const double span = last_t_ - start_t_;

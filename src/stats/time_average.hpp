@@ -2,6 +2,8 @@
 // process — used for E[N] and E[W] estimates from the simulator.
 #pragma once
 
+#include "common/error.hpp"
+
 namespace esched {
 
 /// Integrates a piecewise-constant process over time and reports its
@@ -13,10 +15,16 @@ class TimeAverage {
 
   /// Records that the process changed to `value` at time `t` (t must be
   /// non-decreasing).
-  void update(double t, double value);
+  void update(double t, double value) {
+    ESCHED_CHECK(started_, "TimeAverage::start must be called first");
+    ESCHED_CHECK(t >= last_t_, "time must be non-decreasing");
+    area_ += value_ * (t - last_t_);
+    last_t_ = t;
+    value_ = value;
+  }
 
   /// Advances the clock to `t` without changing the value.
-  void advance(double t);
+  void advance(double t) { update(t, value_); }
 
   /// Time-average of the process over [warmup_end, last_t]. `warmup_end`
   /// observations are discarded by calling reset_at().

@@ -360,6 +360,12 @@ TEST(RunOptionsValidation, DegenerateNumericOptionsAreRejected) {
   options.sim_jobs = 100;
   options.sim_warmup = 200;
   EXPECT_THROWS_NAMING(options.validate(), "sim_warmup");
+  // Batch means need two observations in each of 20 batches.
+  options.sim_jobs = 30;
+  options.sim_warmup = 0;
+  EXPECT_THROWS_NAMING(options.validate(), "options.sim_jobs must be >= 40");
+  options.sim_jobs = 40;
+  options.validate();
   options = RunOptions{};
   options.trace_horizon = 0.0;
   EXPECT_THROWS_NAMING(options.validate(), "trace_horizon");
@@ -380,6 +386,11 @@ TEST(RunOptionsValidation, DegenerateNumericOptionsAreRejected) {
       parse_scenario_text(
           R"({"options": {"sim_jobs": 10, "sim_warmup": 50}})", "t"),
       "sim_warmup");
+  EXPECT_THROWS_NAMING(
+      parse_scenario_text(R"({"axes": {"solver": ["sim"]},
+                              "options": {"sim_jobs": 30, "sim_warmup": 0}})",
+                          "t"),
+      "options.sim_jobs must be >= 40");
 }
 
 TEST(SizeDist, ShardsOfMixedSweepShareOneHeaderViaExplicitSchemaFlag) {
