@@ -104,6 +104,9 @@ std::string RunPoint::cache_key() const {
   switch (solver) {
     case SolverKind::kQbdAnalysis:
       key += ";fit=" + std::to_string(static_cast<int>(options.fit_order));
+      // Revision bumped like the exact one below. rev=1: R comes from
+      // logarithmic reduction instead of Neuts' fixed point.
+      key += ";rev=1";
       break;
     case SolverKind::kExactCtmc:
       key += ";eps=" + key_double(options.truncation_epsilon);

@@ -1,6 +1,7 @@
 #include "qbd/qbd.hpp"
 
 #include <cmath>
+#include <string>
 
 #include "common/error.hpp"
 #include "linalg/lu.hpp"
@@ -8,6 +9,13 @@
 namespace esched {
 
 namespace {
+
+/// Logarithmic reduction stops once the max-abs increment of G falls below
+/// this; R inherits the accuracy through one dense solve.
+constexpr double kReductionTolerance = 1e-14;
+/// Step n covers 2^n levels, so a reduction still moving after 64 steps has
+/// stalled (null-recurrent or numerically critical process).
+constexpr int kMaxReductionSteps = 64;
 
 void check_nonnegative(const Matrix& m, const char* what) {
   for (std::size_t r = 0; r < m.rows(); ++r) {
@@ -93,7 +101,7 @@ void QbdProcess::validate() const {
   check_nonnegative(rep_down, "rep_down");
 }
 
-QbdSolution solve_qbd(const QbdProcess& process, const QbdOptions& options) {
+QbdSolution solve_qbd(const QbdProcess& process) {
   process.validate();
   const std::size_t m = process.num_phases;
   const std::size_t big_l = process.first_repeating;  // L
@@ -104,29 +112,40 @@ QbdSolution solve_qbd(const QbdProcess& process, const QbdOptions& options) {
                                   process.rep_down);
   const Matrix& a2 = process.rep_down;
 
-  // --- Iterate R from R <- -(A0 + R^2 A2) A1^{-1} (Neuts' fixed point). ---
-  // Right-multiplication by A1^{-1} means solving X A1 = M, i.e.
-  // A1^T X^T = M^T, so we factor A1^T once.
-  const LuFactorization a1t_lu{a1.transpose()};
-  auto right_div_a1 = [&](Matrix m_) {
-    return a1t_lu.solve(m_.transpose()).transpose();
-  };
-  const Matrix neg_a0_a1inv = [&] {
-    Matrix rhs = a0;
-    rhs *= -1.0;
-    return right_div_a1(std::move(rhs));
-  }();
-  Matrix r(m, m, 0.0);
-  int iterations = 0;
-  for (; iterations < options.max_r_iterations; ++iterations) {
-    // R_next = -(A0 + R^2 A2) A1^{-1} = neg_a0_a1inv + R^2 (-A2) A1^{-1}.
-    Matrix r2a2 = matmul(matmul(r, r), a2);
-    r2a2 *= -1.0;
-    Matrix r_next = neg_a0_a1inv + right_div_a1(std::move(r2a2));
-    const double delta = max_abs_diff(r_next, r);
-    r = std::move(r_next);
-    if (delta < options.r_tolerance) break;
+  // --- Logarithmic reduction (Latouche & Ramaswami 1993) for G, the
+  // minimal solution of A2 + A1 G + A0 G^2 = 0. Step n accumulates the
+  // first-passage paths that go up to 2^n levels, so the increment T L
+  // shrinks quadratically once the process is positive recurrent. ---
+  const Matrix neg_a1 = a1 * -1.0;
+  const LuFactorization neg_a1_lu{neg_a1};
+  Matrix h = neg_a1_lu.solve(a0);  // (-A1)^{-1} A0: one level up
+  Matrix l = neg_a1_lu.solve(a2);  // (-A1)^{-1} A2: one level down
+  Matrix g = l;
+  Matrix t = h;
+  const Matrix identity = Matrix::identity(m);
+  int steps = 0;
+  bool converged = false;
+  while (!converged) {
+    ESCHED_CHECK(steps < kMaxReductionSteps,
+                 "QBD logarithmic reduction did not converge in " +
+                     std::to_string(kMaxReductionSteps) +
+                     " steps; is the process positive recurrent?");
+    ++steps;
+    const LuFactorization i_minus_u_lu{identity - matmul(h, l) -
+                                       matmul(l, h)};
+    h = i_minus_u_lu.solve(matmul(h, h));
+    l = i_minus_u_lu.solve(matmul(l, l));
+    const Matrix increment = matmul(t, l);
+    g += increment;
+    t = matmul(t, h);
+    converged = max_abs(increment) < kReductionTolerance;
   }
+  // R = A0 (-A1 - A0 G)^{-1}: right division, so factor the transpose.
+  Matrix r =
+      LuFactorization((neg_a1 - matmul(a0, g)).transpose())
+          .solve(a0.transpose())
+          .transpose();
+
   // Residual of the quadratic equation as a convergence certificate.
   const Matrix residual_mat =
       a0 + matmul(r, a1) + matmul(matmul(r, r), a2);
@@ -134,7 +153,7 @@ QbdSolution solve_qbd(const QbdProcess& process, const QbdOptions& options) {
   QbdSolution sol;
   sol.num_phases = m;
   sol.first_repeating = big_l;
-  sol.r_iterations = iterations;
+  sol.r_iterations = steps;
   sol.r_residual = max_abs(residual_mat);
   sol.spectral_radius = spectral_radius(r);
   ESCHED_CHECK(sol.spectral_radius < 1.0 - 1e-9,

@@ -8,6 +8,10 @@
 // §5.3 (refs [34, 43, 44]), the stationary distribution of the repeating
 // portion is matrix-geometric, pi_{L+n} = pi_L R^n, where R solves
 //   A0 + R A1 + R^2 A2 = 0.
+// R is the minimal such solution. The solver reaches it through G, the
+// minimal solution of A2 + A1 G + A0 G^2 = 0, by logarithmic reduction
+// (Latouche & Ramaswami 1993), which converges quadratically, and then sets
+// R = A0 (-A1 - A0 G)^{-1}.
 //
 // The solver supports level-dependent boundary blocks for levels
 // 0..first_repeating-1 (the EF chain needs k of them: inelastic service
@@ -45,12 +49,6 @@ struct QbdProcess {
   void validate() const;
 };
 
-/// Solver tuning knobs.
-struct QbdOptions {
-  double r_tolerance = 1e-14;  // max-abs change in R between iterations
-  int max_r_iterations = 200000;
-};
-
 /// Stationary solution of a QBD.
 struct QbdSolution {
   /// pi_0..pi_L where L = first_repeating; levels beyond L follow
@@ -61,7 +59,7 @@ struct QbdSolution {
   std::size_t num_phases = 0;
   std::size_t first_repeating = 0;
 
-  int r_iterations = 0;
+  int r_iterations = 0;          // logarithmic-reduction steps
   double r_residual = 0.0;       // max-abs of A0 + R A1 + R^2 A2
   double spectral_radius = 0.0;  // sp(R); < 1 iff positive recurrent
 
@@ -78,8 +76,10 @@ struct QbdSolution {
   Vector phase_marginal() const;
 };
 
-/// Solves the QBD: iterates R, then solves the finite boundary system with
-/// the normalization sum_l pi_l 1 = 1 (geometric tail folded in).
-QbdSolution solve_qbd(const QbdProcess& process, const QbdOptions& options = {});
+/// Solves the QBD: computes R by logarithmic reduction, then solves the
+/// finite boundary system with the normalization sum_l pi_l 1 = 1
+/// (geometric tail folded in). Throws esched::Error when the reduction does
+/// not converge or sp(R) >= 1, i.e. the process is not positive recurrent.
+QbdSolution solve_qbd(const QbdProcess& process);
 
 }  // namespace esched

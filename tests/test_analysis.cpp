@@ -152,6 +152,26 @@ TEST(Analysis, UnstableSystemThrows) {
   EXPECT_THROW(analyze_inelastic_first(p), Error);
 }
 
+TEST(Analysis, QbdMatchesConvergedReferenceAtHighLoad) {
+  // References: Neuts' fixed point R <- -(A0 + R^2 A2) A1^{-1} iterated to
+  // a 1e-18 max-abs step. Stopping that linear iteration at a 1e-14 step
+  // leaves E[T] ~8e-12 relative off at these slow-mixing points.
+  const ResponseTimeAnalysis ifa =
+      analyze_inelastic_first(SystemParams::from_load(4, 0.25, 3.5, 0.9));
+  EXPECT_LT(relative_error(ifa.mean_response_time, 29.024513245273457),
+            1e-13);
+  const ResponseTimeAnalysis ef =
+      analyze_elastic_first(SystemParams::from_load(4, 3.5, 0.25, 0.9));
+  EXPECT_LT(relative_error(ef.mean_response_time, 29.953003857099294),
+            1e-13);
+  // Where 1 - G 1 stalls at roundoff (~1e-14) the reduction still stops on
+  // its increment, within a handful of steps.
+  const ResponseTimeAnalysis stall =
+      analyze_inelastic_first(SystemParams::from_load(4, 0.25, 1.3, 0.9));
+  EXPECT_LE(stall.qbd_iterations, 16);
+  EXPECT_TRUE(std::isfinite(stall.mean_response_time));
+}
+
 TEST(Analysis, ResponseTimeGrowsWithLoad) {
   double prev_ef = 0.0;
   double prev_if = 0.0;

@@ -153,7 +153,9 @@ TEST(Scenario, CacheKeyIsBackendCanonical) {
   EXPECT_NE(exact.cache_key().find(";rev=3"), std::string::npos);
   exact2.options.exact_method = StationaryMethod::kSor;
   EXPECT_NE(exact2.cache_key().find(";rev=3;method=sor"), std::string::npos);
-  EXPECT_EQ(qbd.cache_key().find(";rev="), std::string::npos);
+  // QBD keys carry their own revision: rows from the Neuts fixed point
+  // (different iteration counts and last digits) must miss.
+  EXPECT_NE(qbd.cache_key().find(";fit=3;rev=1"), std::string::npos);
 
   RunPoint sim{p, "IF", SolverKind::kSimulation, {}};
   RunPoint sim2 = sim;

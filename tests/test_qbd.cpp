@@ -184,6 +184,17 @@ TEST(Qbd, ProbabilitiesSumToOne) {
 
 TEST(Qbd, UnstableProcessThrows) {
   EXPECT_THROW(solve_qbd(mm1_qbd(2.0, 1.0)), Error);
+  // Null recurrent: G is stochastic but sp(R) = 1, so no stationary law.
+  EXPECT_THROW(solve_qbd(mm1_qbd(1.0, 1.0)), Error);
+}
+
+TEST(Qbd, NearlyCriticalMM1MeanLevel) {
+  // At rho = 1 - 1e-6 a linearly converging R iteration stops far short of
+  // the fixed point; the mean level rho/(1-rho) ~ 1e6 exposes it.
+  const double rho = 1.0 - 1e-6;
+  const QbdSolution sol = solve_qbd(mm1_qbd(rho, 1.0));
+  const double expected = rho / (1.0 - rho);
+  EXPECT_NEAR(sol.mean_level(), expected, 1e-3 * expected);
 }
 
 TEST(Qbd, ValidateCatchesShapeErrors) {
