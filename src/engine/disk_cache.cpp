@@ -11,6 +11,10 @@
 #include <set>
 #include <sstream>
 
+#if __has_include(<unistd.h>)
+#include <unistd.h>
+#endif
+
 #include "common/atomic_file.hpp"
 #include "common/error.hpp"
 #include "common/numeric.hpp"
@@ -224,7 +228,13 @@ std::optional<RunResult> DiskResultCache::load(const std::string& key) const {
     metrics.misses.add();
     return std::nullopt;
   };
-  std::ifstream in(entry_path(key));
+  const std::string path = entry_path(key);
+#if __has_include(<unistd.h>)
+  // Most loads miss (a cold sweep probes every point); one access(2) is
+  // far cheaper than constructing a stream on a file that is not there.
+  if (::access(path.c_str(), F_OK) != 0) return miss();
+#endif
+  std::ifstream in(path);
   if (!in.good()) return miss();
   std::string first_line;
   if (!std::getline(in, first_line) || first_line != "key " + key) {

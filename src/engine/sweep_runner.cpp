@@ -1,7 +1,10 @@
 #include "engine/sweep_runner.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <exception>
+#include <string_view>
 #include <thread>
 
 #include "common/error.hpp"
@@ -56,6 +59,57 @@ RunResult cached_copy(const RunResult& result) {
   copy.solve_seconds = 0.0;
   return copy;
 }
+
+/// Below this many points run()'s bookkeeping phases (key building, cache
+/// probes) stay on the calling thread: starting threads would cost more
+/// than the work, and small sweeps keep their single-threaded path.
+constexpr std::size_t kParallelBookkeepingMin = 512;
+
+/// The one thread pool of SweepRunner::run: runs `worker` on `threads`
+/// fresh threads and joins them, or on the calling thread when `threads`
+/// is at most 1. `worker` must not throw. jthreads join on every exit,
+/// so a failed thread start still waits for the ones already running.
+template <typename Worker>
+void run_on_pool(int threads, const Worker& worker) {
+  if (threads <= 1) {
+    worker();
+    return;
+  }
+  std::vector<std::jthread> pool;
+  pool.reserve(static_cast<std::size_t>(threads));
+  for (int t = 0; t < threads; ++t) pool.emplace_back(worker);
+}
+
+/// Calls body(i) once for every i in [0, count), on up to `threads` pool
+/// threads claiming chunks off an atomic index — inline below
+/// kParallelBookkeepingMin. A body that writes only slot i needs no lock.
+/// The first exception a body throws is rethrown after the join.
+template <typename Body>
+void parallel_for(std::size_t count, int threads, const Body& body) {
+  constexpr std::size_t kChunk = 64;
+  if (count < kParallelBookkeepingMin) threads = 1;
+  std::atomic<std::size_t> next{0};
+  std::mutex error_mutex;
+  std::exception_ptr error;
+  run_on_pool(threads, [&] {
+    for (;;) {
+      const std::size_t begin = next.fetch_add(kChunk);
+      if (begin >= count) return;
+      const std::size_t end = std::min(begin + kChunk, count);
+      try {
+        for (std::size_t i = begin; i < end; ++i) body(i);
+      } catch (...) {
+        std::lock_guard<std::mutex> lock(error_mutex);
+        if (error == nullptr) error = std::current_exception();
+        return;
+      }
+    }
+  });
+  if (error != nullptr) std::rethrow_exception(error);
+}
+
+/// Where the result for a distinct key comes from this call.
+enum class Source : unsigned char { kSolve, kMemo, kDisk };
 
 }  // namespace
 
@@ -135,49 +189,89 @@ std::vector<RunResult> SweepRunner::run(const std::vector<RunPoint>& points,
                                        {"threads", num_threads_}});
   const std::uint64_t sweep_span_id = sweep_span.id();
 
-  // Deduplicate: first occurrence of each uncached key becomes a job, so a
-  // point repeated across figure axes solves exactly once. Memory misses
-  // consult the disk cache before becoming jobs. Points resolvable right
-  // now (memo/disk hits) fire on_row immediately — delivered as
-  // cached_copy, since their solve cost was paid earlier — while the rest
-  // register as waiters on their key and fire when the one solve of that
-  // key lands.
-  std::vector<std::string> keys;
-  keys.reserve(points.size());
+  // One result slot per input point: hits land in it during the probe and
+  // assembly phases, fresh solves during the fan-out, repeats last.
+  std::vector<RunResult> results(points.size());
+
+  // Phase 1, on the pool: every point's cache key (cache_key() is pure).
+  std::vector<std::string> keys(points.size());
+  parallel_for(points.size(), num_threads_,
+               [&](std::size_t n) { keys[n] = points[n].cache_key(); });
+
+  // Phase 2, serial: deduplicate. first_of[n] is the first index holding
+  // n's key; next_same[n] chains n to the next index holding it (kNone
+  // ends the chain), so a point repeated across figure axes solves once
+  // and its one solve can be handed to every repeat.
+  constexpr std::size_t kNone = static_cast<std::size_t>(-1);
+  std::vector<std::size_t> firsts;  // first index of each distinct key
+  std::vector<std::size_t> first_of(points.size());
+  std::vector<std::size_t> next_same(points.size(), kNone);
+  {
+    std::unordered_map<std::string_view, std::size_t> latest;
+    latest.reserve(points.size());
+    for (std::size_t n = 0; n < points.size(); ++n) {
+      const auto [it, inserted] = latest.try_emplace(keys[n], n);
+      if (inserted) {
+        firsts.push_back(n);
+        first_of[n] = n;
+      } else {
+        next_same[it->second] = n;
+        first_of[n] = first_of[it->second];
+        it->second = n;
+      }
+    }
+  }
+
+  // Phase 3, on the pool: probe the memo, then the disk cache, once per
+  // distinct key. A hit lands in the result slot of the key's first index
+  // (disk hits are memoized too).
+  std::vector<Source> sources(points.size(), Source::kSolve);
+  parallel_for(firsts.size(), num_threads_, [&](std::size_t u) {
+    const std::size_t n = firsts[u];
+    if (auto memoized = cache_.lookup(keys[n])) {
+      results[n] = *memoized;
+      sources[n] = Source::kMemo;
+    } else if (disk_cache_ != nullptr) {
+      if (auto loaded = disk_cache_->load(keys[n])) {
+        cache_.insert(keys[n], *loaded);
+        results[n] = *loaded;
+        sources[n] = Source::kDisk;
+      }
+    }
+  });
+
+  // Phase 4, serial and in input order: points resolvable now (memo/disk
+  // hits) fire on_row immediately — delivered as cached_copy, since their
+  // solve cost was paid earlier; the first index of each unresolved key
+  // becomes a job, and its repeats wait for that one solve to land. A
+  // disk-loaded key counts as a disk hit once, its repeats as memo hits.
   std::vector<std::size_t> jobs;  // indices into `points` to solve now
-  std::unordered_map<std::string, std::size_t> seen;
-  std::unordered_map<std::string, std::vector<std::size_t>> waiters;
   std::size_t disk_hits = 0;
   for (std::size_t n = 0; n < points.size(); ++n) {
-    keys.push_back(points[n].cache_key());
-    if (seen.count(keys.back()) != 0) {
-      metrics.dup_points.add();
-      if (on_row != nullptr) waiters[keys.back()].push_back(n);
+    const std::size_t first = first_of[n];
+    const Source source = sources[first];
+    if (source == Source::kSolve) {
+      if (n == first) {
+        jobs.push_back(n);
+      } else {
+        metrics.dup_points.add();
+      }
       continue;
     }
-    if (auto memoized = cache_.lookup(keys.back())) {
+    if (source == Source::kDisk && n == first) {
+      ++disk_hits;
+      metrics.disk_hits.add();
+      if (TraceWriter* t = global_trace()) {
+        t->event("disk_hit", {{"index", n}});
+      }
+    } else {
       metrics.memo_hits.add();
       if (TraceWriter* t = global_trace()) {
         t->event("cache_hit", {{"index", n}});
       }
-      if (on_row != nullptr) on_row(n, points[n], cached_copy(*memoized));
-      continue;
     }
-    if (disk_cache_ != nullptr) {
-      if (auto loaded = disk_cache_->load(keys.back())) {
-        cache_.insert(keys.back(), *loaded);
-        ++disk_hits;
-        metrics.disk_hits.add();
-        if (TraceWriter* t = global_trace()) {
-          t->event("disk_hit", {{"index", n}});
-        }
-        if (on_row != nullptr) on_row(n, points[n], cached_copy(*loaded));
-        continue;
-      }
-    }
-    seen.emplace(keys.back(), n);
-    jobs.push_back(n);
-    if (on_row != nullptr) waiters[keys.back()].push_back(n);
+    results[n] = cached_copy(results[first]);
+    if (on_row != nullptr) on_row(n, points[n], results[n]);
   }
 
   // Group jobs before fanning out: exact-CTMC points that share a chain
@@ -201,9 +295,9 @@ std::vector<RunResult> SweepRunner::run(const std::vector<RunPoint>& points,
     }
   }
 
-  // Fan the job groups over the pool via an atomic work index. Each point's
-  // solve is independent and pure, so completion order cannot affect the
-  // results.
+  // Phase 5: fan the job groups over the pool via an atomic work index.
+  // Each point's solve is independent and pure, so completion order cannot
+  // affect the results. A solve writes only its own index's result slot.
   std::atomic<std::size_t> next_group{0};
   std::mutex error_mutex;
   std::string first_error;
@@ -220,6 +314,7 @@ std::vector<RunResult> SweepRunner::run(const std::vector<RunPoint>& points,
   std::mutex callback_mutex;
   bool callback_failed = false;  // guarded by callback_mutex
   const auto store = [&](std::size_t n, const RunResult& result) {
+    results[n] = result;
     cache_.insert(keys[n], result);
     if (disk_cache_ != nullptr) disk_cache_->store(keys[n], result);
     metrics.points_solved.add();
@@ -232,24 +327,21 @@ std::vector<RunResult> SweepRunner::run(const std::vector<RunPoint>& points,
                 {"seconds", result.solve_seconds}});
     }
     if (on_row == nullptr) return;
-    // Deliver to every input index waiting on this key, serially: the
+    // Deliver to every input index holding this key, serially: the
     // mutex both orders concurrent deliveries and publishes them, so the
     // callback can be lock-free. A throwing callback (e.g. a streaming
     // resume mismatch) fails the whole run with its own message — and
     // ends all further delivery, so a consumer that rejected one row is
     // never handed more — while workers keep solving into the caches.
-    // The solving index itself (always the first waiter) sees the fresh
-    // result; duplicate indices see a cached_copy, matching the
+    // The solving index itself (always the key's first index) sees the
+    // fresh result; duplicate indices see a cached_copy, matching the
     // provenance reported on the returned vector.
     std::lock_guard<std::mutex> lock(callback_mutex);
     if (callback_failed) return;
     try {
-      for (const std::size_t waiter : waiters[keys[n]]) {
-        if (waiter == n) {
-          on_row(waiter, points[waiter], result);
-        } else {
-          on_row(waiter, points[waiter], cached_copy(result));
-        }
+      on_row(n, points[n], result);
+      for (std::size_t m = next_same[n]; m != kNone; m = next_same[m]) {
+        on_row(m, points[m], cached_copy(result));
       }
     } catch (const std::exception& e) {
       callback_failed = true;
@@ -259,6 +351,7 @@ std::vector<RunResult> SweepRunner::run(const std::vector<RunPoint>& points,
       }
     }
   };
+  const auto pool_start = std::chrono::steady_clock::now();
   const auto worker = [&] {
     const auto thread_start = std::chrono::steady_clock::now();
     double busy_seconds = 0.0;
@@ -266,9 +359,12 @@ std::vector<RunResult> SweepRunner::run(const std::vector<RunPoint>& points,
     for (;;) {
       const std::size_t g = next_group.fetch_add(1);
       if (g >= groups.size()) break;
-      // Time from run() start to pickup: how long this group sat queued
+      // Time from pool start to pickup: how long this group sat queued
       // behind other work.
-      metrics.queue_wait.record(seconds_since_start());
+      metrics.queue_wait.record(
+          std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                        pool_start)
+              .count());
       worked = true;
       const auto group_start = std::chrono::steady_clock::now();
       const std::vector<std::size_t>& group = groups[g];
@@ -340,42 +436,22 @@ std::vector<RunResult> SweepRunner::run(const std::vector<RunPoint>& points,
   const int pool_size =
       static_cast<int>(std::min<std::size_t>(groups.size(),
                                              static_cast<std::size_t>(num_threads_)));
-  if (pool_size <= 1) {
-    worker();
-  } else {
-    std::vector<std::thread> pool;
-    pool.reserve(static_cast<std::size_t>(pool_size));
-    for (int t = 0; t < pool_size; ++t) pool.emplace_back(worker);
-    for (auto& thread : pool) thread.join();
-  }
+  run_on_pool(pool_size, worker);
   if (!first_error.empty()) throw Error(first_error);
 
-  std::vector<RunResult> results;
-  results.reserve(points.size());
-  std::unordered_map<std::string, bool> solved_now;
-  for (const std::size_t n : jobs) solved_now.emplace(keys[n], true);
-  std::size_t cache_hits = 0;
+  // The first solve of a point this call is fresh; its repeats — like
+  // prior-call results and disk loads — are cache hits and report ~zero
+  // solve_seconds: the cached entry's recorded time was paid by the
+  // original solve, and repeating it would inflate cache-effectiveness
+  // numbers and ETAs downstream.
   double solve_seconds_total = 0.0;
-  for (std::size_t n = 0; n < points.size(); ++n) {
-    auto cached = cache_.lookup(keys[n]);
-    ESCHED_ASSERT(cached.has_value(), "sweep result missing from cache");
-    RunResult result = *cached;
-    // The first solve of a point this call is fresh; everything else —
-    // intra-call duplicates, prior-call results, disk loads — is a cache
-    // hit, and reports ~zero solve_seconds: the cached entry's recorded
-    // time was paid by the original solve, and repeating it would inflate
-    // cache-effectiveness numbers and ETAs downstream.
-    const auto it = solved_now.find(keys[n]);
-    result.from_cache = it == solved_now.end() || !it->second;
-    if (it != solved_now.end()) it->second = false;
-    if (result.from_cache) {
-      ++cache_hits;
-      result.solve_seconds = 0.0;
-    } else {
-      solve_seconds_total += result.solve_seconds;
+  for (const std::size_t n : jobs) {
+    solve_seconds_total += results[n].solve_seconds;
+    for (std::size_t m = next_same[n]; m != kNone; m = next_same[m]) {
+      results[m] = cached_copy(results[n]);
     }
-    results.push_back(result);
   }
+  const std::size_t cache_hits = points.size() - jobs.size();
 
   const double wall_seconds = seconds_since_start();
   metrics.run_seconds.record(wall_seconds);

@@ -2,8 +2,18 @@
 //
 // The runner takes a flat list of RunPoints (typically Scenario::expand()),
 // deduplicates them by cache key, solves the missing unique points on a
-// std::thread worker pool, and returns results in input order. A
-// mutex-guarded cache persists across run() calls, so repeated points —
+// std::thread worker pool, and returns results in input order. run() goes
+// through five phases:
+//   1. build every point's cache key (pool);
+//   2. deduplicate the keys (serial);
+//   3. probe the memo, then the disk cache, once per distinct key (pool);
+//   4. in input order, deliver hits to on_row, bump the hit/duplicate
+//      counters and list the jobs (serial);
+//   5. solve the job groups (pool), each solve writing its own result slot.
+// Phases 1 and 3 stay on the calling thread when they have fewer than 512
+// points (keys) to do, where starting threads costs more than the work.
+//
+// A mutex-guarded cache persists across run() calls, so repeated points —
 // e.g. shared rho-axis baselines across figures — solve exactly once per
 // process; an optional disk cache (set_cache_dir) extends that across
 // processes and CLI invocations. Exact-CTMC points sharing a chain
@@ -74,12 +84,14 @@ struct SweepStats {
 /// mutex around every call), so the callback itself needs no locking, but
 /// they arrive in completion order, not input order — streaming consumers
 /// reorder (see StreamingCsvReport). Cache/disk hits fire before any
-/// worker starts; duplicates of an in-flight point fire when that point's
-/// one solve lands. Provenance is honest per delivery: a freshly solved
-/// point arrives with from_cache = false and its real solve_seconds, while
-/// memo/disk hits and duplicates of an in-flight solve arrive with
-/// from_cache = true and solve_seconds = 0 (their cost was paid by the
-/// original solve), matching the returned vector.
+/// worker starts solving — from the calling thread, in input order, once
+/// the keys are built and probed (phase 4 above); duplicates of an
+/// in-flight point fire when that point's one solve lands. Provenance is
+/// honest per delivery: a freshly solved point arrives with from_cache =
+/// false and its real solve_seconds, while memo/disk hits and duplicates
+/// of an in-flight solve arrive with from_cache = true and solve_seconds
+/// = 0 (their cost was paid by the original solve), matching the
+/// returned vector.
 using RowCallback = std::function<void(
     std::size_t index, const RunPoint& point, const RunResult& result)>;
 

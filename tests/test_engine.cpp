@@ -4,10 +4,14 @@
 // a single-thread sweep).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "common/error.hpp"
 #include "core/ef_analysis.hpp"
@@ -18,6 +22,7 @@
 #include "engine/scenario.hpp"
 #include "engine/solver_dispatch.hpp"
 #include "engine/sweep_runner.hpp"
+#include "obs/metrics.hpp"
 #include "queueing/mmk.hpp"
 #include "sim/cluster_sim.hpp"
 #include "stats/histogram.hpp"
@@ -163,6 +168,43 @@ TEST(Scenario, CacheKeyIsBackendCanonical) {
   EXPECT_EQ(sim.cache_key(), sim2.cache_key());
   sim2.options.sim_tails = true;
   EXPECT_NE(sim.cache_key(), sim2.cache_key());
+}
+
+TEST(Scenario, CacheKeyBytesArePinned) {
+  // Keys name the memo and disk-cache entries: their bytes change only
+  // with a deliberate ;rev= bump, never with how doubles are formatted
+  // (printf "%.17g" bytes, round-trippable, exponent when it is shorter).
+  const RunPoint qbd{SystemParams::from_load(4, 0.35, 1.3, 0.7), "IF",
+                     SolverKind::kQbdAnalysis, {}};
+  EXPECT_EQ(qbd.cache_key(),
+            "k=4;li=0.77212121212121199;le=0.77212121212121199;"
+            "mi=0.34999999999999998;me=1.3;cap=0;policy=IF;solver=qbd;"
+            "fit=3;rev=1");
+
+  SystemParams edge;
+  edge.k = 2;
+  edge.lambda_i = 0.1;
+  edge.lambda_e = 1.0 / 3.0;
+  edge.mu_i = 5e-324;
+  edge.mu_e = 1e21;
+  RunPoint exact{edge, "EF", SolverKind::kExactCtmc, {}};
+  exact.options.truncation_epsilon = 123456789012345678.0;
+  EXPECT_EQ(exact.cache_key(),
+            "k=2;li=0.10000000000000001;le=0.33333333333333331;"
+            "mi=4.9406564584124654e-324;me=1e+21;cap=0;policy=EF;"
+            "solver=exact;eps=1.2345678901234568e+17;imax=0;jmax=0;rev=3");
+
+  RunPoint trace{edge, "IF", SolverKind::kTraceDominance, {}};
+  trace.options.trace_horizon = 1e-5;
+  trace.options.trace_seed = 9;
+  EXPECT_NE(trace.cache_key().find(";horizon=1.0000000000000001e-05;tseed=9"),
+            std::string::npos);
+
+  RunPoint sim{edge, "IF", SolverKind::kSimulation, {}};
+  sim.options.sim_tails = true;
+  sim.options.sim_tail_span = 0.1;
+  EXPECT_NE(sim.cache_key().find(";tails=1;span=0.10000000000000001;bins="),
+            std::string::npos);
 }
 
 TEST(Scenario, MakePolicyParsesSpecs) {
@@ -441,6 +483,168 @@ TEST(SweepRunner, DiskCachePersistsAcrossRunners) {
         << points[n].cache_key();
   }
   std::filesystem::remove_all(dir);
+}
+
+TEST(SweepRunner, LargeSweepBookkeepingIsThreadCountInvariant) {
+  // Enough distinct points that key building and cache probes leave the
+  // calling thread, plus repeats of every provenance: memo-warmed keys,
+  // keys preloaded into the --cache-dir table, one key held only as a
+  // per-entry file (promoted on load), and keys solved fresh.
+  Scenario s;
+  s.name = "bookkeeping";
+  s.k_values = {4};
+  s.rho_values = {0.5, 0.6, 0.7};
+  s.mu_i_values.clear();
+  s.mu_e_values.clear();
+  for (int n = 0; n < 10; ++n) s.mu_i_values.push_back(0.5 + 0.25 * n);
+  for (int n = 0; n < 20; ++n) s.mu_e_values.push_back(0.5 + 0.125 * n);
+  s.policies = {"IF", "EF"};
+  s.solvers = {SolverKind::kQbdAnalysis};
+  const std::vector<RunPoint> base = s.expand();
+  ASSERT_EQ(base.size(), 1200u);
+  enum Role { kMemo, kTable, kFile, kFresh };
+  const auto role = [](std::size_t id) {
+    if (id < 200) return kMemo;
+    if (id < 500) return kTable;
+    return id == 500 ? kFile : kFresh;
+  };
+  const std::vector<RunPoint> memo_points(base.begin(), base.begin() + 200);
+  const std::vector<RunPoint> table_points(base.begin() + 200,
+                                           base.begin() + 500);
+  // Repeats interleaved through the sweep, some ahead of their key's
+  // first solve's completion, some of keys already seen.
+  std::vector<RunPoint> points;
+  std::vector<std::size_t> ids;
+  for (std::size_t id = 0; id < base.size(); ++id) {
+    points.push_back(base[id]);
+    ids.push_back(id);
+    if (id % 3 == 0) {
+      const std::size_t repeat = (id * 7) % base.size();
+      points.push_back(base[repeat]);
+      ids.push_back(repeat);
+    }
+  }
+
+  // The documented semantics, serially: a key's first index is a memo or
+  // disk hit or a fresh solve; a repeat of a hit is a memo hit, a repeat
+  // of a solved key a duplicate.
+  std::vector<bool> first(points.size(), false);
+  std::uint64_t want_memo = 0, want_disk = 0, want_dup = 0, want_solved = 0;
+  {
+    std::vector<bool> seen(base.size(), false);
+    for (std::size_t n = 0; n < points.size(); ++n) {
+      const Role r = role(ids[n]);
+      first[n] = !seen[ids[n]];
+      seen[ids[n]] = true;
+      if (r == kMemo || (!first[n] && r != kFresh)) ++want_memo;
+      else if (r != kFresh) ++want_disk;
+      else if (first[n]) ++want_solved;
+      else ++want_dup;
+    }
+  }
+  ASSERT_GT(want_dup, 0u);
+  ASSERT_GT(want_solved, 500u);
+
+  struct Row {
+    std::size_t index;
+    RunResult result;
+  };
+  struct Outcome {
+    std::vector<RunResult> results;
+    SweepStats stats;
+    std::vector<Row> rows;  // delivery order
+    std::map<std::string, std::uint64_t> counters;
+  };
+  const char* kCounters[] = {"sweep.memo.hits", "sweep.disk.hits",
+                             "sweep.dup.points", "sweep.points.solved"};
+  const auto sweep = [&](int threads) {
+    const std::string dir = testing::TempDir() + "esched_bookkeeping_" +
+                            std::to_string(threads);
+    std::filesystem::remove_all(dir);
+    {
+      SweepRunner preload(1);
+      preload.set_cache_dir(dir);
+      preload.run(table_points);
+    }
+    DiskResultCache(dir).store(base[500].cache_key(), dispatch_run(base[500]));
+    SweepRunner runner(threads);
+    runner.run(memo_points);
+    runner.set_cache_dir(dir);
+
+    Outcome out;
+    std::map<std::string, std::uint64_t> before;
+    for (const char* name : kCounters) {
+      before[name] = global_metrics().counter(name).total();
+    }
+    out.results = runner.run(points, &out.stats,
+                             [&](std::size_t n, const RunPoint&,
+                                 const RunResult& result) {
+                               out.rows.push_back({n, result});
+                             });
+    for (const char* name : kCounters) {
+      out.counters[name] = global_metrics().counter(name).total() - before[name];
+    }
+    // The per-entry file was promoted into the table on load.
+    EXPECT_FALSE(std::filesystem::exists(
+        DiskResultCache(dir).entry_path(base[500].cache_key())));
+    std::filesystem::remove_all(dir);
+    return out;
+  };
+  const Outcome serial = sweep(1);
+  const Outcome parallel = sweep(4);
+
+  for (const Outcome* out : {&serial, &parallel}) {
+    EXPECT_EQ(out->counters.at("sweep.memo.hits"), want_memo);
+    EXPECT_EQ(out->counters.at("sweep.disk.hits"), want_disk);
+    EXPECT_EQ(out->counters.at("sweep.dup.points"), want_dup);
+    EXPECT_EQ(out->counters.at("sweep.points.solved"), want_solved);
+    EXPECT_EQ(out->stats.total_points, points.size());
+    EXPECT_EQ(out->stats.solved_points, want_solved);
+    EXPECT_EQ(out->stats.cache_hits, points.size() - want_solved);
+    EXPECT_EQ(out->stats.disk_hits, want_disk);
+
+    // Provenance: only a solved key's first index is fresh.
+    double fresh_seconds = 0.0;
+    for (std::size_t n = 0; n < points.size(); ++n) {
+      const bool fresh = first[n] && role(ids[n]) == kFresh;
+      EXPECT_EQ(out->results[n].from_cache, !fresh) << "index " << n;
+      if (fresh) {
+        EXPECT_GT(out->results[n].solve_seconds, 0.0) << "index " << n;
+        fresh_seconds += out->results[n].solve_seconds;
+      } else {
+        EXPECT_EQ(out->results[n].solve_seconds, 0.0) << "index " << n;
+      }
+    }
+    EXPECT_EQ(out->stats.solve_seconds_total, fresh_seconds);
+
+    // on_row: once per index, matching the returned provenance, and every
+    // memo/disk hit before the first fresh row.
+    ASSERT_EQ(out->rows.size(), points.size());
+    std::vector<int> deliveries(points.size(), 0);
+    std::size_t first_fresh = out->rows.size();
+    std::size_t last_hit = 0;
+    for (std::size_t pos = 0; pos < out->rows.size(); ++pos) {
+      const Row& row = out->rows[pos];
+      ++deliveries[row.index];
+      EXPECT_EQ(row.result.from_cache, out->results[row.index].from_cache);
+      EXPECT_EQ(row.result.solve_seconds,
+                out->results[row.index].solve_seconds);
+      EXPECT_TRUE(numerically_equal(row.result, out->results[row.index]));
+      if (!row.result.from_cache) first_fresh = std::min(first_fresh, pos);
+      if (role(ids[row.index]) != kFresh) last_hit = pos;
+    }
+    for (std::size_t n = 0; n < points.size(); ++n) {
+      EXPECT_EQ(deliveries[n], 1) << "index " << n;
+    }
+    EXPECT_LT(last_hit, first_fresh);
+  }
+
+  EXPECT_EQ(serial.stats.threads_used, 1);
+  EXPECT_EQ(parallel.stats.threads_used, 4);
+  for (std::size_t n = 0; n < points.size(); ++n) {
+    EXPECT_TRUE(numerically_equal(serial.results[n], parallel.results[n]))
+        << points[n].cache_key();
+  }
 }
 
 TEST(DiskCache, RoundTripsResultsExactlyAndRejectsCorruption) {
