@@ -33,6 +33,20 @@ std::size_t state_index(long i, long j, long nj) {
   return static_cast<std::size_t>(i * nj + j);
 }
 
+/// Auto uses dense GTH elimination up to this many states; above it the
+/// block method or SOR does better.
+constexpr std::size_t kGthStateLimit = 500;
+
+/// SOR's sweep cap and relaxation factor (omega = 1 is Gauss-Seidel).
+constexpr int kSorMaxIters = 200000;
+constexpr double kSorOmega = 1.0;
+
+/// Workspace cap for the block method (block_solver_workspace_bytes per
+/// axis, NestedDissectionCost::workspace_bytes). Orderings over it are not
+/// considered; when none fits, auto falls back to SOR and an explicit
+/// kBlock request throws.
+constexpr std::size_t kBlockMemoryLimit = std::size_t{4} << 30;
+
 /// Explicit method = gth densifies the generator; past this it is a
 /// request for O(n^2) memory and O(n^3) time that block/SOR do better.
 constexpr std::size_t kDenseGthLimit = 5000;
@@ -61,7 +75,7 @@ struct BlockOrdering {
 /// tries them (the cheapest, then nested dissection when a level
 /// elimination throws), the grid nested dissection runs on, and the
 /// estimate above which auto prefers SOR. No ordering means none fits
-/// block_memory_limit; `min_bytes` is the smallest one considered.
+/// kBlockMemoryLimit; `min_bytes` is the smallest one considered.
 struct BlockPlan {
   std::vector<BlockOrdering> tries;
   std::size_t ni = 0;
@@ -75,7 +89,7 @@ struct BlockPlan {
 bool may_run_block(const ExactCtmcOptions& options, std::size_t n) {
   return options.method == StationaryMethod::kBlock ||
          (options.method == StationaryMethod::kAuto &&
-          n > options.gth_state_limit);
+          n > kGthStateLimit);
 }
 
 /// Runs the stationary solve with the selected (or auto-chosen) method,
@@ -88,7 +102,7 @@ std::pair<Vector, StationarySolveInfo> solve_stationary(
   const bool auto_selected = options.method == StationaryMethod::kAuto;
   StationaryMethod method = options.method;
   if (auto_selected) {
-    if (n <= options.gth_state_limit) {
+    if (n <= kGthStateLimit) {
       method = StationaryMethod::kGth;
     } else if (!plan.tries.empty() &&
                plan.tries[0].flops <= plan.auto_flop_limit) {
@@ -103,10 +117,11 @@ std::pair<Vector, StationarySolveInfo> solve_stationary(
   StationarySolveInfo solve_info;
   const char* block_counter = nullptr;
   const auto run_sor = [&] {
-    pi = sor_stationary(rates, exit_rates, options.sor_tol,
-                        options.sor_max_iters, options.sor_omega, &solve_info);
+    pi = sor_stationary(rates, exit_rates, options.sor_tol, kSorMaxIters,
+                        kSorOmega, &solve_info);
     ESCHED_CHECK(solve_info.converged,
-                 "SOR did not converge; increase iterations or loosen tol");
+                 "SOR did not converge in " + std::to_string(kSorMaxIters) +
+                     " sweeps; loosen sor_tol");
   };
   switch (method) {
     case StationaryMethod::kGth:
@@ -127,8 +142,8 @@ std::pair<Vector, StationarySolveInfo> solve_stationary(
                    "method 'block' would need " +
                        std::to_string(plan.min_bytes) +
                        " workspace bytes, over the " +
-                       std::to_string(options.block_memory_limit) +
-                       "-byte limit (raise block_memory_limit or use 'sor')");
+                       std::to_string(kBlockMemoryLimit) +
+                       "-byte limit (use method 'auto' or 'sor')");
       for (const BlockOrdering& ordering : plan.tries) {
         try {
           pi = ordering.level_of != nullptr
@@ -289,7 +304,7 @@ ExactCtmcResult ExactCtmcBatch::solve(const AllocationPolicy& policy) {
                      });
     plan.min_bytes = std::min({by_i.bytes, by_j.bytes, nd.bytes});
     for (const BlockOrdering& ordering : orderings) {
-      if (ordering.bytes > options_.block_memory_limit) continue;
+      if (ordering.bytes > kBlockMemoryLimit) continue;
       if (plan.tries.empty() || ordering.level_of == nullptr) {
         plan.tries.push_back(ordering);
       }
@@ -514,7 +529,7 @@ class PhChainBuilder {
     plan.auto_flop_limit = kAutoBlockFlopLimit;
     if (may_run_block(options_, states_.size())) {
       plan.min_bytes = block_solver_workspace_bytes(level_of);
-      if (plan.min_bytes <= options_.block_memory_limit) {
+      if (plan.min_bytes <= kBlockMemoryLimit) {
         plan.tries.push_back(
             {&level_of, "exact.method.block.axis.i",
              block_solver_flop_estimate(chain.rate_matrix(), level_of),

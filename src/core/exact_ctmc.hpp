@@ -24,28 +24,20 @@ namespace esched {
 struct ExactCtmcOptions {
   long imax = 120;  ///< inelastic truncation level
   long jmax = 120;  ///< elastic truncation level
-  /// Stationary-solver selection. kAuto uses dense GTH up to
-  /// gth_state_limit states and the block method above that. On the
-  /// exponential (N_I, N_E) chain the block method (auto or explicit)
-  /// eliminates in the cheapest of three orderings that fit
-  /// block_memory_limit: levels along N_I, levels along N_E, or nested
+  /// Stationary-solver selection. The engine always solves with kAuto;
+  /// the explicit methods are for tests that compare solvers on one chain.
+  /// kAuto uses dense GTH up to 500 states and the block method above
+  /// that. On the exponential (N_I, N_E) chain the block method (auto or
+  /// explicit) eliminates in the cheapest of three orderings whose
+  /// workspace fits 4 GiB: levels along N_I, levels along N_E, or nested
   /// dissection of the grid; see ExactCtmcBatch. When a level elimination
   /// throws (a level without down-transitions), auto retries nested
   /// dissection, and when that throws too (a reducible chain), SOR. The
   /// phase-type chain levels along i only, and auto sends it to SOR instead
   /// when the fold's estimated work is over a fixed flop limit.
   StationaryMethod method = StationaryMethod::kAuto;
-  /// Use dense GTH elimination when the state count is at most this (and
-  /// method is kAuto). GTH is direct; SOR iterates to `sor_tol`.
-  std::size_t gth_state_limit = 500;
+  /// SOR's residual target. GTH and the block method are direct.
   double sor_tol = 1e-12;
-  int sor_max_iters = 200000;
-  double sor_omega = 1.0;
-  /// Workspace cap for the block method (block_solver_workspace_bytes per
-  /// axis, NestedDissectionCost::workspace_bytes). Orderings over it are
-  /// not considered; when none fits, kAuto falls back to SOR and an
-  /// explicit kBlock request throws.
-  std::size_t block_memory_limit = std::size_t{4} << 30;
 };
 
 /// Results of the truncated stationary solve.

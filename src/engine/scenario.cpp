@@ -122,12 +122,6 @@ std::string RunPoint::cache_key() const {
       // rev=2: the block solver levels along the cheaper axis per policy.
       // rev=3: the block method may eliminate in nested-dissection order.
       key += ";rev=3";
-      // Only non-auto methods appear, keeping pre-existing keys — and the
-      // disk-cache entries stored under them — byte-identical.
-      if (options.exact_method != StationaryMethod::kAuto) {
-        key += ";method=";
-        key += stationary_method_name(options.exact_method);
-      }
       break;
     case SolverKind::kSimulation:
       key += ";jobs=" + std::to_string(options.sim_jobs);

@@ -19,7 +19,6 @@
 #include "core/params.hpp"
 #include "core/policy.hpp"
 #include "core/response_time.hpp"
-#include "markov/stationary.hpp"
 #include "phase/size_dist.hpp"
 
 namespace esched {
@@ -55,9 +54,6 @@ struct RunOptions {
   double truncation_epsilon = 1e-9;
   long imax = 0;  ///< explicit inelastic truncation (0 = derive from rho)
   long jmax = 0;  ///< explicit elastic truncation (0 = derive from rho)
-  /// Exact-CTMC stationary solver ("auto" picks GTH / block / SOR by chain
-  /// size and structure); non-auto values enter the cache key.
-  StationaryMethod exact_method = StationaryMethod::kAuto;
   /// Simulation controls (kSimulation only).
   std::uint64_t sim_jobs = 200000;
   std::uint64_t sim_warmup = 20000;

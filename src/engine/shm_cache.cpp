@@ -586,7 +586,6 @@ TieredResultCache::TieredResultCache(std::string directory)
 
 TieredResultCache::TieredResultCache(std::string directory, Options options)
     : files_(std::move(directory)) {
-  if (!options.use_table) return;
   table_ = options.create_table
                ? ShmResultCache::open_or_create(files_.directory(),
                                                 options.create_slots)

@@ -140,7 +140,6 @@ class ShmResultCache {
 class TieredResultCache {
  public:
   struct Options {
-    bool use_table = true;     ///< false: behave exactly like DiskResultCache
     bool create_table = true;  ///< false: map the table only if it exists
     std::uint64_t create_slots = ShmResultCache::kDefaultSlotCount;
   };

@@ -107,7 +107,6 @@ ExactCtmcOptions resolve_exact_options(const RunPoint& point) {
                                             point.options.truncation_epsilon);
   options.imax = point.options.imax > 0 ? point.options.imax : derived;
   options.jmax = point.options.jmax > 0 ? point.options.jmax : derived;
-  options.method = point.options.exact_method;
   return options;
 }
 

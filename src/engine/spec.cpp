@@ -199,10 +199,9 @@ void parse_options(const JsonValue& json_options, RunOptions& options) {
   const std::string where = "options";
   check_known_keys(json_options, where,
                    {"fit_order", "truncation_epsilon", "imax", "jmax",
-                    "method", "sim_jobs", "sim_warmup", "base_seed",
-                    "sim_tails", "sim_tail_span", "sim_tail_bins",
-                    "trace_horizon", "trace_seed", "size_dist_i",
-                    "size_dist_e"});
+                    "sim_jobs", "sim_warmup", "base_seed", "sim_tails",
+                    "sim_tail_span", "sim_tail_bins", "trace_horizon",
+                    "trace_seed", "size_dist_i", "size_dist_e"});
   if (const JsonValue* v = json_options.find("fit_order")) {
     options.fit_order = static_cast<BusyFitOrder>(
         v->as_integer("options.fit_order", 1, 3));
@@ -218,14 +217,6 @@ void parse_options(const JsonValue& json_options, RunOptions& options) {
   }
   if (const JsonValue* v = json_options.find("jmax")) {
     options.jmax = v->as_integer("options.jmax", 0, 100000);
-  }
-  if (const JsonValue* v = json_options.find("method")) {
-    try {
-      options.exact_method =
-          parse_stationary_method(v->as_string("options.method"));
-    } catch (const Error& e) {
-      throw Error("options.method: " + std::string(e.what()));
-    }
   }
   if (const JsonValue* v = json_options.find("sim_jobs")) {
     options.sim_jobs = static_cast<std::uint64_t>(
@@ -414,10 +405,6 @@ JsonValue scenario_to_json(const Scenario& scenario) {
               JsonValue::make_number(o.truncation_epsilon));
   options.set("imax", JsonValue::make_number(static_cast<double>(o.imax)));
   options.set("jmax", JsonValue::make_number(static_cast<double>(o.jmax)));
-  if (o.exact_method != StationaryMethod::kAuto) {
-    options.set("method", JsonValue::make_string(
-                              stationary_method_name(o.exact_method)));
-  }
   options.set("sim_jobs",
               JsonValue::make_number(static_cast<double>(o.sim_jobs)));
   options.set("sim_warmup",
@@ -689,10 +676,6 @@ LoadedSweep load_sweep(const std::vector<std::string>& scenario_args,
       scenario.options.base_seed = *overrides.base_seed;
     }
     if (overrides.sim_jobs > 0) scenario.options.sim_jobs = overrides.sim_jobs;
-    if (!overrides.exact_method.empty()) {
-      scenario.options.exact_method =
-          parse_stationary_method(overrides.exact_method);
-    }
     sweep.grids.push_back(scenario.expand());  // validates, incl. options
     sweep.scenarios.push_back(std::move(scenario));
   }

@@ -77,7 +77,6 @@ bool looks_like_spec_path(const std::string& arg);
 struct SweepOverrides {
   std::optional<std::uint64_t> base_seed;  ///< --seed
   std::uint64_t sim_jobs = 0;              ///< --sim-jobs (0 = keep)
-  std::string exact_method;                ///< --exact-method ("" = keep)
 };
 
 /// A command line's scenario arguments loaded, overridden, and expanded

@@ -160,10 +160,8 @@ SweepRunner::SweepRunner(int num_threads) : num_threads_(num_threads) {
 
 SweepRunner::~SweepRunner() = default;
 
-void SweepRunner::set_cache_dir(const std::string& directory, bool use_table) {
-  TieredResultCache::Options options;
-  options.use_table = use_table;
-  disk_cache_ = std::make_unique<TieredResultCache>(directory, options);
+void SweepRunner::set_cache_dir(const std::string& directory) {
+  disk_cache_ = std::make_unique<TieredResultCache>(directory);
 }
 
 std::vector<RunResult> SweepRunner::run(const std::vector<RunPoint>& points,

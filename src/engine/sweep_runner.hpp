@@ -118,10 +118,9 @@ class SweepRunner {
   /// misses consult it before solving, and fresh solves are written back.
   /// The directory is a two-tier cache (engine/shm_cache): an mmap'd
   /// open-addressing table serves hits with a lock-free probe, per-entry
-  /// files hold what the table cannot. `use_table = false` keeps the
-  /// file-per-entry tier only (benches use it to measure the old hot
-  /// path). Throws when the directory cannot be created.
-  void set_cache_dir(const std::string& directory, bool use_table = true);
+  /// files hold what the table cannot. Throws when the directory cannot be
+  /// created.
+  void set_cache_dir(const std::string& directory);
 
   int num_threads() const { return num_threads_; }
   ResultCache& cache() { return cache_; }

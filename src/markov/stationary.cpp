@@ -23,15 +23,6 @@ const char* stationary_method_name(StationaryMethod method) {
   return "";
 }
 
-StationaryMethod parse_stationary_method(const std::string& name) {
-  if (name == "auto") return StationaryMethod::kAuto;
-  if (name == "gth") return StationaryMethod::kGth;
-  if (name == "sor") return StationaryMethod::kSor;
-  if (name == "block") return StationaryMethod::kBlock;
-  throw Error("unknown stationary method '" + name +
-              "' (expected auto, gth, sor, or block)");
-}
-
 Vector gth_stationary(Matrix q) {
   // No generator-structure debug check here: the block solver feeds this
   // entry censored generators whose diagonal/row sums carry elimination
@@ -101,19 +92,6 @@ double incoming_balance(std::size_t s, const Index* from, const double* rate,
   }
   if (!subtracted) acc -= pi[s] * exit_rates[s];
   return acc;
-}
-
-/// Residual max_s |(pi Q)_s| from the in-adjacency (a transpose the caller
-/// already built).
-double residual_from_incoming(const CsrMatrix& in, const Vector& exit_rates,
-                              const Vector& pi) {
-  double worst = 0.0;
-  for (std::size_t s = 0; s < in.rows(); ++s) {
-    const double balance = incoming_balance(
-        s, in.row_cols(s), in.row_values(s), in.row_nnz(s), exit_rates, pi);
-    worst = std::max(worst, std::abs(balance));
-  }
-  return worst;
 }
 
 /// The in-adjacency of a generator with its rows in Gauss-Seidel level
@@ -268,65 +246,6 @@ Vector sor_stationary(const SparseCtmc& chain, double tol, int max_iters,
                       double omega, StationarySolveInfo* info) {
   return sor_stationary(chain.rate_matrix(), chain.exit_rates(), tol,
                         max_iters, omega, info);
-}
-
-Vector power_stationary(const CsrMatrix& rates, const Vector& exit_rates,
-                        double tol, int max_iters,
-                        StationarySolveInfo* info) {
-  ESCHED_CHECK(exit_rates.size() == rates.rows(),
-               "exit-rate dimension mismatch");
-  ESCHED_DEBUG_CHECK(check_generator(rates, exit_rates, "power_stationary"));
-  const std::size_t n = rates.rows();
-  // Strictly exceed the max exit rate so the uniformized DTMC is aperiodic.
-  double max_exit = 0.0;
-  for (double r : exit_rates) max_exit = std::max(max_exit, r);
-  const double uniformization = max_exit * 1.05 + 1e-9;
-  const CsrMatrix in = rates.transposed();
-  Vector pi(n, 1.0 / static_cast<double>(n));
-  Vector next(n, 0.0);
-  StationarySolveInfo local;
-  for (local.iterations = 1; local.iterations <= max_iters;
-       ++local.iterations) {
-    for (std::size_t s = 0; s < n; ++s) {
-      // Gather form of pi P: incoming contributions in ascending source
-      // order, with the stay term interleaved where source == s falls.
-      const std::size_t* from = in.row_cols(s);
-      const double* rate = in.row_values(s);
-      const std::size_t nnz = in.row_nnz(s);
-      double acc = 0.0;
-      bool stayed = false;
-      for (std::size_t k = 0; k < nnz; ++k) {
-        if (!stayed && from[k] > s) {
-          acc += pi[s] * (1.0 - exit_rates[s] / uniformization);
-          stayed = true;
-        }
-        acc += pi[from[k]] * rate[k] / uniformization;
-      }
-      if (!stayed) acc += pi[s] * (1.0 - exit_rates[s] / uniformization);
-      next[s] = acc;
-    }
-    double delta = 0.0;
-    for (std::size_t s = 0; s < n; ++s) {
-      delta = std::max(delta, std::abs(next[s] - pi[s]));
-    }
-    pi.swap(next);
-    if (delta * uniformization < tol) {
-      local.converged = true;
-      break;
-    }
-  }
-  local.iterations = std::min(local.iterations, max_iters);
-  normalize_probability(pi);
-  local.residual = residual_from_incoming(in, exit_rates, pi);
-  if (info != nullptr) *info = local;
-  ESCHED_DEBUG_CHECK(check_probability_vector(pi, "power_stationary"));
-  return pi;
-}
-
-Vector power_stationary(const SparseCtmc& chain, double tol, int max_iters,
-                        StationarySolveInfo* info) {
-  return power_stationary(chain.rate_matrix(), chain.exit_rates(), tol,
-                          max_iters, info);
 }
 
 }  // namespace esched

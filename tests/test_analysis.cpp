@@ -241,12 +241,12 @@ TEST(ExactCtmc, AutoSelectsGthSmallAndBlockLarge) {
   const SystemParams p = SystemParams::from_load(2, 1.0, 1.0, 0.5);
   ExactCtmcOptions small;
   small.imax = 10;
-  small.jmax = 10;  // 121 states <= gth_state_limit
+  small.jmax = 10;  // 121 states <= auto's 500-state GTH limit
   EXPECT_EQ(solve_exact_ctmc(p, InelasticFirst{}, small).solve_info.method,
             "gth");
   ExactCtmcOptions large;
   large.imax = 30;
-  large.jmax = 30;  // 961 states > gth_state_limit -> block
+  large.jmax = 30;  // 961 states > the GTH limit -> block
   EXPECT_EQ(solve_exact_ctmc(p, InelasticFirst{}, large).solve_info.method,
             "block");
 }

@@ -153,11 +153,9 @@ TEST(Scenario, CacheKeyIsBackendCanonical) {
   EXPECT_EQ(exact.cache_key(), exact2.cache_key());
   exact2.options.imax = 40;
   EXPECT_NE(exact.cache_key(), exact2.cache_key());
-  // Every exact key carries the solver-path revision, auto or not, so a
-  // warm cache from before nested-dissection ordering misses.
+  // Every exact key carries the solver-path revision, so a warm cache
+  // from before nested-dissection ordering misses.
   EXPECT_NE(exact.cache_key().find(";rev=3"), std::string::npos);
-  exact2.options.exact_method = StationaryMethod::kSor;
-  EXPECT_NE(exact2.cache_key().find(";rev=3;method=sor"), std::string::npos);
   // QBD keys carry their own revision: rows from the Neuts fixed point
   // (different iteration counts and last digits) must miss.
   EXPECT_NE(qbd.cache_key().find(";fit=3;rev=1"), std::string::npos);
@@ -248,8 +246,9 @@ TEST(Dispatch, ExactMatchesDirectSolveAndReportsSolveInfo) {
       solve_exact_ctmc(p, *make_fair_share(), options);
   EXPECT_DOUBLE_EQ(result.mean_response_time, direct.mean_response_time);
   EXPECT_DOUBLE_EQ(result.boundary_mass, direct.boundary_mass);
-  // 41x41 states > gth_state_limit, so auto picks the direct block solver:
-  // no sweeps, and the residual still surfaces through the result.
+  // 41x41 states > auto's 500-state GTH limit, so it picks the direct
+  // block solver: no sweeps, and the residual still surfaces through the
+  // result.
   EXPECT_EQ(direct.solve_info.method, "block");
   EXPECT_EQ(result.solver_iterations, 0);
   EXPECT_LT(result.solve_residual, 1e-11);
@@ -259,7 +258,7 @@ TEST(Dispatch, ExactMatchesDirectSolveAndReportsSolveInfo) {
 TEST(Dispatch, GthPathReportsConvergedSolveInfo) {
   const SystemParams p = SystemParams::from_load(2, 1.0, 1.0, 0.5);
   ExactCtmcOptions options;
-  options.imax = options.jmax = 15;  // 256 states <= gth_state_limit
+  options.imax = options.jmax = 15;  // 256 states: auto picks GTH
   const ExactCtmcResult direct =
       solve_exact_ctmc(p, *make_inelastic_first(), options);
   EXPECT_TRUE(direct.solve_info.converged);

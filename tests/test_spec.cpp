@@ -162,6 +162,9 @@ TEST(Spec, UnknownKeysAreNamed) {
       parse_scenario_text(R"({"options": {"sim_raw_seed": true}})", "t"),
       "options.sim_raw_seed");
   EXPECT_THROWS_NAMING(
+      parse_scenario_text(R"({"options": {"method": "sor"}})", "t"),
+      "options.method");
+  EXPECT_THROWS_NAMING(
       parse_scenario_text(R"({"cases": [{"mu_i": 1, "mu_e": 1, "rho": 0.5,
                              "kk": 4}]})", "t"),
       "kk");
@@ -230,41 +233,6 @@ TEST(Spec, TruncationAndFitAxesParse) {
   EXPECT_EQ(s.trunc_values, std::vector<long>({10, 20}));
   EXPECT_EQ(s.fit_orders, std::vector<int>({1, 2, 3}));
   EXPECT_EQ(s.num_points(), 1u * 2u * 3u * 1u * 2u);
-}
-
-TEST(Spec, ExactMethodOptionParsesRoundTripsAndRejectsTypos) {
-  const Scenario s = parse_scenario_text(
-      R"({"name": "m", "axes": {"solver": ["exact"]},
-          "options": {"method": "block"}})",
-      "t");
-  EXPECT_EQ(s.options.exact_method, StationaryMethod::kBlock);
-  // Non-auto methods appear in the serialized spec; auto is omitted so
-  // pre-existing specs print byte-identically.
-  EXPECT_NE(scenario_to_json(s).dump().find("\"method\": \"block\""),
-            std::string::npos);
-  Scenario def = s;
-  def.options.exact_method = StationaryMethod::kAuto;
-  EXPECT_EQ(scenario_to_json(def).dump().find("method"), std::string::npos);
-  EXPECT_THROWS_NAMING(
-      parse_scenario_text(R"({"options": {"method": "cholesky"}})", "t"),
-      "options.method");
-}
-
-TEST(Spec, ExactMethodEntersCacheKeyOnlyWhenNotAuto) {
-  RunPoint point{SystemParams::from_load(2, 1.0, 1.0, 0.5), "IF",
-                 SolverKind::kExactCtmc, {}};
-  point.options.imax = point.options.jmax = 20;
-  const std::string auto_key = point.cache_key();
-  EXPECT_EQ(auto_key.find("method"), std::string::npos);
-  point.options.exact_method = StationaryMethod::kSor;
-  const std::string sor_key = point.cache_key();
-  EXPECT_NE(sor_key.find(";method=sor"), std::string::npos);
-  EXPECT_NE(auto_key, sor_key);
-  // Solvers that never read the option are insensitive to it.
-  point.solver = SolverKind::kQbdAnalysis;
-  const std::string qbd_sor = point.cache_key();
-  point.options.exact_method = StationaryMethod::kAuto;
-  EXPECT_EQ(point.cache_key(), qbd_sor);
 }
 
 }  // namespace

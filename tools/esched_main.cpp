@@ -80,7 +80,6 @@ void print_usage() {
       "       esched cache info --cache-dir D\n"
       "       esched queue init <scenario-or-spec.json>... --queue-dir Q\n"
       "                        [--chunk N] [--seed S] [--sim-jobs N]\n"
-      "                        [--exact-method M]\n"
       "       esched work --queue-dir Q [--threads N] [--cache-dir D]\n"
       "                   [--lease-ttl S] [--poll-ms M] [--max-chunks N]\n"
       "                   [--owner NAME] [--progress] [--no-wait]\n"
@@ -100,8 +99,6 @@ void print_usage() {
       "  --threads N     worker threads (default: all hardware threads)\n"
       "  --seed S        base RNG seed for simulation points (default: 1)\n"
       "  --sim-jobs N    measured completions per simulation point\n"
-      "  --exact-method M  stationary solver for exact-CTMC points:\n"
-      "                  auto (default), gth, block, or sor\n"
       "  --view NAME     report view (default: the scenario's own view)\n"
       "  --shard I/N     run only shard I of N (contiguous row-order\n"
       "                  split; `esched merge` of the shard CSVs in shard\n"
@@ -480,8 +477,6 @@ int run_queue(const std::vector<std::string>& args) {
     } else if (args[n] == "--sim-jobs") {
       overrides.sim_jobs = static_cast<std::uint64_t>(
           parse_long("--sim-jobs", next_value(args, &n, "--sim-jobs")));
-    } else if (args[n] == "--exact-method") {
-      overrides.exact_method = next_value(args, &n, "--exact-method");
     } else if (!args[n].empty() && args[n][0] == '-') {
       throw esched::Error("unknown queue init option '" + args[n] + "'");
     } else {
@@ -910,7 +905,6 @@ int main(int argc, char** argv) {
   std::uint64_t seed = 1;
   bool seed_set = false;
   std::uint64_t sim_jobs = 0;
-  std::string exact_method;
   std::string view_override;
   std::string cache_dir;
   std::string out_path;
@@ -969,8 +963,6 @@ int main(int argc, char** argv) {
       } else if (arg == "--sim-jobs") {
         sim_jobs = static_cast<std::uint64_t>(
             parse_long("--sim-jobs", next_value("--sim-jobs")));
-      } else if (arg == "--exact-method") {
-        exact_method = next_value("--exact-method");
       } else if (arg == "--view") {
         view_override = next_value("--view");
       } else if (arg == "--shard") {
@@ -1050,7 +1042,6 @@ int main(int argc, char** argv) {
     esched::SweepOverrides overrides;
     if (seed_set) overrides.base_seed = seed;
     overrides.sim_jobs = sim_jobs;
-    overrides.exact_method = exact_method;
     esched::LoadedSweep sweep = esched::load_sweep(scenario_args, overrides);
     const bool with_size_dist = sweep.with_size_dist;
     // Rows this invocation will actually run (the shard slices), for the
