@@ -1,8 +1,9 @@
 #include "common/table.hpp"
 
+#include <array>
+#include <charconv>
 #include <iomanip>
 #include <ostream>
-#include <sstream>
 
 #include "common/error.hpp"
 
@@ -40,9 +41,15 @@ void Table::print(std::ostream& os) const {
 }
 
 std::string format_double(double value, int digits) {
-  std::ostringstream oss;
-  oss << std::setprecision(digits) << value;
-  return oss.str();
+  // chars_format::general with a precision is printf's %.{digits}g, which
+  // is what an ostream at setprecision(digits) prints.
+  std::array<char, 128> buf{};
+  const auto [end, ec] = std::to_chars(buf.data(), buf.data() + buf.size(),
+                                       value, std::chars_format::general,
+                                       digits);
+  ESCHED_CHECK(ec == std::errc{}, "format_double: " + std::to_string(digits) +
+                                      " digits overflow the buffer");
+  return std::string(buf.data(), end);
 }
 
 }  // namespace esched

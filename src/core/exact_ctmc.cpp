@@ -37,19 +37,16 @@ std::size_t state_index(long i, long j, long nj) {
 /// block method or SOR does better.
 constexpr std::size_t kGthStateLimit = 500;
 
-/// SOR's sweep cap and relaxation factor (omega = 1 is Gauss-Seidel).
+/// SOR's residual target, sweep cap and relaxation factor (omega = 1 is
+/// Gauss-Seidel). GTH and the block method are direct.
+constexpr double kSorTol = 1e-12;
 constexpr int kSorMaxIters = 200000;
 constexpr double kSorOmega = 1.0;
 
 /// Workspace cap for the block method (block_solver_workspace_bytes per
 /// axis, NestedDissectionCost::workspace_bytes). Orderings over it are not
-/// considered; when none fits, auto falls back to SOR and an explicit
-/// kBlock request throws.
+/// considered; when none fits, auto falls back to SOR.
 constexpr std::size_t kBlockMemoryLimit = std::size_t{4} << 30;
-
-/// Explicit method = gth densifies the generator; past this it is a
-/// request for O(n^2) memory and O(n^3) time that block/SOR do better.
-constexpr std::size_t kDenseGthLimit = 5000;
 
 /// Auto takes the block method on the phase-type chain only when its
 /// estimated elimination work stays below this (~a second or two of
@@ -75,75 +72,32 @@ struct BlockOrdering {
 /// tries them (the cheapest, then nested dissection when a level
 /// elimination throws), the grid nested dissection runs on, and the
 /// estimate above which auto prefers SOR. No ordering means none fits
-/// kBlockMemoryLimit; `min_bytes` is the smallest one considered.
+/// kBlockMemoryLimit. Chains of at most kGthStateLimit states need none.
 struct BlockPlan {
   std::vector<BlockOrdering> tries;
   std::size_t ni = 0;
   std::size_t nj = 0;
   double auto_flop_limit = std::numeric_limits<double>::infinity();
-  std::size_t min_bytes = 0;
 };
 
-/// Whether solve_stationary can reach the block method, i.e. whether the
-/// caller needs to plan its orderings.
-bool may_run_block(const ExactCtmcOptions& options, std::size_t n) {
-  return options.method == StationaryMethod::kBlock ||
-         (options.method == StationaryMethod::kAuto &&
-          n > kGthStateLimit);
-}
-
-/// Runs the stationary solve with the selected (or auto-chosen) method,
-/// recording per-method solve-time / state-count metrics and, for the
-/// block method, the counter of the ordering that produced the result.
+/// Runs auto, the one stationary-solver route: dense GTH up to
+/// kGthStateLimit states, else the plan's orderings in turn, else SOR.
+/// Records per-method solve-time / state-count metrics and, for the block
+/// method, the counter of the ordering that produced the result.
 std::pair<Vector, StationarySolveInfo> solve_stationary(
-    const CsrMatrix& rates, const Vector& exit_rates, const BlockPlan& plan,
-    const ExactCtmcOptions& options) {
+    const CsrMatrix& rates, const Vector& exit_rates, const BlockPlan& plan) {
   const std::size_t n = rates.rows();
-  const bool auto_selected = options.method == StationaryMethod::kAuto;
-  StationaryMethod method = options.method;
-  if (auto_selected) {
-    if (n <= kGthStateLimit) {
-      method = StationaryMethod::kGth;
-    } else if (!plan.tries.empty() &&
-               plan.tries[0].flops <= plan.auto_flop_limit) {
-      method = StationaryMethod::kBlock;
-    } else {
-      method = StationaryMethod::kSor;
-    }
-  }
-
   const auto start = std::chrono::steady_clock::now();
   Vector pi;
   StationarySolveInfo solve_info;
   const char* block_counter = nullptr;
-  const auto run_sor = [&] {
-    pi = sor_stationary(rates, exit_rates, options.sor_tol, kSorMaxIters,
-                        kSorOmega, &solve_info);
-    ESCHED_CHECK(solve_info.converged,
-                 "SOR did not converge in " + std::to_string(kSorMaxIters) +
-                     " sweeps; loosen sor_tol");
-  };
-  switch (method) {
-    case StationaryMethod::kGth:
-      ESCHED_CHECK(n <= kDenseGthLimit,
-                   "method 'gth' densifies the generator; " +
-                       std::to_string(n) + " states exceeds the " +
-                       std::to_string(kDenseGthLimit) +
-                       "-state dense limit (use method 'block' or 'sor')");
-      pi = gth_stationary(rates, exit_rates);
-      solve_info.converged = true;
-      solve_info.residual = stationary_residual(rates, exit_rates, pi);
-      break;
-    case StationaryMethod::kSor:
-      run_sor();
-      break;
-    case StationaryMethod::kBlock:
-      ESCHED_CHECK(!plan.tries.empty(),
-                   "method 'block' would need " +
-                       std::to_string(plan.min_bytes) +
-                       " workspace bytes, over the " +
-                       std::to_string(kBlockMemoryLimit) +
-                       "-byte limit (use method 'auto' or 'sor')");
+  if (n <= kGthStateLimit) {
+    pi = gth_stationary(rates, exit_rates);
+    solve_info.converged = true;
+    solve_info.residual = stationary_residual(rates, exit_rates, pi);
+    solve_info.method = "gth";
+  } else {
+    if (!plan.tries.empty() && plan.tries[0].flops <= plan.auto_flop_limit) {
       for (const BlockOrdering& ordering : plan.tries) {
         try {
           pi = ordering.level_of != nullptr
@@ -157,33 +111,34 @@ std::pair<Vector, StationarySolveInfo> solve_stationary(
         } catch (const Error&) {
           // Some policies (e.g. idling variants) leave a level with no
           // down-transitions, or a state with no path to the states after
-          // it; an explicit request reports that, auto moves on to the
-          // next ordering and then to SOR, which still solves the chain.
-          if (!auto_selected) throw;
+          // it; move on to the next ordering and then to SOR, which still
+          // solves the chain.
           global_metrics().counter("exact.method.block.fallbacks").add();
         }
       }
-      if (block_counter == nullptr) {
-        method = StationaryMethod::kSor;
-        run_sor();
-      }
-      break;
-    case StationaryMethod::kAuto:
-      ESCHED_ASSERT(false, "auto method not resolved");
+    }
+    if (block_counter != nullptr) {
+      solve_info.method = "block";
+    } else {
+      pi = sor_stationary(rates, exit_rates, kSorTol, kSorMaxIters, kSorOmega,
+                          &solve_info);
+      ESCHED_CHECK(solve_info.converged, "SOR did not converge in " +
+                                             std::to_string(kSorMaxIters) +
+                                             " sweeps");
+      solve_info.method = "sor";
+    }
   }
-  solve_info.method = stationary_method_name(method);
 
   const double seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
           .count();
   MetricsRegistry& metrics = global_metrics();
-  const std::string prefix =
-      std::string("exact.method.") + solve_info.method;
+  const std::string prefix = "exact.method." + solve_info.method;
   metrics.counter(prefix + ".solves").add();
   metrics.histogram(prefix + ".seconds").record(seconds);
   metrics.histogram(prefix + ".states").record(static_cast<double>(n));
   if (block_counter != nullptr) metrics.counter(block_counter).add();
-  if (method == StationaryMethod::kSor) {
+  if (solve_info.method == "sor") {
     metrics.histogram("exact.method.sor.sweeps")
         .record(static_cast<double>(solve_info.iterations));
   }
@@ -281,7 +236,7 @@ ExactCtmcResult ExactCtmcBatch::solve(const AllocationPolicy& policy) {
   // smaller blocks); nested dissection must be strictly cheaper. It is
   // also auto's retry when a level elimination throws.
   BlockPlan plan;
-  if (may_run_block(options_, num_states)) {
+  if (num_states > kGthStateLimit) {
     plan.ni = static_cast<std::size_t>(ni);
     plan.nj = static_cast<std::size_t>(nj);
     const BlockOrdering by_i{
@@ -302,7 +257,6 @@ ExactCtmcResult ExactCtmcBatch::solve(const AllocationPolicy& policy) {
                      [](const BlockOrdering& a, const BlockOrdering& b) {
                        return a.flops < b.flops;
                      });
-    plan.min_bytes = std::min({by_i.bytes, by_j.bytes, nd.bytes});
     for (const BlockOrdering& ordering : orderings) {
       if (ordering.bytes > kBlockMemoryLimit) continue;
       if (plan.tries.empty() || ordering.level_of == nullptr) {
@@ -311,8 +265,7 @@ ExactCtmcResult ExactCtmcBatch::solve(const AllocationPolicy& policy) {
       if (ordering.level_of == nullptr) break;
     }
   }
-  auto [pi, solve_info] =
-      solve_stationary(scratch_rates_, scratch_exit_, plan, options_);
+  auto [pi, solve_info] = solve_stationary(scratch_rates_, scratch_exit_, plan);
 
   ExactCtmcResult result;
   result.num_states = num_states;
@@ -527,17 +480,17 @@ class PhChainBuilder {
 
     BlockPlan plan;
     plan.auto_flop_limit = kAutoBlockFlopLimit;
-    if (may_run_block(options_, states_.size())) {
-      plan.min_bytes = block_solver_workspace_bytes(level_of);
-      if (plan.min_bytes <= kBlockMemoryLimit) {
+    if (states_.size() > kGthStateLimit) {
+      const std::size_t bytes = block_solver_workspace_bytes(level_of);
+      if (bytes <= kBlockMemoryLimit) {
         plan.tries.push_back(
             {&level_of, "exact.method.block.axis.i",
              block_solver_flop_estimate(chain.rate_matrix(), level_of),
-             plan.min_bytes});
+             bytes});
       }
     }
-    auto [pi, solve_info] = solve_stationary(
-        chain.rate_matrix(), chain.exit_rates(), plan, options_);
+    auto [pi, solve_info] =
+        solve_stationary(chain.rate_matrix(), chain.exit_rates(), plan);
 
     ExactCtmcResult result;
     result.num_states = states_.size();

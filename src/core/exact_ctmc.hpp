@@ -20,24 +20,21 @@
 
 namespace esched {
 
-/// Options for the truncated solve.
+/// Options for the truncated solve. The stationary solver is not an
+/// option: chains of up to 500 states take dense GTH and larger ones the
+/// block method. On the exponential (N_I, N_E) chain the block method
+/// eliminates in the cheapest of three orderings whose workspace fits
+/// 4 GiB: levels along N_I, levels along N_E, or nested dissection of the
+/// grid; see ExactCtmcBatch. When a level elimination throws (a level
+/// without down-transitions), the solve retries nested dissection, and
+/// when that throws too (a reducible chain), SOR. The phase-type chain
+/// levels along i only, and goes to SOR instead when the fold's estimated
+/// work is over a fixed flop limit. Tests that compare solvers call the
+/// reference solvers (markov/stationary.hpp, markov/block_solver.hpp,
+/// markov/nested_dissection.hpp) on the chain directly.
 struct ExactCtmcOptions {
   long imax = 120;  ///< inelastic truncation level
   long jmax = 120;  ///< elastic truncation level
-  /// Stationary-solver selection. The engine always solves with kAuto;
-  /// the explicit methods are for tests that compare solvers on one chain.
-  /// kAuto uses dense GTH up to 500 states and the block method above
-  /// that. On the exponential (N_I, N_E) chain the block method (auto or
-  /// explicit) eliminates in the cheapest of three orderings whose
-  /// workspace fits 4 GiB: levels along N_I, levels along N_E, or nested
-  /// dissection of the grid; see ExactCtmcBatch. When a level elimination
-  /// throws (a level without down-transitions), auto retries nested
-  /// dissection, and when that throws too (a reducible chain), SOR. The
-  /// phase-type chain levels along i only, and auto sends it to SOR instead
-  /// when the fold's estimated work is over a fixed flop limit.
-  StationaryMethod method = StationaryMethod::kAuto;
-  /// SOR's residual target. GTH and the block method are direct.
-  double sor_tol = 1e-12;
 };
 
 /// Results of the truncated stationary solve.

@@ -148,22 +148,18 @@ void CsvSummary::write(std::ostream& os) const {
 void write_csv_report(const std::string& path,
                       const std::vector<RunPoint>& points,
                       const std::vector<RunResult>& results,
-                      std::optional<bool> with_size_dist_opt) {
+                      std::optional<bool> with_size_dist) {
   ESCHED_CHECK(points.size() == results.size(),
                "points/results size mismatch");
-  const bool with_size_dist =
-      with_size_dist_opt.value_or(report_has_size_dists(points));
-  std::ofstream out(path);
-  ESCHED_CHECK(out.good(), "failed to open CSV file: " + path);
-  out << csv_encode_row(report_header(with_size_dist)) << '\n';
-  CsvSummary summary(report_header(with_size_dist));
+  // One writer for batch, streamed and queue-chunk CSVs, so their bytes
+  // match by construction.
+  StreamingCsvReport report(
+      path, /*resume=*/false,
+      with_size_dist.value_or(report_has_size_dists(points)));
   for (std::size_t n = 0; n < points.size(); ++n) {
-    const auto row = report_row(points[n], results[n], with_size_dist);
-    out << csv_encode_row(row) << '\n';
-    summary.add_row(row);
+    report.add_row(n, points[n], results[n]);
   }
-  summary.write(out);
-  ESCHED_CHECK(out.good(), "error writing '" + path + "'");
+  report.finish(points.size());
 }
 
 StreamingCsvReport::StreamingCsvReport(const std::string& path, bool resume,

@@ -48,16 +48,6 @@ TransitionRange SparseCtmc::transitions_from(std::size_t state) const {
                          rates_.row_values(state), rates_.row_nnz(state));
 }
 
-std::vector<CtmcTransition> SparseCtmc::all_transitions() const {
-  ESCHED_CHECK(frozen_, "freeze() must be called before queries");
-  std::vector<CtmcTransition> out;
-  out.reserve(rates_.nnz());
-  for (std::size_t s = 0; s < num_states_; ++s) {
-    for (const CtmcTransition t : transitions_from(s)) out.push_back(t);
-  }
-  return out;
-}
-
 const CsrMatrix& SparseCtmc::rate_matrix() const {
   ESCHED_CHECK(frozen_, "freeze() must be called before queries");
   return rates_;

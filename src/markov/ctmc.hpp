@@ -95,9 +95,6 @@ class SparseCtmc {
   /// while the chain is alive and unmodified.
   TransitionRange transitions_from(std::size_t state) const;
 
-  /// All transitions, grouped by source state.
-  std::vector<CtmcTransition> all_transitions() const;
-
   /// The frozen off-diagonal rate matrix (CSR). The diagonal is implied:
   /// Q(s, s) = -exit_rate(s).
   const CsrMatrix& rate_matrix() const;

@@ -12,17 +12,6 @@
 
 namespace esched {
 
-const char* stationary_method_name(StationaryMethod method) {
-  switch (method) {
-    case StationaryMethod::kAuto: return "auto";
-    case StationaryMethod::kGth: return "gth";
-    case StationaryMethod::kSor: return "sor";
-    case StationaryMethod::kBlock: return "block";
-  }
-  ESCHED_ASSERT(false, "unreachable stationary method");
-  return "";
-}
-
 Vector gth_stationary(Matrix q) {
   // No generator-structure debug check here: the block solver feeds this
   // entry censored generators whose diagonal/row sums carry elimination

@@ -5,8 +5,14 @@
 //    probabilities), the right choice for n up to ~1-2k states.
 //  - Gauss-Seidel/SOR on the balance equations: sparse, O(nnz) per sweep,
 //    for truncated 2-D chains without usable structure.
-//  - Block-tridiagonal GTH elimination (markov/block_solver.hpp): direct,
-//    O(levels * block^3), for level-structured chains.
+//  - Block elimination, direct: the block-tridiagonal fold
+//    (markov/block_solver.hpp), O(levels * block^3), for level-structured
+//    chains, and nested dissection (markov/nested_dissection.hpp),
+//    O(n^1.5), for chains on a 2-D grid.
+//
+// The exact-CTMC backend (core/exact_ctmc.hpp) picks among them by chain
+// size and structure; there is no option to force one. These functions are
+// also the references tests compare the backend's results against.
 //
 // SOR takes either a SparseCtmc or the raw (rate matrix, exit rates)
 // pair; the latter lets batch callers overlay rates into a reusable CSR
@@ -21,24 +27,14 @@
 
 namespace esched {
 
-/// Stationary-solver selection for the exact-CTMC backend. kAuto picks
-/// dense GTH for small chains, the block-tridiagonal direct solver when
-/// the chain is level-structured and the factor storage fits the memory
-/// budget, and SOR otherwise.
-enum class StationaryMethod { kAuto, kGth, kSor, kBlock };
-
-/// Stable identifier ("auto", "gth", "sor", "block") used in metric names
-/// and StationarySolveInfo::method.
-const char* stationary_method_name(StationaryMethod method);
-
 /// Result of a stationary solve.
 struct StationarySolveInfo {
   int iterations = 0;     // 0 for the direct (GTH / block) solvers
   double residual = 0.0;  // max |pi Q| entry at exit
   bool converged = false;
   /// Which solver actually ran ("gth", "sor", "block"); filled by the
-  /// exact-CTMC backend's method selection, empty when a solver was
-  /// invoked directly.
+  /// exact-CTMC backend, which picks the solver itself, and empty when a
+  /// solver was invoked directly.
   std::string method;
 };
 

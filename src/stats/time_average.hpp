@@ -35,7 +35,6 @@ class TimeAverage {
   void reset_at(double t);
 
   double elapsed() const { return last_t_ - start_t_; }
-  double current_value() const { return value_; }
 
  private:
   bool started_ = false;

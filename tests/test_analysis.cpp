@@ -212,31 +212,6 @@ TEST(ExactCtmc, SuggestedTruncationScalesWithLoad) {
   EXPECT_THROW(suggested_truncation(1.5), Error);
 }
 
-TEST(ExactCtmc, AllStationaryMethodsAgree) {
-  const SystemParams p = SystemParams::from_load(2, 1.0, 1.0, 0.5);
-  ExactCtmcOptions base;
-  base.imax = 20;
-  base.jmax = 20;  // 441 states
-  ExactCtmcResult by_method[3];
-  const StationaryMethod methods[] = {StationaryMethod::kGth,
-                                      StationaryMethod::kSor,
-                                      StationaryMethod::kBlock};
-  for (int m = 0; m < 3; ++m) {
-    ExactCtmcOptions options = base;
-    options.method = methods[m];
-    by_method[m] = solve_exact_ctmc(p, InelasticFirst{}, options);
-    EXPECT_EQ(by_method[m].solve_info.method,
-              stationary_method_name(methods[m]));
-  }
-  // The two direct solvers agree to near machine precision; SOR to its
-  // convergence tolerance.
-  EXPECT_NEAR(by_method[0].mean_response_time,
-              by_method[2].mean_response_time, 1e-10);
-  EXPECT_NEAR(by_method[0].mean_jobs_i, by_method[2].mean_jobs_i, 1e-10);
-  EXPECT_NEAR(by_method[0].mean_response_time,
-              by_method[1].mean_response_time, 1e-7);
-}
-
 TEST(ExactCtmc, AutoSelectsGthSmallAndBlockLarge) {
   const SystemParams p = SystemParams::from_load(2, 1.0, 1.0, 0.5);
   ExactCtmcOptions small;
@@ -249,47 +224,6 @@ TEST(ExactCtmc, AutoSelectsGthSmallAndBlockLarge) {
   large.jmax = 30;  // 961 states > the GTH limit -> block
   EXPECT_EQ(solve_exact_ctmc(p, InelasticFirst{}, large).solve_info.method,
             "block");
-}
-
-TEST(ExactCtmc, ExplicitGthRejectsChainOverDenseLimit) {
-  const SystemParams p = SystemParams::from_load(2, 1.0, 1.0, 0.5);
-  ExactCtmcOptions options;
-  options.imax = 100;
-  options.jmax = 100;  // 10201 states > the 5000-state dense limit
-  options.method = StationaryMethod::kGth;
-  EXPECT_THROW(solve_exact_ctmc(p, InelasticFirst{}, options), Error);
-}
-
-TEST(ExactCtmc, PhaseTypeBlockAgreesWithSor) {
-  const SystemParams p = SystemParams::from_load(2, 1.0, 1.0, 0.6);
-  const PhaseType erl2 = PhaseType::erlang(2, 2.0 * p.mu_i);
-  ExactCtmcOptions block;
-  block.imax = 12;
-  block.jmax = 12;
-  block.method = StationaryMethod::kBlock;
-  ExactCtmcOptions sor = block;
-  sor.method = StationaryMethod::kSor;
-  const ExactCtmcResult a = solve_exact_ctmc_ph(p, ElasticFirst{}, erl2, block);
-  const ExactCtmcResult b = solve_exact_ctmc_ph(p, ElasticFirst{}, erl2, sor);
-  EXPECT_EQ(a.solve_info.method, "block");
-  EXPECT_EQ(b.solve_info.method, "sor");
-  EXPECT_EQ(a.num_states, b.num_states);
-  EXPECT_NEAR(a.mean_response_time, b.mean_response_time, 1e-7);
-  EXPECT_NEAR(a.mean_jobs_i, b.mean_jobs_i, 1e-7);
-
-  // Over kAutoBlockFlopLimit auto must not fold: IF with erlang:3 sizes at
-  // k=4, rho 0.6, imax = jmax = 40 (23,575 states) estimates ~6.4e9 flops
-  // for the fold, which runs ~20x longer than SOR here.
-  const SystemParams p4 = SystemParams::from_load(4, 1.0, 1.0, 0.6);
-  ExactCtmcOptions over_limit;
-  over_limit.imax = 40;
-  over_limit.jmax = 40;
-  const ExactCtmcResult c = solve_exact_ctmc_ph(
-      p4, InelasticFirst{}, PhaseType::erlang(3, 3.0 * p4.mu_i), over_limit);
-  EXPECT_EQ(c.num_states, 23575u);
-  EXPECT_EQ(c.solve_info.method, "sor");
-  EXPECT_GT(c.solve_info.iterations, 0);
-  EXPECT_TRUE(c.solve_info.converged);
 }
 
 std::uint64_t counter_total(const std::string& name) {
@@ -352,6 +286,25 @@ std::vector<std::uint32_t> grid_levels(long ni, long nj, bool by_j) {
   return level_of;
 }
 
+/// E[N_I] and E[T] of a stationary vector of the policy_chain grid with
+/// jmax + 1 columns.
+struct GridMeans {
+  double mean_jobs_i = 0.0;
+  double mean_response_time = 0.0;
+};
+
+GridMeans grid_means(const SystemParams& p, const Vector& pi, long jmax) {
+  const auto nj = static_cast<std::size_t>(jmax + 1);
+  GridMeans means;
+  double jobs = 0.0;
+  for (std::size_t s = 0; s < pi.size(); ++s) {
+    means.mean_jobs_i += static_cast<double>(s / nj) * pi[s];
+    jobs += static_cast<double>(s / nj + s % nj) * pi[s];
+  }
+  means.mean_response_time = jobs / (p.lambda_i + p.lambda_e);
+  return means;
+}
+
 /// pi agrees with `reference` to `rel` relative on every state holding
 /// more than 1e-12 mass.
 void expect_relative_match(const Vector& pi, const Vector& reference,
@@ -362,6 +315,101 @@ void expect_relative_match(const Vector& pi, const Vector& reference,
       EXPECT_NEAR(pi[s], reference[s], rel * reference[s]) << "state " << s;
     }
   }
+}
+
+TEST(ExactCtmc, AllStationarySolversAgree) {
+  // Auto solves this 441-state chain with dense GTH; every reference solver
+  // run directly on the same chain must agree with it.
+  const SystemParams p = SystemParams::from_load(2, 1.0, 1.0, 0.5);
+  const long imax = 20, jmax = 20;  // 441 states
+  ExactCtmcOptions options;
+  options.imax = imax;
+  options.jmax = jmax;
+  const ExactCtmcResult automatic =
+      solve_exact_ctmc(p, InelasticFirst{}, options);
+  EXPECT_EQ(automatic.solve_info.method, "gth");
+
+  const SparseCtmc chain = policy_chain(p, InelasticFirst{}, imax, jmax);
+  const GridMeans gth = grid_means(p, gth_stationary(chain), jmax);
+  const GridMeans block = grid_means(
+      p,
+      block_tridiagonal_stationary(chain,
+                                   grid_levels(imax + 1, jmax + 1, false)),
+      jmax);
+  const GridMeans nd = grid_means(
+      p,
+      nested_dissection_stationary(chain.rate_matrix(), chain.exit_rates(),
+                                   imax + 1, jmax + 1),
+      jmax);
+  StationarySolveInfo sor_info;
+  const GridMeans sor = grid_means(
+      p, sor_stationary(chain, 1e-14, 200000, 1.0, &sor_info), jmax);
+  EXPECT_TRUE(sor_info.converged);
+  // The direct solvers agree to near machine precision; SOR to its
+  // convergence tolerance.
+  for (const GridMeans& direct : {gth, block, nd}) {
+    EXPECT_NEAR(automatic.mean_response_time, direct.mean_response_time,
+                1e-10);
+    EXPECT_NEAR(automatic.mean_jobs_i, direct.mean_jobs_i, 1e-10);
+  }
+  EXPECT_NEAR(automatic.mean_response_time, sor.mean_response_time, 1e-7);
+}
+
+TEST(ExactCtmc, PhaseTypeWithExponentialSizesMatchesTheExponentialChain) {
+  // With Exp(mu_I) sizes the phase-augmented chain is a lumpable refinement
+  // of the (N_I, N_E) chain: EF's paused jobs keep their (single) phase as
+  // extra states, so its chain is larger, but the means are the same.
+  const InelasticFirst inelastic_first;
+  const ElasticFirst elastic_first;
+  const AllocationPolicy* policies[] = {&inelastic_first, &elastic_first};
+  ExactCtmcOptions options;
+  options.imax = options.jmax = 30;  // 961 exponential states
+  for (const AllocationPolicy* policy : policies) {
+    for (int k : {1, 2, 4}) {
+      for (double rho : {0.5, 0.8}) {
+        SCOPED_TRACE(::testing::Message()
+                     << policy->name() << " k=" << k << " rho=" << rho);
+        const SystemParams p = SystemParams::from_load(k, 1.0, 1.0, rho);
+        const ExactCtmcResult exponential =
+            solve_exact_ctmc(p, *policy, options);
+        const ExactCtmcResult ph = solve_exact_ctmc_ph(
+            p, *policy, PhaseType::exponential(p.mu_i), options);
+        EXPECT_LT(relative_error(ph.mean_jobs_i, exponential.mean_jobs_i),
+                  1e-12);
+        EXPECT_LT(relative_error(ph.mean_jobs_e, exponential.mean_jobs_e),
+                  1e-12);
+        EXPECT_LT(relative_error(ph.mean_response_time,
+                                 exponential.mean_response_time),
+                  1e-12);
+      }
+    }
+  }
+}
+
+TEST(ExactCtmc, PhaseTypeOverTheFlopLimitTakesSorAndKeepsTheInelasticMarginal) {
+  // Over kAutoBlockFlopLimit the phase-type chain must not fold: IF with
+  // erlang:3 sizes at k=4, rho 0.6, imax = jmax = 40 (23,575 states)
+  // estimates ~6.4e9 flops for the fold, which runs ~20x longer than SOR
+  // here. IF serves inelastic jobs regardless of N_E, so E[N_I] is the same
+  // at jmax = 1, where the 1,150-state chain folds; the two solves share
+  // no solver.
+  const SystemParams p = SystemParams::from_load(4, 1.0, 1.0, 0.6);
+  const PhaseType erl3 = PhaseType::erlang(3, 3.0 * p.mu_i);
+  ExactCtmcOptions over_limit;
+  over_limit.imax = over_limit.jmax = 40;
+  const ExactCtmcResult sor =
+      solve_exact_ctmc_ph(p, InelasticFirst{}, erl3, over_limit);
+  EXPECT_EQ(sor.num_states, 23575u);
+  EXPECT_EQ(sor.solve_info.method, "sor");
+  EXPECT_GT(sor.solve_info.iterations, 0);
+  EXPECT_TRUE(sor.solve_info.converged);
+  ExactCtmcOptions one_column = over_limit;
+  one_column.jmax = 1;
+  const ExactCtmcResult block =
+      solve_exact_ctmc_ph(p, InelasticFirst{}, erl3, one_column);
+  EXPECT_EQ(block.num_states, 1150u);
+  EXPECT_EQ(block.solve_info.method, "block");
+  EXPECT_LT(relative_error(sor.mean_jobs_i, block.mean_jobs_i), 1e-9);
 }
 
 TEST(ExactCtmc, AutoBlockLevelsIfAlongElasticAxisAndEfAlongInelastic) {
@@ -385,17 +433,19 @@ TEST(ExactCtmc, AutoBlockLevelsIfAlongElasticAxisAndEfAlongInelastic) {
         solve_auto(p, c.policy, options, &ordering);
     EXPECT_EQ(automatic.solve_info.method, "block");
     EXPECT_EQ(ordering, c.axis);
-    ExactCtmcOptions gth = options;
-    gth.method = StationaryMethod::kGth;
-    // SOR stops on the residual; at the default 1e-12 its E[T] here is
+    const SparseCtmc chain =
+        policy_chain(p, c.policy, options.imax, options.jmax);
+    // SOR stops on the residual; at the backend's 1e-12 its E[T] here is
     // off by ~2e-9, so the reference iterates further.
-    ExactCtmcOptions sor = options;
-    sor.method = StationaryMethod::kSor;
-    sor.sor_tol = 1e-14;
     EXPECT_NEAR(automatic.mean_response_time,
-                solve_exact_ctmc(p, c.policy, gth).mean_response_time, 1e-10);
+                grid_means(p, gth_stationary(chain), options.jmax)
+                    .mean_response_time,
+                1e-10);
     EXPECT_NEAR(automatic.mean_response_time,
-                solve_exact_ctmc(p, c.policy, sor).mean_response_time, 1e-9);
+                grid_means(p, sor_stationary(chain, 1e-14, 200000),
+                           options.jmax)
+                    .mean_response_time,
+                1e-9);
     // The batch and the one-shot entry point share the axis pick.
     ExactCtmcBatch batch(p, options);
     const ExactCtmcResult batched = batch.solve(c.policy);
@@ -427,15 +477,9 @@ TEST(ExactCtmc, NonSquareChainTakesTheAxisWithTheLowerFlopEstimate) {
   const ExactCtmcResult automatic = solve_auto(p, policy, options, &ordering);
   EXPECT_EQ(automatic.solve_info.method, "block");
   EXPECT_EQ(ordering, 'j');
-  ExactCtmcOptions gth = options;
-  gth.method = StationaryMethod::kGth;
   EXPECT_NEAR(automatic.mean_response_time,
-              solve_exact_ctmc(p, policy, gth).mean_response_time, 1e-10);
-  // Explicit 'block' takes the same axis, so it matches auto bitwise.
-  ExactCtmcOptions block = options;
-  block.method = StationaryMethod::kBlock;
-  EXPECT_EQ(solve_exact_ctmc(p, policy, block).mean_response_time,
-            automatic.mean_response_time);
+              grid_means(p, gth_stationary(chain), jmax).mean_response_time,
+              1e-10);
 }
 
 TEST(ExactCtmc, NestedDissectionMatchesGthOnPolicyChains) {
@@ -510,13 +554,8 @@ TEST(ExactCtmc, AutoRoutesEachPolicyToItsCheapestOrdering) {
     EXPECT_EQ(automatic.solve_info.method, "block");
     EXPECT_EQ(automatic.solve_info.iterations, 0);
     EXPECT_EQ(ordering, c.ordering);
-    // Explicit 'block' makes the same pick, and the batch (which has
-    // solved the other policies first) matches the one-shot entry point
-    // bitwise.
-    ExactCtmcOptions block = options;
-    block.method = StationaryMethod::kBlock;
-    EXPECT_EQ(solve_exact_ctmc(p, c.policy, block).mean_response_time,
-              automatic.mean_response_time);
+    // The batch (which has solved the other policies first) matches the
+    // one-shot entry point bitwise.
     const ExactCtmcResult batched = batch.solve(c.policy);
     EXPECT_EQ(batched.mean_response_time, automatic.mean_response_time);
     EXPECT_EQ(batched.mean_jobs_i, automatic.mean_jobs_i);
@@ -537,12 +576,10 @@ TEST(ExactCtmc, NestedDissectionSurvivesNegligibleMassOnThePinnedState) {
   char ordering = '?';
   const ExactCtmcResult nd = solve_auto(p, FairShare{}, options, &ordering);
   EXPECT_EQ(ordering, 'n');
-  ExactCtmcOptions gth;
-  gth.imax = gth.jmax = 40;
-  gth.method = StationaryMethod::kGth;
-  const ExactCtmcResult dense = solve_exact_ctmc(p, FairShare{}, gth);
-  EXPECT_NEAR(nd.mean_response_time, dense.mean_response_time,
-              1e-12 * dense.mean_response_time);
+  const double dense =
+      grid_means(p, gth_stationary(policy_chain(p, FairShare{}, 40, 40)), 40)
+          .mean_response_time;
+  EXPECT_NEAR(nd.mean_response_time, dense, 1e-12 * dense);
 }
 
 /// Never serves inelastic jobs, so N_I only grows: the row i == imax is
@@ -560,7 +597,8 @@ TEST(ExactCtmc, AutoFallsBackToSorWhenEveryEliminationThrows) {
   // Levels along N_I are the cheapest ordering, but no level has a
   // down-transition; nested dissection then eliminates the closed row
   // before the middle separator and hits a zero pivot. Auto counts both
-  // fallbacks and solves the chain with SOR; explicit 'block' throws.
+  // fallbacks and solves the chain with SOR. Run directly, both
+  // eliminations throw.
   const SystemParams p = SystemParams::from_load(4, 1.0, 1.0, 0.5);
   ExactCtmcOptions options;
   options.imax = options.jmax = 30;  // 961 states
@@ -574,9 +612,12 @@ TEST(ExactCtmc, AutoFallsBackToSorWhenEveryEliminationThrows) {
   EXPECT_EQ(counter_total("exact.method.block.fallbacks") - fallbacks_before,
             2u);
   EXPECT_NEAR(automatic.mean_jobs_i, 30.0, 1e-9);
-  ExactCtmcOptions block = options;
-  block.method = StationaryMethod::kBlock;
-  EXPECT_THROW(solve_exact_ctmc(p, policy, block), Error);
+  const SparseCtmc chain = policy_chain(p, policy, 30, 30);
+  EXPECT_THROW(block_tridiagonal_stationary(chain, grid_levels(31, 31, false)),
+               Error);
+  EXPECT_THROW(nested_dissection_stationary(chain.rate_matrix(),
+                                            chain.exit_rates(), 31, 31),
+               Error);
 }
 
 TEST(ExactCtmc, EveryBlockSolveBumpsExactlyOneOrderingCounter) {
@@ -594,8 +635,7 @@ TEST(ExactCtmc, EveryBlockSolveBumpsExactlyOneOrderingCounter) {
   (void)solve_exact_ctmc(p, FairShare{}, options);       // nested dissection
   (void)solve_exact_ctmc(p, NoInelasticService{}, options);  // SOR
   ExactCtmcOptions ph = options;
-  ph.imax = ph.jmax = 12;
-  ph.method = StationaryMethod::kBlock;
+  ph.imax = ph.jmax = 12;  // 1,915 states
   (void)solve_exact_ctmc_ph(p, ElasticFirst{},
                             PhaseType::erlang(2, 2.0 * p.mu_i), ph);  // axis i
   std::uint64_t delta[4];

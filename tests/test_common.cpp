@@ -5,6 +5,8 @@
 #include <cmath>
 #include <cstdio>
 #include <fstream>
+#include <iomanip>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -84,6 +86,34 @@ TEST(Table, RejectsBadArity) {
 TEST(Table, FormatDouble) {
   EXPECT_EQ(format_double(1.23456789, 3), "1.23");
   EXPECT_EQ(format_double(100.0), "100");
+}
+
+TEST(Table, FormatDoubleMatchesOstreamAtEverySetPrecision) {
+  // Reports were written through an ostream at setprecision(digits); the
+  // report bytes (and the goldens) depend on format_double printing the
+  // same text, including for signed zero, the subnormal minimum, the
+  // fixed/scientific switch and the non-finite values.
+  const double values[] = {0.0,
+                           -0.0,
+                           1e21,
+                           5e-324,
+                           1.23456789,
+                           -0.000123456789,
+                           123456.789,
+                           1.0 / 3.0,
+                           100.0,
+                           std::numeric_limits<double>::infinity(),
+                           -std::numeric_limits<double>::infinity(),
+                           std::numeric_limits<double>::quiet_NaN(),
+                           -std::numeric_limits<double>::quiet_NaN()};
+  for (int digits : {3, 4, 5, 12}) {
+    for (double value : values) {
+      std::ostringstream reference;
+      reference << std::setprecision(digits) << value;
+      EXPECT_EQ(format_double(value, digits), reference.str())
+          << "digits=" << digits;
+    }
+  }
 }
 
 TEST(Csv, WritesHeaderAndRows) {

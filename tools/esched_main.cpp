@@ -30,6 +30,7 @@
 // overlapping grids (e.g. fig5 is a slice of fig4) solve once; --cache-dir
 // extends that across invocations and processes.
 #include <algorithm>
+#include <cerrno>
 #include <chrono>
 #include <cstdarg>
 #include <cstdio>
@@ -37,6 +38,7 @@
 #include <filesystem>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <map>
 #include <memory>
 #include <optional>
@@ -198,11 +200,26 @@ void print_scenarios() {
 
 long parse_long(const char* flag, const std::string& value) {
   char* end = nullptr;
+  errno = 0;
   const long parsed = std::strtol(value.c_str(), &end, 10);
-  if (end == nullptr || *end != '\0' || parsed < 0) {
+  if (end == nullptr || *end != '\0' || end == value.c_str() || parsed < 0) {
     throw esched::Error(std::string(flag) + " expects a non-negative integer");
   }
+  if (errno == ERANGE) {
+    throw esched::Error(std::string(flag) + " value '" + value +
+                        "' is out of range");
+  }
   return parsed;
+}
+
+/// parse_long for flags stored in an int.
+int parse_int(const char* flag, const std::string& value) {
+  const long parsed = parse_long(flag, value);
+  if (parsed > std::numeric_limits<int>::max()) {
+    throw esched::Error(std::string(flag) + " must be at most " +
+                        std::to_string(std::numeric_limits<int>::max()));
+  }
+  return static_cast<int>(parsed);
 }
 
 double parse_double(const char* flag, const std::string& value) {
@@ -567,8 +584,8 @@ int run_work(const std::vector<std::string>& args) {
     } else if (args[n] == "--trace") {
       trace_path = next_value(args, &n, "--trace");
     } else if (args[n] == "--threads") {
-      options.threads = static_cast<int>(
-          parse_long("--threads", next_value(args, &n, "--threads")));
+      options.threads =
+          parse_int("--threads", next_value(args, &n, "--threads"));
     } else if (args[n] == "--cache-dir") {
       options.cache_dir = next_value(args, &n, "--cache-dir");
     } else if (args[n] == "--owner") {
@@ -577,8 +594,8 @@ int run_work(const std::vector<std::string>& args) {
       options.lease_ttl_seconds = static_cast<double>(
           parse_long("--lease-ttl", next_value(args, &n, "--lease-ttl")));
     } else if (args[n] == "--poll-ms") {
-      options.poll_ms = static_cast<int>(
-          parse_long("--poll-ms", next_value(args, &n, "--poll-ms")));
+      options.poll_ms =
+          parse_int("--poll-ms", next_value(args, &n, "--poll-ms"));
     } else if (args[n] == "--max-chunks") {
       options.max_chunks = static_cast<std::size_t>(
           parse_long("--max-chunks", next_value(args, &n, "--max-chunks")));
@@ -954,8 +971,7 @@ int main(int argc, char** argv) {
       } else if (arg == "show" && scenario_args.empty()) {
         show_spec = true;
       } else if (arg == "--threads") {
-        threads =
-            static_cast<int>(parse_long("--threads", next_value("--threads")));
+        threads = parse_int("--threads", next_value("--threads"));
       } else if (arg == "--seed") {
         seed = static_cast<std::uint64_t>(
             parse_long("--seed", next_value("--seed")));
