@@ -6,6 +6,7 @@
 #include "linalg/csr.hpp"
 #include "linalg/lu.hpp"
 #include "linalg/matrix.hpp"
+#include "rng/xoshiro.hpp"
 
 namespace esched {
 namespace {
@@ -114,6 +115,45 @@ TEST(Lu, InverseTimesMatrixIsIdentity) {
   const Matrix inv = lu_inverse(a);
   const Matrix prod = matmul(a, inv);
   EXPECT_LT(max_abs_diff(prod, Matrix::identity(4)), 1e-12);
+}
+
+TEST(Lu, MatrixSolveMatchesColumnSolvesBitwise) {
+  // The multi-right-hand-side solve must do, for every column, exactly the
+  // floating-point operations of the single-vector solve. Small diagonals
+  // (and a zero in the corner) force row swaps in the pivoting.
+  Xoshiro256 rng(20240611);
+  const auto uniform = [&rng] {
+    return static_cast<double>(rng() >> 11) * 0x1.0p-52 - 1.0;  // [-1, 1)
+  };
+  for (std::size_t n = 1; n <= 12; ++n) {
+    for (std::size_t cols = 1; cols <= 7; ++cols) {
+      Matrix a(n, n);
+      for (std::size_t r = 0; r < n; ++r) {
+        for (std::size_t c = 0; c < n; ++c) {
+          a(r, c) = r == c ? 1e-3 * uniform() : uniform();
+        }
+      }
+      if (n > 1) a(0, 0) = 0.0;
+      Matrix b(n, cols);
+      for (std::size_t r = 0; r < n; ++r) {
+        for (std::size_t c = 0; c < cols; ++c) b(r, c) = uniform();
+      }
+      const LuFactorization lu(a);
+      const Matrix x = lu.solve(b);
+      ASSERT_EQ(x.rows(), n);
+      ASSERT_EQ(x.cols(), cols);
+      for (std::size_t c = 0; c < cols; ++c) {
+        Vector column(n);
+        for (std::size_t r = 0; r < n; ++r) column[r] = b(r, c);
+        const Vector expected = lu.solve(column);
+        for (std::size_t r = 0; r < n; ++r) {
+          EXPECT_EQ(x(r, c), expected[r])
+              << "n=" << n << " cols=" << cols << " (" << r << ", " << c
+              << ")";
+        }
+      }
+    }
+  }
 }
 
 TEST(Lu, SolveTransposedMatchesExplicitTranspose) {

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdio>
+#include <string>
 
 #include "common/error.hpp"
 #include "phase/fit.hpp"
@@ -145,6 +147,55 @@ TEST(Coxian2Fit, FeasibilityBoundary) {
   // Third moment below the bound is infeasible too.
   Moments3 bad = {1.0, 3.0, 1.0};
   EXPECT_FALSE(coxian2_feasible(bad));
+}
+
+std::string hexfloat(double x) {
+  char buf[40];
+  std::snprintf(buf, sizeof buf, "%a", x);
+  return buf;
+}
+
+TEST(Coxian2Fit, BitwisePinned) {
+  // Pins the bits of fit_coxian2's bisection. The M/M/1 busy periods at
+  // (0.5, 1), (0.9, 2), (0.98, 2) and (0.5, 8) reach adjacent-double
+  // brackets wider than the 1e-16 m1 exit test, so the bisection ran all
+  // 200 iterations on them when these values were recorded. Never
+  // regenerate them to make a change pass.
+  const PhaseType hyper =
+      PhaseType::hyperexponential({0.4, 0.6}, {0.5, 4.0});
+  const Moments3 two_moment = {2.0, 12.0, 1.5 * 12.0 * 12.0 / 2.0};
+  const struct {
+    const char* name;
+    Moments3 moments;
+    double nu1, nu2, p;
+  } cases[] = {
+      {"busy (0.5, 1)", MM1(0.5, 1.0).busy_period_moments(),
+       0x1.b504f333f9de8p-1, 0x1.2bec333018867p-3, 0x1.f0ed99bed9b3p-4},
+      {"busy (0.9, 1)", MM1(0.9, 1.0).busy_period_moments(),
+       0x1.8f17207c4f8a2p-3, 0x1.504f23a941eep-8, 0x1.9950e218444ebp-6},
+      {"busy (0.9, 2)", MM1(0.9, 2.0).busy_period_moments(),
+       0x1.d680c61925ee8p+0, 0x1.72c9b46835128p-2, 0x1.0eab661d6b642p-3},
+      {"busy (0.98, 2)", MM1(0.98, 2.0).busy_period_moments(),
+       0x1.bbe76c8b4395ep+0, 0x1.395810624dd31p-2, 0x1.f9f9f9f9f9faap-4},
+      {"busy (0.5, 4)", MM1(0.5, 4.0).busy_period_moments(),
+       0x1.2f322a66bd516p+2, 0x1.219bab32855d7p+1, 0x1.59d05079050a2p-3},
+      {"busy (0.5, 8)", MM1(0.5, 8.0).busy_period_moments(),
+       0x1.2c00000000003p+3, 0x1.6800000000004p+2, 0x1.3333333333343p-3},
+      {"hyperexponential", hyper.moments3(),
+       0x1p+2, 0x1p-1, 0x1.6666666666667p-2},
+      {"m3 on the bound", two_moment,
+       0x1.3de430f345c68p+27, 0x1.5555554f9b515p-2, 0x1.5555553e6d453p-1},
+      {"Coxian (5, 0.5, 0.2)",
+       PhaseType::coxian2(5.0, 0.5, 0.2).moments3(),
+       0x1.3fffffffffffap+2, 0x1.ffffffffffffep-2, 0x1.9999999999994p-3},
+  };
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.name);
+    const Coxian2Params fit = fit_coxian2(c.moments);
+    EXPECT_EQ(hexfloat(fit.nu1), hexfloat(c.nu1));
+    EXPECT_EQ(hexfloat(fit.nu2), hexfloat(c.nu2));
+    EXPECT_EQ(hexfloat(fit.p), hexfloat(c.p));
+  }
 }
 
 TEST(FitMoments3, HighVariabilityUsesCoxian) {
