@@ -6,7 +6,14 @@
 
 namespace esched {
 
-LuFactorization::LuFactorization(Matrix a) : lu_(std::move(a)) {
+LuFactorization::LuFactorization(Matrix a) : lu_(std::move(a)) { decompose(); }
+
+void LuFactorization::refactor(const Matrix& a) {
+  lu_ = a;
+  decompose();
+}
+
+void LuFactorization::decompose() {
   ESCHED_CHECK(lu_.rows() == lu_.cols(), "LU requires a square matrix");
   const std::size_t n = lu_.rows();
   perm_.resize(n);
@@ -42,36 +49,56 @@ LuFactorization::LuFactorization(Matrix a) : lu_(std::move(a)) {
   }
 }
 
-Vector LuFactorization::solve(const Vector& b) const {
+// Forward then back substitution for `cols` right-hand sides at once, row by
+// row over row-major b and x (dim() x cols). Every column sees the
+// operations of a one-column solve in the same order, so the bits do not
+// depend on how many columns are solved together.
+void LuFactorization::substitute(const double* b, std::size_t cols,
+                                 double* x) const {
   const std::size_t n = dim();
-  ESCHED_CHECK(b.size() == n, "rhs dimension mismatch in LU solve");
-  Vector x(n);
   // Forward substitution with the permuted rhs.
   for (std::size_t r = 0; r < n; ++r) {
-    double acc = b[perm_[r]];
-    for (std::size_t c = 0; c < r; ++c) acc -= lu_(r, c) * x[c];
-    x[r] = acc;
+    double* x_r = x + r * cols;
+    const double* b_r = b + perm_[r] * cols;
+    for (std::size_t j = 0; j < cols; ++j) x_r[j] = b_r[j];
+    for (std::size_t c = 0; c < r; ++c) {
+      const double coeff = lu_(r, c);
+      const double* x_c = x + c * cols;
+      for (std::size_t j = 0; j < cols; ++j) x_r[j] -= coeff * x_c[j];
+    }
   }
   // Back substitution.
-  for (std::size_t ri = n; ri-- > 0;) {
-    double acc = x[ri];
-    for (std::size_t c = ri + 1; c < n; ++c) acc -= lu_(ri, c) * x[c];
-    x[ri] = acc / lu_(ri, ri);
+  for (std::size_t r = n; r-- > 0;) {
+    double* x_r = x + r * cols;
+    for (std::size_t c = r + 1; c < n; ++c) {
+      const double coeff = lu_(r, c);
+      const double* x_c = x + c * cols;
+      for (std::size_t j = 0; j < cols; ++j) x_r[j] -= coeff * x_c[j];
+    }
+    const double diag = lu_(r, r);
+    for (std::size_t j = 0; j < cols; ++j) x_r[j] /= diag;
   }
+}
+
+Vector LuFactorization::solve(const Vector& b) const {
+  ESCHED_CHECK(b.size() == dim(), "rhs dimension mismatch in LU solve");
+  Vector x(dim());
+  substitute(b.data(), 1, x.data());
   return x;
 }
 
 Matrix LuFactorization::solve(const Matrix& b) const {
-  const std::size_t n = dim();
-  ESCHED_CHECK(b.rows() == n, "rhs dimension mismatch in LU solve");
-  Matrix x(n, b.cols());
-  Vector col(n);
-  for (std::size_t c = 0; c < b.cols(); ++c) {
-    for (std::size_t r = 0; r < n; ++r) col[r] = b(r, c);
-    const Vector sol = solve(col);
-    for (std::size_t r = 0; r < n; ++r) x(r, c) = sol[r];
-  }
+  Matrix x(dim(), b.cols());
+  solve_into(b, x);
   return x;
+}
+
+void LuFactorization::solve_into(const Matrix& b, Matrix& x) const {
+  ESCHED_CHECK(b.rows() == dim(), "rhs dimension mismatch in LU solve");
+  ESCHED_CHECK(x.rows() == dim() && x.cols() == b.cols(),
+               "output shape mismatch in LU solve_into");
+  ESCHED_CHECK(&x != &b, "LU solve_into output must not alias the rhs");
+  substitute(b.data(), b.cols(), x.data());
 }
 
 Vector LuFactorization::solve_transposed(const Vector& b) const {
@@ -98,16 +125,8 @@ Vector LuFactorization::solve_transposed(const Vector& b) const {
   return x;
 }
 
-Matrix LuFactorization::inverse() const {
-  return solve(Matrix::identity(dim()));
-}
-
 Vector lu_solve(Matrix a, const Vector& b) {
   return LuFactorization(std::move(a)).solve(b);
-}
-
-Matrix lu_inverse(Matrix a) {
-  return LuFactorization(std::move(a)).inverse();
 }
 
 }  // namespace esched

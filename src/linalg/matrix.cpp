@@ -37,25 +37,43 @@ Matrix& Matrix::operator*=(double scalar) {
 
 Matrix Matrix::transpose() const {
   Matrix t(cols_, rows_);
-  for (std::size_t r = 0; r < rows_; ++r) {
-    for (std::size_t c = 0; c < cols_; ++c) t(c, r) = (*this)(r, c);
-  }
+  transpose_into(*this, t);
   return t;
 }
 
-Matrix matmul(const Matrix& a, const Matrix& b) {
+void matmul_into(const Matrix& a, const Matrix& b, Matrix& out) {
   ESCHED_CHECK(a.cols() == b.rows(), "matrix shape mismatch in matmul");
-  Matrix out(a.rows(), b.cols());
+  ESCHED_CHECK(out.rows() == a.rows() && out.cols() == b.cols(),
+               "output shape mismatch in matmul_into");
+  ESCHED_CHECK(&out != &a && &out != &b,
+               "matmul_into output must not alias an input");
+  const std::size_t inner = a.cols();
+  const std::size_t width = b.cols();
+  std::fill(out.data(), out.data() + out.rows() * width, 0.0);
   for (std::size_t i = 0; i < a.rows(); ++i) {
-    for (std::size_t l = 0; l < a.cols(); ++l) {
+    double* out_row = out.data() + i * width;
+    for (std::size_t l = 0; l < inner; ++l) {
       const double ail = a(i, l);
       if (ail == 0.0) continue;
-      for (std::size_t j = 0; j < b.cols(); ++j) {
-        out(i, j) += ail * b(l, j);
-      }
+      const double* b_row = b.data() + l * width;
+      for (std::size_t j = 0; j < width; ++j) out_row[j] += ail * b_row[j];
     }
   }
+}
+
+Matrix matmul(const Matrix& a, const Matrix& b) {
+  Matrix out(a.rows(), b.cols());
+  matmul_into(a, b, out);
   return out;
+}
+
+void transpose_into(const Matrix& a, Matrix& out) {
+  ESCHED_CHECK(out.rows() == a.cols() && out.cols() == a.rows(),
+               "output shape mismatch in transpose_into");
+  ESCHED_CHECK(&out != &a, "transpose_into output must not alias its input");
+  for (std::size_t r = 0; r < a.rows(); ++r) {
+    for (std::size_t c = 0; c < a.cols(); ++c) out(c, r) = a(r, c);
+  }
 }
 
 Vector vecmat(const Vector& x, const Matrix& a) {
@@ -69,14 +87,20 @@ Vector vecmat(const Vector& x, const Matrix& a) {
   return out;
 }
 
-Vector matvec(const Matrix& a, const Vector& x) {
+void matvec_into(const Matrix& a, const Vector& x, Vector& out) {
   ESCHED_CHECK(x.size() == a.cols(), "shape mismatch in matvec");
-  Vector out(a.rows(), 0.0);
+  ESCHED_CHECK(out.size() == a.rows(), "output shape mismatch in matvec_into");
+  ESCHED_CHECK(&out != &x, "matvec_into output must not alias its input");
   for (std::size_t r = 0; r < a.rows(); ++r) {
     double acc = 0.0;
     for (std::size_t c = 0; c < a.cols(); ++c) acc += a(r, c) * x[c];
     out[r] = acc;
   }
+}
+
+Vector matvec(const Matrix& a, const Vector& x) {
+  Vector out(a.rows());
+  matvec_into(a, x, out);
   return out;
 }
 

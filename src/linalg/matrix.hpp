@@ -3,6 +3,12 @@
 // The matrix-analytic solver works with small dense blocks (phase counts of
 // a few dozen), so a straightforward dense implementation with contiguous
 // storage is both simple and fast; no external BLAS is needed.
+//
+// Each product has one kernel, the *_into form: it writes a caller-owned
+// output that already has the result's shape (checked, never resized), so
+// a loop that reuses its buffers allocates nothing. The output must not
+// alias an input (checked). The value-returning forms allocate the output
+// and call the kernel, so both give the same bits.
 #pragma once
 
 #include <cstddef>
@@ -42,6 +48,7 @@ class Matrix {
   friend Matrix operator*(Matrix a, double s) { return a *= s; }
   friend Matrix operator*(double s, Matrix a) { return a *= s; }
 
+  /// Allocating wrapper over transpose_into.
   Matrix transpose() const;
 
  private:
@@ -50,11 +57,20 @@ class Matrix {
   std::vector<double> data_;
 };
 
+/// Matrix product a * b into `out` (a.rows() x b.cols()).
+void matmul_into(const Matrix& a, const Matrix& b, Matrix& out);
+
 /// Matrix product a * b.
 Matrix matmul(const Matrix& a, const Matrix& b);
 
+/// a^T into `out` (a.cols() x a.rows()).
+void transpose_into(const Matrix& a, Matrix& out);
+
 /// Row-vector times matrix: (x^T A)^T.
 Vector vecmat(const Vector& x, const Matrix& a);
+
+/// Matrix times column vector A x into `out` (a.rows() entries).
+void matvec_into(const Matrix& a, const Vector& x, Vector& out);
 
 /// Matrix times column vector: A x.
 Vector matvec(const Matrix& a, const Vector& x);

@@ -96,6 +96,10 @@ Coxian2Params fit_coxian2(const Moments3& moments) {
 
   for (int iter = 0; iter < 200; ++iter) {
     const double mid = 0.5 * (lo + hi);
+    // lo and hi are adjacent doubles, so mid rounded onto one of them and
+    // f(mid) has that endpoint's sign: this and every further step would
+    // leave (lo, hi) as it is, though it can be wider than the test below.
+    if (mid == lo || mid == hi) break;
     const double fmid = f(mid);
     if (fmid <= 0.0) {
       lo = mid;

@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <string>
+#include <utility>
 
 #include "common/error.hpp"
 #include "linalg/lu.hpp"
@@ -30,13 +31,11 @@ void check_shape(const Matrix& m, std::size_t n, const char* what) {
                std::string("bad block shape for ") + what);
 }
 
-/// Row sums of a rate matrix.
-Vector row_sums(const Matrix& m) {
-  Vector out(m.rows(), 0.0);
-  for (std::size_t r = 0; r < m.rows(); ++r) {
-    for (std::size_t c = 0; c < m.cols(); ++c) out[r] += m(r, c);
-  }
-  return out;
+/// Sum of row r of a rate matrix.
+double row_sum(const Matrix& m, std::size_t r) {
+  double acc = 0.0;
+  for (std::size_t c = 0; c < m.cols(); ++c) acc += m(r, c);
+  return acc;
 }
 
 /// A1-style block: local off-diagonals plus the conservation diagonal
@@ -44,13 +43,10 @@ Vector row_sums(const Matrix& m) {
 Matrix with_diagonal(const Matrix& local, const Matrix& up,
                      const Matrix& down) {
   Matrix a1 = local;
-  const Vector su = row_sums(up);
-  const Vector sl = row_sums(local);
-  const Vector sd = row_sums(down);
   for (std::size_t r = 0; r < a1.rows(); ++r) {
     ESCHED_CHECK(local(r, r) == 0.0,
                  "local blocks must not carry diagonal entries");
-    a1(r, r) = -(su[r] + sl[r] + sd[r]);
+    a1(r, r) = -(row_sum(up, r) + row_sum(local, r) + row_sum(down, r));
   }
   return a1;
 }
@@ -59,9 +55,10 @@ Matrix with_diagonal(const Matrix& local, const Matrix& up,
 double spectral_radius(const Matrix& r) {
   const std::size_t n = r.rows();
   Vector v(n, 1.0);
+  Vector next(n);
   double lambda = 0.0;
   for (int iter = 0; iter < 2000; ++iter) {
-    Vector next = matvec(r, v);
+    matvec_into(r, v, next);
     const double norm = max_abs(next);
     if (norm == 0.0) return 0.0;
     for (double& x : next) x /= norm;
@@ -112,16 +109,27 @@ QbdSolution solve_qbd(const QbdProcess& process) {
                                   process.rep_down);
   const Matrix& a2 = process.rep_down;
 
+  // Work buffers for the reduction, R and the residual, allocated once:
+  // every matrix operation below writes into one of them, and `lu` is
+  // refactored in place.
+  Matrix h(m, m);
+  Matrix l(m, m);
+  Matrix t(m, m);
+  Matrix g(m, m);
+  Matrix u(m, m);
+  Matrix increment(m, m);
+  Matrix work(m, m);
+
   // --- Logarithmic reduction (Latouche & Ramaswami 1993) for G, the
   // minimal solution of A2 + A1 G + A0 G^2 = 0. Step n accumulates the
   // first-passage paths that go up to 2^n levels, so the increment T L
   // shrinks quadratically once the process is positive recurrent. ---
   const Matrix neg_a1 = a1 * -1.0;
-  const LuFactorization neg_a1_lu{neg_a1};
-  Matrix h = neg_a1_lu.solve(a0);  // (-A1)^{-1} A0: one level up
-  Matrix l = neg_a1_lu.solve(a2);  // (-A1)^{-1} A2: one level down
-  Matrix g = l;
-  Matrix t = h;
+  LuFactorization lu{neg_a1};
+  lu.solve_into(a0, h);  // (-A1)^{-1} A0: one level up
+  lu.solve_into(a2, l);  // (-A1)^{-1} A2: one level down
+  g = l;
+  t = h;
   const Matrix identity = Matrix::identity(m);
   int steps = 0;
   bool converged = false;
@@ -131,30 +139,48 @@ QbdSolution solve_qbd(const QbdProcess& process) {
                      std::to_string(kMaxReductionSteps) +
                      " steps; is the process positive recurrent?");
     ++steps;
-    const LuFactorization i_minus_u_lu{identity - matmul(h, l) -
-                                       matmul(l, h)};
-    h = i_minus_u_lu.solve(matmul(h, h));
-    l = i_minus_u_lu.solve(matmul(l, l));
-    const Matrix increment = matmul(t, l);
+    u = identity;  // U = H L + L H; factor I - U
+    matmul_into(h, l, work);
+    u -= work;
+    matmul_into(l, h, work);
+    u -= work;
+    lu.refactor(u);
+    matmul_into(h, h, work);
+    lu.solve_into(work, h);  // H <- (I - U)^{-1} H^2
+    matmul_into(l, l, work);
+    lu.solve_into(work, l);  // L <- (I - U)^{-1} L^2
+    matmul_into(t, l, increment);
     g += increment;
-    t = matmul(t, h);
+    matmul_into(t, h, work);
+    std::swap(t, work);  // T <- T H
     converged = max_abs(increment) < kReductionTolerance;
   }
-  // R = A0 (-A1 - A0 G)^{-1}: right division, so factor the transpose.
-  Matrix r =
-      LuFactorization((neg_a1 - matmul(a0, g)).transpose())
-          .solve(a0.transpose())
-          .transpose();
+  // R = A0 (-A1 - A0 G)^{-1}: right division, so factor the transpose and
+  // solve (-A1 - A0 G)^T R^T = A0^T.
+  matmul_into(a0, g, work);
+  u = neg_a1;
+  u -= work;
+  transpose_into(u, work);
+  lu.refactor(work);
+  transpose_into(a0, u);
+  lu.solve_into(u, h);
+  Matrix r(m, m);
+  transpose_into(h, r);
 
-  // Residual of the quadratic equation as a convergence certificate.
-  const Matrix residual_mat =
-      a0 + matmul(r, a1) + matmul(matmul(r, r), a2);
+  // Residual of the quadratic equation as a convergence certificate:
+  // u = A0 + R A1 + R^2 A2.
+  u = a0;
+  matmul_into(r, a1, work);
+  u += work;
+  matmul_into(r, r, t);
+  matmul_into(t, a2, work);
+  u += work;
 
   QbdSolution sol;
   sol.num_phases = m;
   sol.first_repeating = big_l;
   sol.r_iterations = steps;
-  sol.r_residual = max_abs(residual_mat);
+  sol.r_residual = max_abs(u);
   sol.spectral_radius = spectral_radius(r);
   ESCHED_CHECK(sol.spectral_radius < 1.0 - 1e-9,
                "QBD is not positive recurrent (sp(R) >= 1); check stability");
@@ -187,24 +213,25 @@ QbdSolution solve_qbd(const QbdProcess& process) {
   };
 
   for (std::size_t l = 0; l <= big_l; ++l) {
-    const Matrix a1_l =
-        with_diagonal(local_block(l), up_block(l), down_block(l));
+    Matrix a1_l = with_diagonal(local_block(l), up_block(l), down_block(l));
     if (l < big_l) {
       add_block(l, l, a1_l);
       if (l + 1 <= big_l) add_block(l + 1, l, down_block(l + 1));
       if (l >= 1) add_block(l - 1, l, up_block(l - 1));
     } else {
       // Level L folds the tail in: pi_{L-1} U_{L-1} + pi_L (A1 + R A2) = 0.
-      Matrix folded = a1_l + matmul(r, a2);
-      add_block(l, l, folded);
+      matmul_into(r, a2, work);
+      a1_l += work;
+      add_block(l, l, a1_l);
       if (l >= 1) add_block(l - 1, l, up_block(l - 1));
     }
   }
 
   // (I - R)^{-1} 1, needed for the normalization and the tail moments.
-  const Matrix i_minus_r = Matrix::identity(m) - r;
-  const LuFactorization imr_lu{i_minus_r};
-  const Vector tail_weight = imr_lu.solve(Vector(m, 1.0));
+  u = identity;
+  u -= r;
+  lu.refactor(u);
+  const Vector tail_weight = lu.solve(Vector(m, 1.0));
 
   // Replace equation column 0 by normalization (the generator's balance
   // equations are linearly dependent, so dropping one loses nothing).

@@ -112,7 +112,7 @@ TEST(Lu, InverseTimesMatrixIsIdentity) {
   for (std::size_t r = 0; r < 4; ++r) {
     for (std::size_t c = 0; c < 4; ++c) a(r, c) = vals[r][c];
   }
-  const Matrix inv = lu_inverse(a);
+  const Matrix inv = LuFactorization(a).solve(Matrix::identity(4));
   const Matrix prod = matmul(a, inv);
   EXPECT_LT(max_abs_diff(prod, Matrix::identity(4)), 1e-12);
 }
