@@ -647,5 +647,161 @@ TEST(ExactCtmc, EveryBlockSolveBumpsExactlyOneOrderingCounter) {
   EXPECT_EQ(delta[0], delta[1] + delta[2] + delta[3]);
 }
 
+TEST(ExactCtmc, BitwisePinned) {
+  // The CSV goldens print 12 significant digits, so this is what pins the
+  // bits of the exponential exact chain: its generator (rates and exit-rate
+  // sums in the same order), the routed solver and the means read off pi.
+  // The cases reach dense GTH (15 levels), both level axes and nested
+  // dissection (40 and 90 levels), and, last, the SOR fallback. The
+  // expected values were recorded before the sweep stopped batching exact
+  // points by chain topology. Never regenerate them to make a change pass.
+  struct Pin {
+    double mean_response_time, mean_jobs_i, mean_jobs_e, boundary_mass,
+        residual;
+    int iterations;
+    const char* method;
+    char ordering;  // as solve_auto reports it
+  };
+  // One row per case, in the loop order below: settings; 15, 40, 90
+  // levels; IF, EF, FairShare, Cap2, IF+idle1. Then IF+idle4 at 40 levels.
+  static const Pin expected[] = {
+      {0x1.2c4b9f50d5a86p+0, 0x1.111110de81b49p-1, 0x1.47862dc3299c4p-1,
+       0x1.4b5ac7679963cp-18, 0x1.2p-54, 0, "gth", '-'},
+      {0x1.3c6b00f590adep+0, 0x1.ce2b576076b0ep-1, 0x1.555555155555cp-2,
+       0x1.dd79ec93574d7p-18, 0x1p-53, 0, "gth", '-'},
+      {0x1.2eee3f36e87bep+0, 0x1.4e37cb8743e5ep-1, 0x1.0fa4b2e68d11ep-1,
+       0x1.d74e507d7d95bp-24, 0x1.8p-55, 0, "gth", '-'},
+      {0x1.2c4b9f50d5a86p+0, 0x1.111110de81b49p-1, 0x1.47862dc3299c4p-1,
+       0x1.4b5ac7679963cp-18, 0x1.2p-54, 0, "gth", '-'},
+      {0x1.19d4b57284f2ap+3, 0x1.0c00442043776p+0, 0x1.f0a959dcf9076p+2,
+       0x1.d20c5bc7a054dp-4, 0x1.4p-56, 0, "gth", '-'},
+      {0x1.2c4e6eca13cf8p+0, 0x1.111111111111bp-1, 0x1.478bcc83168d6p-1,
+       0x1.9d7f782a2ab1bp-44, 0x1.8p-54, 0, "block", 'j'},
+      {0x1.3c6ef372fb86dp+0, 0x1.ce333c3b4c62dp-1, 0x1.555555555555ap-2,
+       0x1.298e2bcb624b1p-43, 0x1.2p-52, 0, "block", 'i'},
+      {0x1.2eee52af0cdap+0, 0x1.4e37df23c016cp-1, 0x1.0fa4c63a599d4p-1,
+       0x1.326c5004c47dep-63, 0x1p-54, 0, "block", 'n'},
+      {0x1.2c4e6eca13cf8p+0, 0x1.111111111111bp-1, 0x1.478bcc83168d6p-1,
+       0x1.9d7f782a2ab1bp-44, 0x1.8p-54, 0, "block", 'j'},
+      {0x1.5404da2c98a32p+4, 0x1.04fae1f850e57p+0, 0x1.43b52c0d1394dp+4,
+       0x1.80bad9e078305p-5, 0x1.7p-57, 0, "block", 'j'},
+      {0x1.2c4e6eca15f3ep+0, 0x1.1111111111117p-1, 0x1.478bcc831ad64p-1,
+       0x1.15a54573c6a26p-94, 0x1.8p-54, 0, "block", 'j'},
+      {0x1.3c6ef372fe948p+0, 0x1.ce333c3b527e4p-1, 0x1.5555555555558p-2,
+       0x1.8f4d36aa74ff5p-94, 0x1p-52, 0, "block", 'i'},
+      {0x1.2eee52af0cda7p+0, 0x1.4e37df23c0175p-1, 0x1.0fa4c63a599d9p-1,
+       0x1.020163af2f12cp-142, 0x1p-55, 0, "block", 'n'},
+      {0x1.2c4e6eca15f3ep+0, 0x1.1111111111117p-1, 0x1.478bcc831ad64p-1,
+       0x1.15a54573c6a26p-94, 0x1.8p-54, 0, "block", 'j'},
+      {0x1.71d1b60c0c41p+5, 0x1.024a6500dbf2cp+0, 0x1.69bf62e405617p+5,
+       0x1.61eba05936b73p-6, 0x1.ap-58, 0, "block", 'j'},
+      {0x1.6ee99cd9216fep-1, 0x1.e064226d3ea72p-1, 0x1.bcb535b4057d2p+0,
+       0x1.23b1ab37e3d7bp-11, 0x1.cp-53, 0, "gth", '-'},
+      {0x1.01a8a75e70889p+0, 0x1.70f934d5b0228p+1, 0x1.bff563aea9d7dp-1,
+       0x1.2b94dd8530b4ap-7, 0x1p-53, 0, "gth", '-'},
+      {0x1.7f77e211ab3bbp-1, 0x1.2832e6ed7ff0fp+0, 0x1.a39bd0226a5c6p+0,
+       0x1.0e18d69d989dap-12, 0x1.4p-52, 0, "gth", '-'},
+      {0x1.7b3f1e35fd3b4p-1, 0x1.17b9444e89804p+0, 0x1.ac3405274f328p+0,
+       0x1.fbb7fb1377836p-12, 0x1.4p-53, 0, "gth", '-'},
+      {0x1.dbbdfe521b01cp+0, 0x1.0c5397d46c696p+0, 0x1.78f1c324536fcp+2,
+       0x1.35181c0619e6dp-5, 0x1.cp-54, 0, "gth", '-'},
+      {0x1.70dc24ae79a7ap-1, 0x1.e06422a4f049bp-1, 0x1.c057ccc0048b6p+0,
+       0x1.9b27b36ff2c6p-27, 0x1.4p-52, 0, "block", 'j'},
+      {0x1.0bc5a6310c383p+0, 0x1.83d7585b8ee13p+1, 0x1.bffffffffd964p-1,
+       0x1.346f51169786fp-15, 0x1.8p-53, 0, "block", 'i'},
+      {0x1.8096617b3c391p-1, 0x1.28a954db9227fp+0, 0x1.a53c2de855b9fp+0,
+       0x1.1f74b763fd1e2p-30, 0x1p-53, 0, "block", 'n'},
+      {0x1.7cf7efa82d55ep-1, 0x1.17c08ead8da77p+0, 0x1.af639714e91afp+0,
+       0x1.5c34ade93aed7p-27, 0x1p-53, 0, "block", 'n'},
+      {0x1.81865ca8b4d04p+1, 0x1.077e9b6ed5ec5p+0, 0x1.46e2e973df15dp+3,
+       0x1.dc0165799ced7p-9, 0x1.1p-52, 0, "block", 'j'},
+      {0x1.70dc2b9bf00aep-1, 0x1.e06422a4f049bp-1, 0x1.c057d9ae7b228p+0,
+       0x1.9937e086e19bap-58, 0x1.8p-53, 0, "block", 'j'},
+      {0x1.0bdd15c10b54p+0, 0x1.8403178a7b877p+1, 0x1.c00000000011p-1,
+       0x1.3db690571034ep-30, 0x1.8p-52, 0, "block", 'i'},
+      {0x1.80966241a38bbp-1, 0x1.28a9553017c59p+0, 0x1.a53c2f062a948p+0,
+       0x1.47e328894b9cfp-66, 0x1.4p-53, 0, "block", 'n'},
+      {0x1.7cf7f5921dc17p-1, 0x1.17c08eb45a2c6p+0, 0x1.af63a21821a3p+0,
+       0x1.59dfa65ec4d81p-58, 0x1p-53, 0, "block", 'n'},
+      {0x1.afc5b49ccfda4p+1, 0x1.06fce285e1ep+0, 0x1.721d2e63c17e9p+3,
+       0x1.d323a49a47752p-15, 0x1p-52, 0, "block", 'j'},
+      {0x1.aeb09fa55a14ep+1, 0x1.6923691553a11p+1, 0x1.50423e3bc2488p+2,
+       0x1.523258178a26ap-4, 0x1.cp-55, 0, "gth", '-'},
+      {0x1.5ed3043631165p+1, 0x1.898f81af8e237p+2, 0x1.b6db6917990efp-2,
+       0x1.f3d009514200fp-6, 0x1p-53, 0, "gth", '-'},
+      {0x1.a9131f5b65d2ep+1, 0x1.559ef1e045452p+2, 0x1.50f0011ad03cap+1,
+       0x1.30ca234a4e17ap-6, 0x1.8p-54, 0, "gth", '-'},
+      {0x1.74b9566d610bfp+1, 0x1.6a0db0208800dp+2, 0x1.54dc77f14b693p+0,
+       0x1.a7a7e9c94c2bbp-6, 0x1p-53, 0, "gth", '-'},
+      {0x1.ba6a8a9d63c41p+2, 0x1.1db5414426b0fp+2, 0x1.840b9f4dfdf93p+3,
+       0x1.07d6e9e355f88p-1, 0x1.8p-55, 0, "gth", '-'},
+      {0x1.4364b6d8f5d6p+2, 0x1.6a4ff1cd06fc3p+1, 0x1.297e78911874fp+3,
+       0x1.d0abbc7e9232cp-7, 0x1.34p-53, 0, "block", 'j'},
+      {0x1.e1381608b194p+1, 0x1.130464fde6e3dp+3, 0x1.b6db6db6db6c4p-2,
+       0x1.1eba863eb7376p-10, 0x1.8p-54, 0, "block", 'i'},
+      {0x1.10cf5a76faee6p+2, 0x1.ba3cb406d935fp+2, 0x1.a9037d609ba5fp+1,
+       0x1.70225649b6526p-12, 0x1.ep-55, 0, "block", 'n'},
+      {0x1.ec100302292adp+1, 0x1.f7b06f34fde98p+2, 0x1.5b24b803345a6p+0,
+       0x1.ed026bd066673p-11, 0x1.8p-54, 0, "block", 'n'},
+      {0x1.0fd8e3528348dp+4, 0x1.3f0bb3a2d7ff4p+2, 0x1.1e5600bb75bddp+5,
+       0x1.00d8afa5c0905p-1, 0x1.97fp-54, 0, "block", 'j'},
+      {0x1.77834c91fae1fp+2, 0x1.6a4ff2645bd85p+1, 0x1.6809927c7c7f7p+3,
+       0x1.46ae149a110adp-11, 0x1.9p-53, 0, "block", 'j'},
+      {0x1.ef16a3deaf238p+1, 0x1.1b56ba17e56d1p+3, 0x1.b6db6db6db6d3p-2,
+       0x1.03027a748e53p-19, 0x1.4p-54, 0, "block", 'i'},
+      {0x1.14054f1e56981p+2, 0x1.bf9fdfdf5471bp+2, 0x1.ada688d2f6c33p+1,
+       0x1.52145e81c4d2ap-23, 0x1.ap-55, 0, "block", 'n'},
+      {0x1.f8585c503e30dp+1, 0x1.0330389762e49p+3, 0x1.5b598ff94692ap+0,
+       0x1.bdae7226706e7p-20, 0x1.6p-54, 0, "block", 'n'},
+      {0x1.2e05365ef67fbp+5, 0x1.3f47ff221a543p+2, 0x1.567827b306273p+6,
+       0x1.0000b872da5edp-1, 0x1.98905p-54, 0, "block", 'j'},
+      {0x1.4p+5, 0x1.4p+5, 0x1.4p+5,
+       0x1p+0, 0x0p+0, 10, "sor", '-'},
+  };
+  struct Setting {
+    int k;
+    double mu_i, mu_e, rho;
+  };
+  const Setting settings[] = {
+      {2, 1.0, 1.0, 0.5}, {4, 2.0, 1.0, 0.7}, {4, 0.5, 1.0, 0.9}};
+  const PolicyPtr policies[] = {
+      make_inelastic_first(), make_elastic_first(), make_fair_share(),
+      make_inelastic_cap(2), make_idling(make_inelastic_first(), 1.0)};
+  std::vector<std::pair<SystemParams, ExactCtmcOptions>> inputs;
+  std::vector<const AllocationPolicy*> input_policies;
+  for (const Setting& s : settings) {
+    for (const long levels : {15L, 40L, 90L}) {
+      for (const PolicyPtr& policy : policies) {
+        ExactCtmcOptions options;
+        options.imax = options.jmax = levels;
+        inputs.emplace_back(
+            SystemParams::from_load(s.k, s.mu_i, s.mu_e, s.rho), options);
+        input_policies.push_back(policy.get());
+      }
+    }
+  }
+  const PolicyPtr idle4 = make_idling(make_inelastic_first(), 4.0);
+  ExactCtmcOptions forty;
+  forty.imax = forty.jmax = 40;
+  inputs.emplace_back(SystemParams::from_load(4, 1.0, 1.0, 0.5), forty);
+  input_policies.push_back(idle4.get());
+  ASSERT_EQ(inputs.size(), std::size(expected));
+  for (std::size_t c = 0; c < inputs.size(); ++c) {
+    const auto& [params, options] = inputs[c];
+    char ordering = '?';
+    const ExactCtmcResult r =
+        solve_auto(params, *input_policies[c], options, &ordering);
+    const Pin& e = expected[c];
+    EXPECT_EQ(r.mean_response_time, e.mean_response_time) << "case " << c;
+    EXPECT_EQ(r.mean_jobs_i, e.mean_jobs_i) << "case " << c;
+    EXPECT_EQ(r.mean_jobs_e, e.mean_jobs_e) << "case " << c;
+    EXPECT_EQ(r.boundary_mass, e.boundary_mass) << "case " << c;
+    EXPECT_EQ(r.solve_info.residual, e.residual) << "case " << c;
+    EXPECT_EQ(r.solve_info.iterations, e.iterations) << "case " << c;
+    EXPECT_EQ(r.solve_info.method, e.method) << "case " << c;
+    EXPECT_EQ(ordering, e.ordering) << "case " << c;
+  }
+}
+
 }  // namespace
 }  // namespace esched
