@@ -81,7 +81,8 @@ struct BlockPlan {
 };
 
 /// Runs auto, the one stationary-solver route: dense GTH up to
-/// kGthStateLimit states, else the plan's orderings in turn, else SOR.
+/// kGthStateLimit states, else the plan's orderings in turn; SOR when the
+/// elimination that ran threw (a reducible chain).
 /// Records per-method solve-time / state-count metrics and, for the block
 /// method, the counter of the ordering that produced the result.
 std::pair<Vector, StationarySolveInfo> solve_stationary(
@@ -92,41 +93,46 @@ std::pair<Vector, StationarySolveInfo> solve_stationary(
   StationarySolveInfo solve_info;
   const char* block_counter = nullptr;
   if (n <= kGthStateLimit) {
-    pi = gth_stationary(rates, exit_rates);
-    solve_info.converged = true;
-    solve_info.residual = stationary_residual(rates, exit_rates, pi);
-    solve_info.method = "gth";
-  } else {
-    if (!plan.tries.empty() && plan.tries[0].flops <= plan.auto_flop_limit) {
-      for (const BlockOrdering& ordering : plan.tries) {
-        try {
-          pi = ordering.level_of != nullptr
-                   ? block_tridiagonal_stationary(rates, exit_rates,
-                                                  *ordering.level_of,
-                                                  &solve_info)
-                   : nested_dissection_stationary(rates, exit_rates, plan.ni,
-                                                  plan.nj, &solve_info);
-          block_counter = ordering.counter;
-          break;
-        } catch (const Error&) {
-          // Some policies (e.g. idling variants) leave a level with no
-          // down-transitions, or a state with no path to the states after
-          // it; move on to the next ordering and then to SOR, which still
-          // solves the chain.
-          global_metrics().counter("exact.method.block.fallbacks").add();
-        }
+    try {
+      pi = gth_stationary(rates, exit_rates);
+      solve_info.converged = true;
+      solve_info.residual = stationary_residual(rates, exit_rates, pi);
+      solve_info.method = "gth";
+    } catch (const Error&) {
+      // A state with no path down (a reducible chain, e.g. an idling
+      // policy that serves nobody) leaves GTH a zero pivot; SOR still
+      // solves the chain, as it does past the block method.
+      global_metrics().counter("exact.method.gth.fallbacks").add();
+    }
+  } else if (!plan.tries.empty() &&
+             plan.tries[0].flops <= plan.auto_flop_limit) {
+    for (const BlockOrdering& ordering : plan.tries) {
+      try {
+        pi = ordering.level_of != nullptr
+                 ? block_tridiagonal_stationary(rates, exit_rates,
+                                                *ordering.level_of,
+                                                &solve_info)
+                 : nested_dissection_stationary(rates, exit_rates, plan.ni,
+                                                plan.nj, &solve_info);
+        block_counter = ordering.counter;
+        solve_info.method = "block";
+        break;
+      } catch (const Error&) {
+        // Some policies (e.g. idling variants) leave a level with no
+        // down-transitions, or a state with no path to the states after
+        // it; move on to the next ordering and then to SOR, which still
+        // solves the chain.
+        global_metrics().counter("exact.method.block.fallbacks").add();
       }
     }
-    if (block_counter != nullptr) {
-      solve_info.method = "block";
-    } else {
-      pi = sor_stationary(rates, exit_rates, kSorTol, kSorMaxIters, kSorOmega,
-                          &solve_info);
-      ESCHED_CHECK(solve_info.converged, "SOR did not converge in " +
-                                             std::to_string(kSorMaxIters) +
-                                             " sweeps");
-      solve_info.method = "sor";
-    }
+  }
+  if (solve_info.method.empty()) {
+    pi = sor_stationary(rates, exit_rates, kSorTol, kSorMaxIters, kSorOmega,
+                        &solve_info);
+    ESCHED_CHECK(solve_info.converged, "SOR did not converge in " +
+                                           std::to_string(kSorMaxIters) +
+                                           " sweeps");
+    solve_info.method = "sor";
   }
 
   const double seconds =
@@ -157,17 +163,9 @@ ExactCtmcBatch::ExactCtmcBatch(const SystemParams& params,
   ESCHED_CHECK(params_.lambda_i + params_.lambda_e > 0.0,
                "exact solve requires some arrivals");
 
-  // The arrival transitions do not depend on the policy: freeze them into
-  // a CSR skeleton once. Arrivals are dropped at the truncation boundary
-  // (reflecting wall). Per state the exit-rate accumulation order is
-  // (arrival_i, arrival_e) here and (service_i, service_e) in solve(), the
-  // same order as a monolithic SparseCtmc build, so exit-rate sums — and
-  // therefore the stationary solve — are bitwise identical to it.
   const long ni = options_.imax + 1;
   const long nj = options_.jmax + 1;
   const auto num_states = static_cast<std::size_t>(ni * nj);
-  skeleton_.begin_rows(num_states, num_states);
-  base_exit_.assign(num_states, 0.0);
   level_by_i_.resize(num_states);
   level_by_j_.resize(num_states);
   for (long i = 0; i < ni; ++i) {
@@ -175,18 +173,6 @@ ExactCtmcBatch::ExactCtmcBatch(const SystemParams& params,
       const std::size_t s = state_index(i, j, nj);
       level_by_i_[s] = static_cast<std::uint32_t>(i);
       level_by_j_[s] = static_cast<std::uint32_t>(j);
-      double exit = 0.0;
-      if (i + 1 < ni && params_.lambda_i > 0.0) exit += params_.lambda_i;
-      if (j + 1 < nj && params_.lambda_e > 0.0) exit += params_.lambda_e;
-      // CSR rows need ascending destinations: j+1 (s+1) before i+1 (s+nj).
-      if (j + 1 < nj && params_.lambda_e > 0.0) {
-        skeleton_.push(state_index(i, j + 1, nj), params_.lambda_e);
-      }
-      if (i + 1 < ni && params_.lambda_i > 0.0) {
-        skeleton_.push(state_index(i + 1, j, nj), params_.lambda_i);
-      }
-      skeleton_.next_row();
-      base_exit_[s] = exit;
     }
   }
 }
@@ -196,10 +182,12 @@ ExactCtmcResult ExactCtmcBatch::solve(const AllocationPolicy& policy) {
   const long nj = options_.jmax + 1;
   const auto num_states = static_cast<std::size_t>(ni * nj);
 
-  // Overlay the policy's service rates onto the arrival skeleton, reusing
-  // the scratch matrix's capacity across solves. Per state the (sorted)
-  // destinations are s-nj (service_i), s-1 (service_e), then the skeleton
-  // arrivals s+1, s+nj.
+  // Build the generator row by row, reusing the scratch matrix's capacity
+  // across solves. Per state the (sorted) destinations are s-nj
+  // (service_i), s-1 (service_e), s+1 (arrival_e), s+nj (arrival_i);
+  // arrivals are dropped at the truncation boundary (reflecting wall). The
+  // exit rate sums arrival_i, arrival_e, service_i, service_e in that order,
+  // the order the solver's results are pinned in.
   scratch_rates_.begin_rows(num_states, num_states);
   scratch_exit_.assign(num_states, 0.0);
   for (long i = 0; i < ni; ++i) {
@@ -215,14 +203,20 @@ ExactCtmcResult ExactCtmcBatch::solve(const AllocationPolicy& policy) {
       const double usable = params_.usable_elastic(a.elastic, j);
       double svc_e = 0.0;
       if (j > 0 && usable > 0.0) svc_e = usable * params_.mu_e;
+      const bool arrival_i = i + 1 < ni && params_.lambda_i > 0.0;
+      const bool arrival_e = j + 1 < nj && params_.lambda_e > 0.0;
       if (svc_i > 0.0) scratch_rates_.push(state_index(i - 1, j, nj), svc_i);
       if (svc_e > 0.0) scratch_rates_.push(state_index(i, j - 1, nj), svc_e);
-      const std::size_t* to = skeleton_.row_cols(s);
-      const double* rate = skeleton_.row_values(s);
-      const std::size_t nnz = skeleton_.row_nnz(s);
-      for (std::size_t k = 0; k < nnz; ++k) scratch_rates_.push(to[k], rate[k]);
+      if (arrival_e) {
+        scratch_rates_.push(state_index(i, j + 1, nj), params_.lambda_e);
+      }
+      if (arrival_i) {
+        scratch_rates_.push(state_index(i + 1, j, nj), params_.lambda_i);
+      }
       scratch_rates_.next_row();
-      double exit = base_exit_[s];
+      double exit = 0.0;
+      if (arrival_i) exit += params_.lambda_i;
+      if (arrival_e) exit += params_.lambda_e;
       if (svc_i > 0.0) exit += svc_i;
       if (svc_e > 0.0) exit += svc_e;
       scratch_exit_[s] = exit;

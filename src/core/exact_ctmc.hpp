@@ -27,9 +27,10 @@ namespace esched {
 /// 4 GiB: levels along N_I, levels along N_E, or nested dissection of the
 /// grid; see ExactCtmcBatch. When a level elimination throws (a level
 /// without down-transitions), the solve retries nested dissection, and
-/// when that throws too (a reducible chain), SOR. The phase-type chain
-/// levels along i only, and goes to SOR instead when the fold's estimated
-/// work is over a fixed flop limit. Tests that compare solvers call the
+/// when that throws too (a reducible chain), SOR; a throwing dense GTH
+/// goes to SOR as well. The phase-type chain levels along i only, and goes
+/// to SOR instead when the fold's estimated work is over a fixed flop
+/// limit. Tests that compare solvers call the
 /// reference solvers (markov/stationary.hpp, markov/block_solver.hpp,
 /// markov/nested_dissection.hpp) on the chain directly.
 struct ExactCtmcOptions {
@@ -62,37 +63,24 @@ ExactCtmcResult solve_exact_ctmc(const SystemParams& params,
                                  const AllocationPolicy& policy,
                                  const ExactCtmcOptions& options = {});
 
-/// Shares chain-topology construction across policies at identical
-/// (params, options): the truncated state space and its policy-independent
-/// arrival transitions are frozen into a CSR skeleton once, and each
-/// solve() overlays the policy's service rates into a reusable scratch
-/// matrix before solving — no per-policy rebuild, no per-solve adjacency
-/// copies. Every policy-family sweep (the §4 optimality table, the
-/// engine's exact-CTMC point groups) hits the same params with many
-/// policies, so the per-policy rebuild is pure waste. solve() is bitwise
-/// identical to solve_exact_ctmc on the same inputs — rates are
-/// accumulated per state in the same order — which is what lets the sweep
-/// engine batch transparently under its memo cache.
+/// The exponential chain's solver for one (params, options): the
+/// constructor validates the inputs and lays out the block method's level
+/// assignments, and each solve() builds the policy's generator in one pass
+/// into reusable scratch storage and solves it. solve_exact_ctmc is one
+/// construction and one solve; solving several policies on one instance
+/// gives bitwise the same results (the tests compare both).
 ///
-/// solve() mutates the scratch buffers, so a batch instance is NOT safe
-/// for concurrent solves; the sweep runner gives each topology group its
-/// own instance on one thread.
+/// solve() mutates the scratch buffers, so an instance is NOT safe for
+/// concurrent solves.
 class ExactCtmcBatch {
  public:
   ExactCtmcBatch(const SystemParams& params, const ExactCtmcOptions& options);
 
   ExactCtmcResult solve(const AllocationPolicy& policy);
 
-  const SystemParams& params() const { return params_; }
-  const ExactCtmcOptions& options() const { return options_; }
-
  private:
   SystemParams params_;
   ExactCtmcOptions options_;
-  /// Arrival-only rate skeleton (frozen CSR) and the arrival part of each
-  /// state's exit rate.
-  CsrMatrix skeleton_;
-  Vector base_exit_;
   /// Block-solver level assignments along each truncation axis: by N_I
   /// (level = i) and by N_E (level = j). Both are policy-independent;
   /// solve() compares the flop estimate of each axis's fold under the
@@ -106,8 +94,8 @@ class ExactCtmcBatch {
   /// blocks).
   std::vector<std::uint32_t> level_by_i_;
   std::vector<std::uint32_t> level_by_j_;
-  /// Reusable per-solve scratch: the full generator (skeleton + policy
-  /// service rates) and its exit rates, rebuilt in place each solve.
+  /// Reusable per-solve scratch: the generator and its exit rates, rebuilt
+  /// in place each solve.
   CsrMatrix scratch_rates_;
   Vector scratch_exit_;
 };

@@ -86,6 +86,10 @@ void solve_chunk(WorkQueue& queue, const ChunkTask& task,
 
 WorkerSummary run_worker(const std::string& queue_dir,
                          const WorkerOptions& options) {
+  if (options.poll_ms < 1) {
+    throw Error("worker poll interval must be at least 1 ms, got " +
+                std::to_string(options.poll_ms));
+  }
   const auto start = std::chrono::steady_clock::now();
   WorkQueue queue(queue_dir);
   const QueueManifest& manifest = queue.manifest();

@@ -29,7 +29,8 @@ struct WorkerOptions {
   /// this is treated as crashed and requeued. Must comfortably exceed
   /// the slowest single point's solve time.
   double lease_ttl_seconds = 60.0;
-  /// Poll interval while other workers hold the remaining leases.
+  /// Poll interval while other workers hold the remaining leases; at
+  /// least 1 (0 would rescan the queue without sleeping).
   int poll_ms = 500;
   /// Stop after this many chunks (0 = run until the queue drains).
   std::size_t max_chunks = 0;

@@ -288,7 +288,7 @@ RunResult dispatch_run(const RunPoint& point) {
 std::string exact_topology_key(const RunPoint& point) {
   if (point.solver != SolverKind::kExactCtmc) return {};
   // The augmented phase-type chain's reachable state space depends on the
-  // policy, so those points cannot share a skeleton — solve them solo.
+  // policy, so those points share no topology.
   if (!point.options.size_dist_i.is_exponential() ||
       !point.options.size_dist_e.is_exponential()) {
     return {};
@@ -303,31 +303,9 @@ std::string exact_topology_key(const RunPoint& point) {
 }
 
 ExactGroupSolver::ExactGroupSolver(const RunPoint& representative)
-    : topology_key_(exact_topology_key(representative)),
-      batch_(representative.params, resolve_exact_options(representative)) {
-  ESCHED_CHECK(!topology_key_.empty(),
+    : batch_(representative.params, resolve_exact_options(representative)) {
+  ESCHED_CHECK(!exact_topology_key(representative).empty(),
                "exact group requires exact-CTMC points");
-}
-
-RunResult ExactGroupSolver::solve(const RunPoint& point) {
-  ESCHED_CHECK(exact_topology_key(point) == topology_key_,
-               "exact group mixes chain topologies");
-  BackendMetrics& metrics = backend_metrics(SolverKind::kExactCtmc);
-  const auto start = Clock::now();
-  RunResult result;
-  try {
-    result = exact_to_run_result(batch_.solve(*make_policy(point.policy)));
-  } catch (...) {
-    metrics.errors.add();
-    throw;
-  }
-  result.solve_seconds = seconds_since(start);
-  metrics.points.add();
-  metrics.seconds.record(result.solve_seconds);
-  if (result.num_states > 0) {
-    metrics.states.record(static_cast<double>(result.num_states));
-  }
-  return result;
 }
 
 }  // namespace esched

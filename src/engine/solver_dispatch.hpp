@@ -81,29 +81,21 @@ struct RunResult {
 /// only EF/IF on the base model).
 RunResult dispatch_run(const RunPoint& point);
 
-/// Chain-topology sharing key for exact-CTMC points: two points with equal
-/// non-empty keys have identical (params, truncation) and can be solved in
-/// one ExactCtmcBatch — only their policies differ. Empty for every other
-/// backend.
+/// Chain-topology key for exact-CTMC points: two points with equal
+/// non-empty keys have identical (params, truncation); only their policies
+/// differ. Empty for every other backend. The engine does not use it; it
+/// stays because the benchmark harness keys its per-topology probes and
+/// oracles on it.
 std::string exact_topology_key(const RunPoint& point);
 
-/// Solves exact-CTMC points that share a topology key, building the chain
-/// skeleton once at construction. solve(point) is bitwise identical to
-/// dispatch_run(point) apart from solve_seconds, and throws per point, so
-/// a caller iterating a group can attribute failures to the right point
-/// and keep the results that did solve. solve() reuses the batch's scratch
-/// generator, so one group solver must not be shared across threads (the
-/// sweep runner hands each topology group to a single thread).
+/// Builds the ExactCtmcBatch of an exact-CTMC point (validation and level
+/// layout, no solve). Nothing in the engine uses it; it stays for the
+/// benchmark harness's chain-build probe.
 class ExactGroupSolver {
  public:
-  /// Builds the shared skeleton from any point of the group.
   explicit ExactGroupSolver(const RunPoint& representative);
 
-  /// `point` must share the representative's topology key.
-  RunResult solve(const RunPoint& point);
-
  private:
-  std::string topology_key_;
   ExactCtmcBatch batch_;
 };
 

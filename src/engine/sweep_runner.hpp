@@ -9,16 +9,17 @@
 //   3. probe the memo, then the disk cache, once per distinct key (pool);
 //   4. in input order, deliver hits to on_row, bump the hit/duplicate
 //      counters and list the jobs (serial);
-//   5. solve the job groups (pool), each solve writing its own result slot.
+//   5. solve the jobs (pool), one point per job, each solve writing its own
+//      result slot.
 // Phases 1 and 3 stay on the calling thread when they have fewer than 512
 // points (keys) to do, where starting threads costs more than the work.
 //
 // A mutex-guarded cache persists across run() calls, so repeated points —
 // e.g. shared rho-axis baselines across figures — solve exactly once per
 // process; an optional disk cache (set_cache_dir) extends that across
-// processes and CLI invocations. Exact-CTMC points sharing a chain
-// topology (same params + truncation, different policies) are solved as
-// one batch so the generator skeleton builds once. Results are
+// processes and CLI invocations. Every point is its own job through
+// dispatch_run, whatever its backend, so the policies of one exact chain
+// topology solve in parallel like any other points. Results are
 // deterministic in the thread count: each point's solve is pure and its
 // RNG seed derives from its cache key, never from scheduling order.
 #pragma once

@@ -65,11 +65,12 @@ class CsrMatrix {
   Matrix to_dense() const;
 
   // -- Streaming (re)build --------------------------------------------------
-  // For callers that overlay varying values onto a fixed-shape matrix many
-  // times (ExactCtmcBatch): begin_rows() resets the matrix but keeps the
-  // allocated capacity, push() appends an entry to the open row (columns
-  // strictly ascending), next_row() closes it. Exactly `rows` next_row()
-  // calls complete the build; queries before completion throw.
+  // For callers that build a matrix row by row, possibly many times into
+  // the same storage (ExactCtmcBatch, once per policy): begin_rows() resets
+  // the matrix but keeps the allocated capacity, push() appends an entry to
+  // the open row (columns strictly ascending), next_row() closes it.
+  // Exactly `rows` next_row() calls complete the build; queries before
+  // completion throw.
 
   void begin_rows(std::size_t rows, std::size_t cols);
   void push(std::size_t col, double value);

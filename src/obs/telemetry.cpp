@@ -68,6 +68,12 @@ TelemetryPublisher::TelemetryPublisher(TelemetryOptions options)
     : options_(std::move(options)),
       path_(telemetry_path(options_.dir, options_.owner)),
       start_(std::chrono::steady_clock::now()) {
+  if (!(options_.interval_seconds > 0.0 &&
+        options_.interval_seconds <= kMaxTelemetryIntervalSeconds)) {
+    throw Error("telemetry interval must be greater than 0 and at most "
+                "86400 seconds, got " +
+                std::to_string(options_.interval_seconds));
+  }
   if (options_.registry == nullptr) options_.registry = &global_metrics();
   std::error_code ec;
   fs::create_directories(options_.dir, ec);

@@ -31,6 +31,10 @@ namespace esched {
 /// it is versioned separately by kMetricsSchemaVersion).
 inline constexpr int kTelemetrySchemaVersion = 1;
 
+/// Longest publishing interval (one day). Far longer ones overflow the
+/// steady-clock wait, and a zero one rewrites the snapshot in a loop.
+inline constexpr double kMaxTelemetryIntervalSeconds = 86400.0;
+
 /// `owner` reduced to a safe file stem: characters outside
 /// [A-Za-z0-9._-] become '_', an empty owner becomes "worker". Pure, so
 /// publisher and reader agree on the path without coordination.
@@ -42,6 +46,7 @@ std::string telemetry_path(const std::string& dir, const std::string& owner);
 struct TelemetryOptions {
   std::string dir;    ///< created if missing
   std::string owner;  ///< file stem + the document's owner field
+  /// In (0, kMaxTelemetryIntervalSeconds].
   double interval_seconds = 2.0;
   /// Registry to snapshot; nullptr = global_metrics().
   const MetricsRegistry* registry = nullptr;
@@ -50,9 +55,10 @@ struct TelemetryOptions {
 /// Publishes periodic snapshots on a background thread for its lifetime:
 /// one immediately at construction (so the fleet view sees the worker the
 /// moment it starts), one per interval, and a final one (final: true) at
-/// destruction. Construction throws esched::Error when the directory
-/// cannot be created or the first snapshot cannot be written — telemetry
-/// that silently goes nowhere would defeat its purpose.
+/// destruction. Construction throws esched::Error when the interval is out
+/// of range, the directory cannot be created or the first snapshot cannot
+/// be written — telemetry that silently goes nowhere would defeat its
+/// purpose.
 class TelemetryPublisher {
  public:
   explicit TelemetryPublisher(TelemetryOptions options);

@@ -251,7 +251,7 @@ ExactCtmcResult solve_auto(const SystemParams& p,
 
 /// The exponential (N_I, N_E) chain of `policy` on the (imax + 1) x
 /// (jmax + 1) grid, state i * (jmax + 1) + j, with the same rates
-/// ExactCtmcBatch overlays.
+/// ExactCtmcBatch builds.
 SparseCtmc policy_chain(const SystemParams& p, const AllocationPolicy& policy,
                         long imax, long jmax) {
   const long nj = jmax + 1;
@@ -618,6 +618,26 @@ TEST(ExactCtmc, AutoFallsBackToSorWhenEveryEliminationThrows) {
   EXPECT_THROW(nested_dissection_stationary(chain.rate_matrix(),
                                             chain.exit_rates(), 31, 31),
                Error);
+
+  // Idling all k servers serves nobody: every arrival is absorbed at the
+  // corner (imax, jmax). At 20 levels (441 states) dense GTH hits the
+  // state with no path down; auto counts that fallback and solves with
+  // SOR, as it does for the same policy past the GTH limit.
+  const PolicyPtr idle_all = make_idling(make_inelastic_first(), 4.0);
+  for (const long levels : {20L, 40L}) {
+    SCOPED_TRACE(levels);
+    ExactCtmcOptions idle_options;
+    idle_options.imax = idle_options.jmax = levels;
+    const std::uint64_t gth_before =
+        counter_total("exact.method.gth.fallbacks");
+    const ExactCtmcResult idle = solve_exact_ctmc(p, *idle_all, idle_options);
+    EXPECT_EQ(idle.solve_info.method, "sor");
+    EXPECT_EQ(idle.mean_response_time, static_cast<double>(levels));
+    EXPECT_EQ(counter_total("exact.method.gth.fallbacks") - gth_before,
+              levels == 20 ? 1u : 0u);
+  }
+  const SparseCtmc corner = policy_chain(p, *idle_all, 20, 20);
+  EXPECT_THROW(gth_stationary(corner), Error);
 }
 
 TEST(ExactCtmc, EveryBlockSolveBumpsExactlyOneOrderingCounter) {

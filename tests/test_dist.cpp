@@ -372,6 +372,19 @@ TEST(DistWorkers, PoisonedChunkFailsTerminallyInsteadOfCyclingTheFleet) {
   fs::remove_all(dir);
 }
 
+TEST(DistWorkers, ZeroPollIntervalIsRejectedBeforeAnyClaim) {
+  // poll_ms 0 would rescan the queue directory without sleeping.
+  const std::string dir = scratch_dir("zero_poll");
+  WorkQueue queue = WorkQueue::init(dir, test_sweep(), 3);
+  const std::size_t pending = queue.pending_tasks().size();
+  WorkerOptions options;
+  options.threads = 1;
+  options.poll_ms = 0;
+  EXPECT_THROW(run_worker(dir, options), Error);
+  EXPECT_EQ(queue.pending_tasks().size(), pending);
+  fs::remove_all(dir);
+}
+
 TEST(MergeJsonReports, ConcatenatesPointsAndRecomputesStats) {
   const LoadedSweep sweep = test_sweep();
   const std::vector<RunPoint> all = sweep.concatenated();

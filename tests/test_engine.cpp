@@ -433,25 +433,32 @@ TEST(ExactBatch, MatchesUnbatchedSolveBitwise) {
 }
 
 TEST(SweepRunner, ExactGroupBatchingMatchesPerPointDispatch) {
-  // Five policies at one params: the runner solves them as one topology
-  // group; results must equal per-point dispatch bitwise.
-  Scenario s;
-  s.name = "batch";
-  s.cases = {{4, 2.0, 1.0, 0.8, 0}, {4, 0.5, 1.0, 0.6, 0}};
-  s.policies = {"IF", "EF", "FairShare", "Cap2", "IF+idle1"};
-  s.solvers = {SolverKind::kExactCtmc};
-  s.options.imax = s.options.jmax = 25;
-  const auto points = s.expand();
-  SweepRunner runner(2);
-  SweepStats stats;
-  const auto results = runner.run(points, &stats);
-  EXPECT_EQ(stats.solved_points, points.size());
-  for (std::size_t n = 0; n < points.size(); ++n) {
-    RunResult direct = dispatch_run(points[n]);
-    direct.from_cache = results[n].from_cache;
-    direct.solve_seconds = results[n].solve_seconds;
-    EXPECT_TRUE(numerically_equal(results[n], direct))
-        << points[n].cache_key();
+  // Five policies per chain topology: the runner solves every point as its
+  // own job, so results equal per-point dispatch bitwise and a single
+  // topology still spreads over the whole pool.
+  const std::vector<std::vector<CaseSpec>> inputs = {
+      {{4, 2.0, 1.0, 0.8, 0}, {4, 0.5, 1.0, 0.6, 0}},
+      {{4, 2.0, 1.0, 0.8, 0}}};
+  for (const auto& cases : inputs) {
+    Scenario s;
+    s.name = "batch";
+    s.cases = cases;
+    s.policies = {"IF", "EF", "FairShare", "Cap2", "IF+idle1"};
+    s.solvers = {SolverKind::kExactCtmc};
+    s.options.imax = s.options.jmax = 25;
+    const auto points = s.expand();
+    SweepRunner runner(2);
+    SweepStats stats;
+    const auto results = runner.run(points, &stats);
+    EXPECT_EQ(stats.solved_points, points.size());
+    EXPECT_EQ(stats.threads_used, 2);
+    for (std::size_t n = 0; n < points.size(); ++n) {
+      RunResult direct = dispatch_run(points[n]);
+      direct.from_cache = results[n].from_cache;
+      direct.solve_seconds = results[n].solve_seconds;
+      EXPECT_TRUE(numerically_equal(results[n], direct))
+          << points[n].cache_key();
+    }
   }
 }
 

@@ -12,6 +12,7 @@
 #include <chrono>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -184,6 +185,25 @@ TEST(Telemetry, PublisherWritesImmediateAndFinalSnapshots) {
   EXPECT_EQ(done.workers[0].metrics.counter_value("sweep.points.solved"), 7u);
   EXPECT_GT(done.workers[0].pid, 0);  // this process's pid round-tripped
   EXPECT_EQ(fs::path(path).filename().string(), "unit.1.metrics.json");
+}
+
+TEST(Telemetry, PublisherRejectsBadInterval) {
+  // A zero interval would rewrite the snapshot in a loop; NaN and values
+  // far past a day would break the steady-clock wait. Each is rejected
+  // before anything is published.
+  const std::string dir = fresh_dir("esched_telemetry_bad_interval");
+  MetricsRegistry registry;
+  for (const double interval :
+       {0.0, -1.0, std::numeric_limits<double>::quiet_NaN(), 1e9}) {
+    SCOPED_TRACE(interval);
+    TelemetryOptions options;
+    options.dir = dir;
+    options.owner = "bad";
+    options.interval_seconds = interval;
+    options.registry = &registry;
+    EXPECT_THROW(TelemetryPublisher{options}, Error);
+  }
+  EXPECT_TRUE(read_fleet_telemetry(dir).workers.empty());
 }
 
 TEST(Telemetry, PublisherTicksOnItsInterval) {

@@ -222,12 +222,23 @@ int parse_int(const char* flag, const std::string& value) {
   return static_cast<int>(parsed);
 }
 
-double parse_double(const char* flag, const std::string& value) {
+/// parse_int for interval flags, where 0 would loop without pausing.
+int parse_positive_int(const char* flag, const std::string& value) {
+  const int parsed = parse_int(flag, value);
+  if (parsed < 1) {
+    throw esched::Error(std::string(flag) + " must be at least 1");
+  }
+  return parsed;
+}
+
+/// --telemetry-interval: seconds in (0, kMaxTelemetryIntervalSeconds].
+double parse_telemetry_interval(const std::string& value) {
   char* end = nullptr;
   const double parsed = std::strtod(value.c_str(), &end);
   if (end == nullptr || *end != '\0' || end == value.c_str() ||
-      !(parsed >= 0.0)) {
-    throw esched::Error(std::string(flag) + " expects a non-negative number");
+      !(parsed > 0.0 && parsed <= esched::kMaxTelemetryIntervalSeconds)) {
+    throw esched::Error(
+        "--telemetry-interval expects a number of seconds in (0, 86400]");
   }
   return parsed;
 }
@@ -595,15 +606,15 @@ int run_work(const std::vector<std::string>& args) {
           parse_long("--lease-ttl", next_value(args, &n, "--lease-ttl")));
     } else if (args[n] == "--poll-ms") {
       options.poll_ms =
-          parse_int("--poll-ms", next_value(args, &n, "--poll-ms"));
+          parse_positive_int("--poll-ms", next_value(args, &n, "--poll-ms"));
     } else if (args[n] == "--max-chunks") {
       options.max_chunks = static_cast<std::size_t>(
           parse_long("--max-chunks", next_value(args, &n, "--max-chunks")));
     } else if (args[n] == "--telemetry-dir") {
       options.telemetry_dir = next_value(args, &n, "--telemetry-dir");
     } else if (args[n] == "--telemetry-interval") {
-      options.telemetry_interval_seconds = parse_double(
-          "--telemetry-interval", next_value(args, &n, "--telemetry-interval"));
+      options.telemetry_interval_seconds = parse_telemetry_interval(
+          next_value(args, &n, "--telemetry-interval"));
     } else if (args[n] == "--progress") {
       options.progress = true;
     } else if (args[n] == "--no-wait") {
@@ -826,8 +837,8 @@ int run_status(const std::vector<std::string>& args) {
     } else if (args[n] == "--watch") {
       watch = true;
     } else if (args[n] == "--interval") {
-      interval = static_cast<double>(
-          parse_long("--interval", next_value(args, &n, "--interval")));
+      interval = static_cast<double>(parse_positive_int(
+          "--interval", next_value(args, &n, "--interval")));
     } else {
       throw esched::Error("unknown status option '" + args[n] + "'");
     }
@@ -1001,8 +1012,8 @@ int main(int argc, char** argv) {
       } else if (arg == "--telemetry-dir") {
         telemetry_dir = next_value("--telemetry-dir");
       } else if (arg == "--telemetry-interval") {
-        telemetry_interval = parse_double("--telemetry-interval",
-                                          next_value("--telemetry-interval"));
+        telemetry_interval =
+            parse_telemetry_interval(next_value("--telemetry-interval"));
       } else if (arg == "--rows") {
         summary_rows = static_cast<std::size_t>(
             parse_long("--rows", next_value("--rows")));
