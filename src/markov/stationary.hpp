@@ -15,8 +15,8 @@
 // also the references tests compare the backend's results against.
 //
 // SOR takes either a SparseCtmc or the raw (rate matrix, exit rates)
-// pair; the latter lets batch callers overlay rates into a reusable CSR
-// scratch without constructing a chain object.
+// pair; the latter lets callers that build rates into a reusable CSR
+// scratch (ExactCtmcBatch) solve without constructing a chain object.
 #pragma once
 
 #include <string>
