@@ -31,8 +31,10 @@ void atomic_write_file(const std::string& path, const std::string& text) {
     std::ofstream out(tmp, std::ios::binary);
     ESCHED_CHECK(out.good(), "cannot open '" + tmp + "' for writing");
     out << text;
+    // A text shorter than the stream buffer reaches the file only here:
+    // a failed final flush (disk full, file size limit) must not publish.
+    out.close();
     if (!out.good()) {
-      out.close();
       std::remove(tmp.c_str());
       throw Error("error writing '" + tmp + "'");
     }

@@ -17,7 +17,8 @@ namespace esched {
 std::string unique_tmp_path(const std::string& path);
 
 /// Atomically replaces `path` with `text` (unique temp + rename). Throws
-/// esched::Error on failure, removing the temp file first.
+/// esched::Error on failure, including a failed final flush, removing the
+/// temp file first; `path` is then left as it was.
 void atomic_write_file(const std::string& path, const std::string& text);
 
 /// Atomically moves `tmp` (a fully-written file) into place at `path`.

@@ -90,17 +90,6 @@ bool csv_parse_record(const std::string& text, std::size_t* offset,
   return true;
 }
 
-std::vector<std::string> csv_decode_row(const std::string& line) {
-  std::size_t offset = 0;
-  std::vector<std::string> cells;
-  bool complete = false;
-  const std::string text = line + "\n";
-  ESCHED_CHECK(csv_parse_record(text, &offset, &cells, &complete) &&
-                   complete && offset == text.size(),
-               "malformed CSV row: " + line);
-  return cells;
-}
-
 CsvWriter::CsvWriter(const std::string& path,
                      const std::vector<std::string>& header)
     : out_(path), arity_(header.size()) {

@@ -33,10 +33,6 @@ std::string csv_encode_row(const std::vector<std::string>& cells);
 bool csv_parse_record(const std::string& text, std::size_t* offset,
                       std::vector<std::string>* cells, bool* complete);
 
-/// Convenience: decodes one complete record (no embedded newline). Throws
-/// esched::Error when `line` does not parse as a single complete record.
-std::vector<std::string> csv_decode_row(const std::string& line);
-
 /// Writes rows of cells to a CSV file with RFC-4180 quoting.
 class CsvWriter {
  public:

@@ -57,34 +57,6 @@ void check_generator(const CsrMatrix& rates, const Vector& exit_rates,
   }
 }
 
-void check_generator_dense(const Matrix& q, const char* where) {
-  if (q.rows() != q.cols()) fail(where, "generator is not square");
-  for (std::size_t r = 0; r < q.rows(); ++r) {
-    double row_sum = 0.0;
-    double row_mag = 0.0;
-    for (std::size_t c = 0; c < q.cols(); ++c) {
-      const double v = q(r, c);
-      if (!std::isfinite(v)) {
-        fail(where, "non-finite generator entry at row " + std::to_string(r));
-      }
-      if (c != r && v < 0.0) {
-        fail(where, "negative off-diagonal " + std::to_string(v) +
-                    " at row " + std::to_string(r));
-      }
-      if (c == r && v > 0.0) {
-        fail(where, "positive diagonal " + std::to_string(v) + " at row " +
-                    std::to_string(r));
-      }
-      row_sum += v;
-      row_mag = std::max(row_mag, std::abs(v));
-    }
-    if (std::abs(row_sum) > 1e-9 * std::max(1.0, row_mag)) {
-      fail(where, "row " + std::to_string(r) + " sums to " +
-                  std::to_string(row_sum) + ", not 0");
-    }
-  }
-}
-
 void check_probability_vector(const Vector& pi, const char* where) {
   if (pi.empty()) fail(where, "empty probability vector");
   double sum = 0.0;

@@ -51,17 +51,13 @@ void require(bool condition, const char* where, const std::string& what);
 void check_generator(const CsrMatrix& rates, const Vector& exit_rates,
                      const char* where);
 
-/// A dense generator: finite entries, nonnegative off-diagonals,
-/// nonpositive diagonal, row sums ~ 0 relative to the row's magnitude.
-void check_generator_dense(const Matrix& q, const char* where);
-
 /// A probability vector: finite, entries >= -1e-12 (roundoff-negative is
 /// tolerated, genuinely negative mass is not), sum within 1e-8 of 1.
 void check_probability_vector(const Vector& pi, const char* where);
 
-/// CSR structural contract after from_triplets()/transposed(): row_ptr
-/// monotone covering col_idx/values exactly, columns strictly ascending
-/// within each row and < cols(). O(nnz).
+/// CSR structural contract after from_triplets(): row_ptr monotone
+/// covering col_idx/values exactly, columns strictly ascending within each
+/// row and < cols(). O(nnz).
 void check_csr(const CsrMatrix& m, const char* where);
 
 }  // namespace esched::invariants

@@ -266,8 +266,8 @@ void DiskResultCache::store(const std::string& key,
     std::ofstream out(tmp);
     if (!out.good()) return;  // unwritable cache: silently skip persistence
     out << "key " << key << '\n' << serialize_run_result(result);
+    out.close();  // the final flush can fail too
     if (!out.good()) {
-      out.close();
       std::remove(tmp.c_str());
       return;
     }

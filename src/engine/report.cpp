@@ -331,13 +331,13 @@ MergeStats merge_csv_reports(const std::vector<std::string>& inputs,
     ++stats.files;
   }
   summary.write(out);
+  out.close();  // the final flush can fail too
   ESCHED_CHECK(out.good(), "error writing '" + tmp_path + "'");
   } catch (...) {
     out.close();
     std::remove(tmp_path.c_str());
     throw;
   }
-  out.close();
   atomic_publish_file(tmp_path, out_path);
   return stats;
 }
@@ -440,8 +440,8 @@ MergeStats merge_json_reports(const std::vector<std::string>& inputs,
           << ", \"solve_seconds\": " << format_double(solve_seconds) << "}";
     }
     out << "\n}\n";
+    out.close();  // the final flush can fail too
     if (!out.good()) {
-      out.close();
       std::remove(tmp_path.c_str());
       throw Error("error writing '" + tmp_path + "'");
     }
@@ -515,6 +515,7 @@ void write_json_report(const std::string& path,
         << format_double(stats->solve_seconds_total) << "}";
   }
   out << "\n}\n";
+  out.close();  // the final flush can fail too
   ESCHED_CHECK(out.good(), "error writing '" + path + "'");
 }
 

@@ -143,13 +143,6 @@ std::size_t ResultCache::size() const {
   return total;
 }
 
-void ResultCache::clear() {
-  for (Shard& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard.mutex);
-    shard.results.clear();
-  }
-}
-
 SweepRunner::SweepRunner(int num_threads) : num_threads_(num_threads) {
   ESCHED_CHECK(num_threads >= 0, "thread count must be >= 0");
   if (num_threads_ == 0) {

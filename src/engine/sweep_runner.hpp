@@ -50,7 +50,6 @@ class ResultCache {
   std::optional<RunResult> lookup(const std::string& key) const;
   void insert(const std::string& key, const RunResult& result);
   std::size_t size() const;
-  void clear();
 
  private:
   static constexpr std::size_t kShardCount = 16;  // power of two

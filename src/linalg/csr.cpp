@@ -70,45 +70,6 @@ void CsrMatrix::require_complete() const {
   ESCHED_ASSERT(complete(), "CSR matrix queried before construction finished");
 }
 
-CsrMatrix CsrMatrix::transposed() const {
-  require_complete();
-  CsrMatrix t;
-  t.rows_ = cols_;
-  t.cols_ = rows_;
-  // Count entries per column, prefix-sum into row_ptr of the transpose,
-  // then place entries row by row; since rows are visited in ascending
-  // order, each transposed row ends up sorted by (original) row index.
-  t.row_ptr_.assign(cols_ + 1, 0);
-  for (std::size_t c : col_idx_) ++t.row_ptr_[c + 1];
-  for (std::size_t c = 0; c < cols_; ++c) t.row_ptr_[c + 1] += t.row_ptr_[c];
-  t.col_idx_.resize(nnz());
-  t.values_.resize(nnz());
-  std::vector<std::size_t> cursor(t.row_ptr_.begin(), t.row_ptr_.end() - 1);
-  for (std::size_t r = 0; r < rows_; ++r) {
-    for (std::size_t k = row_ptr_[r]; k < row_ptr_[r + 1]; ++k) {
-      const std::size_t slot = cursor[col_idx_[k]]++;
-      t.col_idx_[slot] = r;
-      t.values_[slot] = values_[k];
-    }
-  }
-  ESCHED_DEBUG_CHECK(check_csr(t, "CsrMatrix::transposed"));
-  return t;
-}
-
-Vector CsrMatrix::multiply(const Vector& x) const {
-  require_complete();
-  ESCHED_CHECK(x.size() == cols_, "SpMV dimension mismatch");
-  Vector y(rows_, 0.0);
-  for (std::size_t r = 0; r < rows_; ++r) {
-    double acc = 0.0;
-    for (std::size_t k = row_ptr_[r]; k < row_ptr_[r + 1]; ++k) {
-      acc += values_[k] * x[col_idx_[k]];
-    }
-    y[r] = acc;
-  }
-  return y;
-}
-
 Matrix CsrMatrix::to_dense() const {
   require_complete();
   Matrix d(rows_, cols_);

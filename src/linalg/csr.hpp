@@ -2,9 +2,8 @@
 //
 // The truncated CTMC generators are >99% zeros, so the stationary solvers
 // sweep flat row_ptr/col_idx/values arrays instead of nested vectors: one
-// allocation per array, unit-stride inner loops, and a cheap counting-sort
-// transpose for the in-adjacency the Gauss-Seidel sweeps need. Only the
-// structure lives here; what the entries *mean* (off-diagonal rates, implied
+// allocation per array and unit-stride inner loops. Only the structure
+// lives here; what the entries *mean* (off-diagonal rates, implied
 // diagonals) is the caller's business.
 #pragma once
 
@@ -51,15 +50,6 @@ class CsrMatrix {
   const double* row_values(std::size_t r) const {
     return values_.data() + row_ptr_[r];
   }
-
-  /// Counting-sort transpose. Within each row of the result, entries keep
-  /// ascending column order — i.e. the transpose lists, for each original
-  /// column, its incoming entries in ascending original-row order, which is
-  /// exactly the deterministic sweep order the stationary solvers rely on.
-  CsrMatrix transposed() const;
-
-  /// Sparse matrix-vector product y = A x.
-  Vector multiply(const Vector& x) const;
 
   /// Densifies (tests and the GTH bridge only; O(rows * cols) memory).
   Matrix to_dense() const;

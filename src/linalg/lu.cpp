@@ -125,8 +125,4 @@ Vector LuFactorization::solve_transposed(const Vector& b) const {
   return x;
 }
 
-Vector lu_solve(Matrix a, const Vector& b) {
-  return LuFactorization(std::move(a)).solve(b);
-}
-
 }  // namespace esched

@@ -45,7 +45,4 @@ class LuFactorization {
   std::vector<std::size_t> perm_;  // row permutation applied to inputs
 };
 
-/// One-shot convenience: solves A x = b.
-Vector lu_solve(Matrix a, const Vector& b);
-
 }  // namespace esched

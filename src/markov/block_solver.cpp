@@ -459,11 +459,4 @@ Vector block_tridiagonal_stationary(const CsrMatrix& rates,
   return pi;
 }
 
-Vector block_tridiagonal_stationary(const SparseCtmc& chain,
-                                    const std::vector<std::uint32_t>& level_of,
-                                    StationarySolveInfo* info) {
-  return block_tridiagonal_stationary(chain.rate_matrix(),
-                                      chain.exit_rates(), level_of, info);
-}
-
 }  // namespace esched

@@ -28,7 +28,6 @@
 #include <vector>
 
 #include "linalg/csr.hpp"
-#include "markov/ctmc.hpp"
 #include "markov/stationary.hpp"
 
 namespace esched {
@@ -42,11 +41,6 @@ namespace esched {
 /// residual, like the dense GTH path.
 Vector block_tridiagonal_stationary(const CsrMatrix& rates,
                                     const Vector& exit_rates,
-                                    const std::vector<std::uint32_t>& level_of,
-                                    StationarySolveInfo* info = nullptr);
-
-/// Convenience overload for a frozen chain.
-Vector block_tridiagonal_stationary(const SparseCtmc& chain,
                                     const std::vector<std::uint32_t>& level_of,
                                     StationarySolveInfo* info = nullptr);
 

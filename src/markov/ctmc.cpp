@@ -1,7 +1,5 @@
 #include "markov/ctmc.hpp"
 
-#include <algorithm>
-
 #include "common/error.hpp"
 
 namespace esched {
@@ -35,12 +33,6 @@ double SparseCtmc::exit_rate(std::size_t state) const {
   return exit_rates_[state];
 }
 
-double SparseCtmc::max_exit_rate() const {
-  double best = 0.0;
-  for (double r : exit_rates_) best = std::max(best, r);
-  return best;
-}
-
 TransitionRange SparseCtmc::transitions_from(std::size_t state) const {
   ESCHED_CHECK(frozen_, "freeze() must be called before queries");
   ESCHED_CHECK(state < num_states_, "state out of range");
@@ -51,13 +43,6 @@ TransitionRange SparseCtmc::transitions_from(std::size_t state) const {
 const CsrMatrix& SparseCtmc::rate_matrix() const {
   ESCHED_CHECK(frozen_, "freeze() must be called before queries");
   return rates_;
-}
-
-Matrix SparseCtmc::dense_generator() const {
-  ESCHED_CHECK(frozen_, "freeze() must be called before queries");
-  Matrix q = rates_.to_dense();
-  for (std::size_t s = 0; s < num_states_; ++s) q(s, s) = -exit_rates_[s];
-  return q;
 }
 
 }  // namespace esched

@@ -87,9 +87,6 @@ class SparseCtmc {
   /// Total exit rate of a state (sum of off-diagonal rates).
   double exit_rate(std::size_t state) const;
 
-  /// Largest exit rate over all states (the uniformization constant).
-  double max_exit_rate() const;
-
   /// Transitions leaving `state` (valid after freeze()), sorted by
   /// destination. The view borrows the chain's storage; it is valid only
   /// while the chain is alive and unmodified.
@@ -101,10 +98,6 @@ class SparseCtmc {
 
   /// All exit rates, indexed by state (valid before and after freeze()).
   const Vector& exit_rates() const { return exit_rates_; }
-
-  /// Dense generator matrix Q (rows sum to zero). Only sensible for small
-  /// chains; used by the GTH solver and in tests.
-  Matrix dense_generator() const;
 
  private:
   std::size_t num_states_;

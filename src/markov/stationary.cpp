@@ -46,10 +46,6 @@ Vector gth_stationary(Matrix q) {
   return pi;
 }
 
-Vector gth_stationary(const SparseCtmc& chain) {
-  return gth_stationary(chain.dense_generator());
-}
-
 Vector gth_stationary(const CsrMatrix& rates, const Vector& exit_rates) {
   ESCHED_CHECK(rates.rows() == rates.cols(), "generator must be square");
   ESCHED_CHECK(exit_rates.size() == rates.rows(),
@@ -181,10 +177,6 @@ double stationary_residual(const CsrMatrix& rates, const Vector& exit_rates,
   return max_abs(flow);
 }
 
-double stationary_residual(const SparseCtmc& chain, const Vector& pi) {
-  return stationary_residual(chain.rate_matrix(), chain.exit_rates(), pi);
-}
-
 Vector sor_stationary(const CsrMatrix& rates, const Vector& exit_rates,
                       double tol, int max_iters, double omega,
                       StationarySolveInfo* info) {
@@ -229,12 +221,6 @@ Vector sor_stationary(const CsrMatrix& rates, const Vector& exit_rates,
   if (info != nullptr) *info = local;
   ESCHED_DEBUG_CHECK(check_probability_vector(pi, "sor_stationary"));
   return pi;
-}
-
-Vector sor_stationary(const SparseCtmc& chain, double tol, int max_iters,
-                      double omega, StationarySolveInfo* info) {
-  return sor_stationary(chain.rate_matrix(), chain.exit_rates(), tol,
-                        max_iters, omega, info);
 }
 
 }  // namespace esched

@@ -2,7 +2,7 @@
 //
 // Three algorithms with different size/robustness trade-offs:
 //  - GTH elimination: O(n^3), no subtractions (numerically exact for
-//    probabilities), the right choice for n up to ~1-2k states.
+//    probabilities); the backend uses it for chains of at most 500 states.
 //  - Gauss-Seidel/SOR on the balance equations: sparse, O(nnz) per sweep,
 //    for truncated 2-D chains without usable structure.
 //  - Block elimination, direct: the block-tridiagonal fold
@@ -12,18 +12,15 @@
 //
 // The exact-CTMC backend (core/exact_ctmc.hpp) picks among them by chain
 // size and structure; there is no option to force one. These functions are
-// also the references tests compare the backend's results against.
-//
-// SOR takes either a SparseCtmc or the raw (rate matrix, exit rates)
-// pair; the latter lets callers that build rates into a reusable CSR
-// scratch (ExactCtmcBatch) solve without constructing a chain object.
+// also the references tests compare the backend's results against. Each
+// takes the generator as an off-diagonal rate matrix plus exit rates
+// (SparseCtmc::rate_matrix() and exit_rates() of a frozen chain).
 #pragma once
 
 #include <string>
 
 #include "linalg/csr.hpp"
 #include "linalg/matrix.hpp"
-#include "markov/ctmc.hpp"
 
 namespace esched {
 
@@ -42,9 +39,8 @@ struct StationarySolveInfo {
 /// chain must be irreducible. Returns the stationary probability vector.
 Vector gth_stationary(Matrix generator);
 
-/// Convenience overloads densifying a sparse generator (off-diagonal rate
-/// matrix plus implied diagonal -exit_rates[s]).
-Vector gth_stationary(const SparseCtmc& chain);
+/// The same on a sparse generator (off-diagonal rate matrix plus implied
+/// diagonal -exit_rates[s]), densified first.
 Vector gth_stationary(const CsrMatrix& rates, const Vector& exit_rates);
 
 /// Gauss-Seidel / SOR iteration on the global balance equations of a sparse
@@ -54,15 +50,11 @@ Vector gth_stationary(const CsrMatrix& rates, const Vector& exit_rates);
 /// (states of one level share no edge), which reproduces the ascending
 /// Gauss-Seidel sweep bitwise — same iterates, iteration count and
 /// residual — while letting consecutive updates overlap.
-Vector sor_stationary(const SparseCtmc& chain, double tol = 1e-12,
-                      int max_iters = 20000, double omega = 1.0,
-                      StationarySolveInfo* info = nullptr);
 Vector sor_stationary(const CsrMatrix& rates, const Vector& exit_rates,
                       double tol = 1e-12, int max_iters = 20000,
                       double omega = 1.0, StationarySolveInfo* info = nullptr);
 
 /// Residual max_s |(pi Q)_s| — a direct check that `pi` satisfies balance.
-double stationary_residual(const SparseCtmc& chain, const Vector& pi);
 double stationary_residual(const CsrMatrix& rates, const Vector& exit_rates,
                            const Vector& pi);
 

@@ -70,38 +70,6 @@ double PhaseType::scv() const {
   return variance() / (m1 * m1);
 }
 
-double PhaseType::cdf(double t) const {
-  ESCHED_CHECK(t >= 0.0, "cdf argument must be non-negative");
-  if (t == 0.0) return 0.0;
-  // Uniformization: exp(T t) 1 = sum_k Poisson(Lambda t; k) P^k 1 with
-  // P = I + T / Lambda. Survival = alpha exp(T t) 1.
-  const std::size_t m = num_phases();
-  double lambda = 0.0;
-  for (std::size_t r = 0; r < m; ++r) lambda = std::max(lambda, -t_(r, r));
-  lambda *= 1.01;
-  Vector v(m, 1.0);  // P^k 1
-  const double lt = lambda * t;
-  double log_poisson = -lt;  // log of e^{-lt} (lt)^k / k! at k = 0
-  double survival = 0.0;
-  double tail_mass = 1.0;  // remaining Poisson mass (upper bound on error)
-  Vector next(m);
-  for (int k = 0; k < 100000; ++k) {
-    const double poisson = std::exp(log_poisson);
-    survival += poisson * dot(alpha_, v);
-    tail_mass -= poisson;
-    if (tail_mass < 1e-14 && static_cast<double>(k) > lt) break;
-    // v <- P v.
-    for (std::size_t r = 0; r < m; ++r) {
-      double acc = v[r];
-      for (std::size_t c = 0; c < m; ++c) acc += t_(r, c) * v[c] / lambda;
-      next[r] = acc;
-    }
-    v.swap(next);
-    log_poisson += std::log(lt) - std::log(static_cast<double>(k + 1));
-  }
-  return clamp(1.0 - survival, 0.0, 1.0);
-}
-
 double PhaseType::sample(Xoshiro256& rng) const {
   const std::size_t m = num_phases();
   // Choose the initial phase.

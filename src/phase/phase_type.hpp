@@ -5,7 +5,7 @@
 // rate of phase s is -T(s,s) - sum of off-diagonals). The busy-period
 // transformation of paper §5.2 replaces M/M/1 busy periods with a 2-phase
 // Coxian, which is a PH distribution; this class provides the general
-// machinery (moments, CDF, sampling) plus the specific constructors.
+// machinery (moments, sampling, rescaling) plus the specific constructors.
 #pragma once
 
 #include <vector>
@@ -41,9 +41,6 @@ class PhaseType {
   double variance() const;
   /// Squared coefficient of variation.
   double scv() const;
-
-  /// P(X <= t) via uniformization of exp(T t).
-  double cdf(double t) const;
 
   /// Draws one sample by simulating the phase process.
   double sample(Xoshiro256& rng) const;

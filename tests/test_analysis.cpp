@@ -330,10 +330,11 @@ TEST(ExactCtmc, AllStationarySolversAgree) {
   EXPECT_EQ(automatic.solve_info.method, "gth");
 
   const SparseCtmc chain = policy_chain(p, InelasticFirst{}, imax, jmax);
-  const GridMeans gth = grid_means(p, gth_stationary(chain), jmax);
+  const GridMeans gth = grid_means(
+      p, gth_stationary(chain.rate_matrix(), chain.exit_rates()), jmax);
   const GridMeans block = grid_means(
       p,
-      block_tridiagonal_stationary(chain,
+      block_tridiagonal_stationary(chain.rate_matrix(), chain.exit_rates(),
                                    grid_levels(imax + 1, jmax + 1, false)),
       jmax);
   const GridMeans nd = grid_means(
@@ -343,7 +344,10 @@ TEST(ExactCtmc, AllStationarySolversAgree) {
       jmax);
   StationarySolveInfo sor_info;
   const GridMeans sor = grid_means(
-      p, sor_stationary(chain, 1e-14, 200000, 1.0, &sor_info), jmax);
+      p,
+      sor_stationary(chain.rate_matrix(), chain.exit_rates(), 1e-14, 200000,
+                     1.0, &sor_info),
+      jmax);
   EXPECT_TRUE(sor_info.converged);
   // The direct solvers agree to near machine precision; SOR to its
   // convergence tolerance.
@@ -438,11 +442,16 @@ TEST(ExactCtmc, AutoBlockLevelsIfAlongElasticAxisAndEfAlongInelastic) {
     // SOR stops on the residual; at the backend's 1e-12 its E[T] here is
     // off by ~2e-9, so the reference iterates further.
     EXPECT_NEAR(automatic.mean_response_time,
-                grid_means(p, gth_stationary(chain), options.jmax)
+                grid_means(p,
+                           gth_stationary(chain.rate_matrix(),
+                                          chain.exit_rates()),
+                           options.jmax)
                     .mean_response_time,
                 1e-10);
     EXPECT_NEAR(automatic.mean_response_time,
-                grid_means(p, sor_stationary(chain, 1e-14, 200000),
+                grid_means(p,
+                           sor_stationary(chain.rate_matrix(),
+                                          chain.exit_rates(), 1e-14, 200000),
                            options.jmax)
                     .mean_response_time,
                 1e-9);
@@ -478,7 +487,11 @@ TEST(ExactCtmc, NonSquareChainTakesTheAxisWithTheLowerFlopEstimate) {
   EXPECT_EQ(automatic.solve_info.method, "block");
   EXPECT_EQ(ordering, 'j');
   EXPECT_NEAR(automatic.mean_response_time,
-              grid_means(p, gth_stationary(chain), jmax).mean_response_time,
+              grid_means(p,
+                         gth_stationary(chain.rate_matrix(),
+                                        chain.exit_rates()),
+                         jmax)
+                  .mean_response_time,
               1e-10);
 }
 
@@ -503,7 +516,9 @@ TEST(ExactCtmc, NestedDissectionMatchesGthOnPolicyChains) {
           chain.rate_matrix(), chain.exit_rates(),
           static_cast<std::size_t>(imax + 1),
           static_cast<std::size_t>(jmax + 1));
-      expect_relative_match(nd, gth_stationary(chain), 1e-12);
+      expect_relative_match(
+          nd, gth_stationary(chain.rate_matrix(), chain.exit_rates()),
+          1e-12);
     }
   }
 }
@@ -522,7 +537,8 @@ TEST(ExactCtmc, NestedDissectionMatchesBlockOnIfAndEfAt39204States) {
     SCOPED_TRACE(c.policy.name());
     const SparseCtmc chain = policy_chain(p, c.policy, imax, jmax);
     const Vector block = block_tridiagonal_stationary(
-        chain, grid_levels(imax + 1, jmax + 1, c.by_j), nullptr);
+        chain.rate_matrix(), chain.exit_rates(),
+        grid_levels(imax + 1, jmax + 1, c.by_j), nullptr);
     const Vector nd = nested_dissection_stationary(
         chain.rate_matrix(), chain.exit_rates(), imax + 1, jmax + 1);
     expect_relative_match(nd, block, 1e-12);
@@ -576,8 +592,10 @@ TEST(ExactCtmc, NestedDissectionSurvivesNegligibleMassOnThePinnedState) {
   char ordering = '?';
   const ExactCtmcResult nd = solve_auto(p, FairShare{}, options, &ordering);
   EXPECT_EQ(ordering, 'n');
+  const SparseCtmc chain = policy_chain(p, FairShare{}, 40, 40);
   const double dense =
-      grid_means(p, gth_stationary(policy_chain(p, FairShare{}, 40, 40)), 40)
+      grid_means(p, gth_stationary(chain.rate_matrix(), chain.exit_rates()),
+                 40)
           .mean_response_time;
   EXPECT_NEAR(nd.mean_response_time, dense, 1e-12 * dense);
 }
@@ -613,7 +631,9 @@ TEST(ExactCtmc, AutoFallsBackToSorWhenEveryEliminationThrows) {
             2u);
   EXPECT_NEAR(automatic.mean_jobs_i, 30.0, 1e-9);
   const SparseCtmc chain = policy_chain(p, policy, 30, 30);
-  EXPECT_THROW(block_tridiagonal_stationary(chain, grid_levels(31, 31, false)),
+  EXPECT_THROW(block_tridiagonal_stationary(chain.rate_matrix(),
+                                            chain.exit_rates(),
+                                            grid_levels(31, 31, false)),
                Error);
   EXPECT_THROW(nested_dissection_stationary(chain.rate_matrix(),
                                             chain.exit_rates(), 31, 31),
@@ -637,7 +657,8 @@ TEST(ExactCtmc, AutoFallsBackToSorWhenEveryEliminationThrows) {
               levels == 20 ? 1u : 0u);
   }
   const SparseCtmc corner = policy_chain(p, *idle_all, 20, 20);
-  EXPECT_THROW(gth_stationary(corner), Error);
+  EXPECT_THROW(gth_stationary(corner.rate_matrix(), corner.exit_rates()),
+               Error);
 }
 
 TEST(ExactCtmc, EveryBlockSolveBumpsExactlyOneOrderingCounter) {

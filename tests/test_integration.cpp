@@ -4,9 +4,19 @@
 //   (2) exact truncated 2-D CTMC solve              (core/exact_ctmc),
 //   (3) stochastic simulation                       (sim/).
 // Agreement of all three is the strongest correctness signal the paper
-// itself offers ("Our analytical results match simulation", §5).
+// itself offers ("Our analytical results match simulation", §5). The
+// committed goldens (tests/golden/) are also held to the paper's claims.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstddef>
+#include <fstream>
+#include <map>
+#include <sstream>
+#include <string>
+#include <vector>
+
+#include "common/csv.hpp"
 #include "common/numeric.hpp"
 #include "core/ef_analysis.hpp"
 #include "core/exact_ctmc.hpp"
@@ -139,6 +149,83 @@ TEST(Theorem3Corollary, TimeAverageWorkOrdering) {
     ef_area += ef_path.total_work_at(t);
   }
   EXPECT_LE(if_area, ef_area * (1.0 + 1e-9));
+}
+
+/// A committed golden report, tests/golden/<name>.csv, with its
+/// "# summary" trailer dropped.
+struct GoldenCsv {
+  std::vector<std::string> header;
+  std::vector<std::vector<std::string>> rows;
+
+  std::size_t column(const std::string& name) const {
+    const auto it = std::find(header.begin(), header.end(), name);
+    EXPECT_NE(it, header.end()) << "no column " << name;
+    return static_cast<std::size_t>(it - header.begin());
+  }
+};
+
+GoldenCsv read_golden(const std::string& name) {
+  const std::string path = std::string(ESCHED_GOLDEN_DIR) + "/" + name + ".csv";
+  std::ifstream in(path, std::ios::binary);
+  EXPECT_TRUE(in.good()) << path;
+  std::ostringstream buffer;
+  buffer << in.rdbuf();
+  const std::string text = buffer.str();
+  GoldenCsv csv;
+  std::size_t offset = 0;
+  std::vector<std::string> cells;
+  bool complete = false;
+  while (csv_parse_record(text, &offset, &cells, &complete)) {
+    if (cells[0].rfind('#', 0) == 0) continue;
+    if (csv.header.empty()) {
+      csv.header = cells;
+    } else {
+      csv.rows.push_back(cells);
+    }
+  }
+  return csv;
+}
+
+// §5: the busy-period-transformation analysis is within 1% of the exact
+// chain. Every analysed point of the analysis-accuracy golden has its exact
+// solve, matched on (k, rho, mu_i, mu_e, cap, policy).
+TEST(GoldenClaims, AnalysisWithinOnePercentOfExact) {
+  const GoldenCsv csv = read_golden("analysis-accuracy");
+  const std::vector<std::size_t> key_columns = {
+      csv.column("k"),    csv.column("rho"),         csv.column("mu_i"),
+      csv.column("mu_e"), csv.column("elastic_cap"), csv.column("policy")};
+  const std::size_t solver = csv.column("solver");
+  const std::size_t et = csv.column("et");
+  std::map<std::vector<std::string>, double> qbd, exact;
+  for (const auto& row : csv.rows) {
+    std::vector<std::string> key;
+    for (std::size_t c : key_columns) key.push_back(row[c]);
+    if (row[solver] == "qbd") qbd[key] = std::stod(row[et]);
+    if (row[solver] == "exact") exact[key] = std::stod(row[et]);
+  }
+  ASSERT_FALSE(qbd.empty());
+  double worst = 0.0;
+  for (const auto& [key, analysed] : qbd) {
+    const auto it = exact.find(key);
+    ASSERT_NE(it, exact.end()) << "no exact solve for " << key[5] << " k="
+                               << key[0] << " rho=" << key[1];
+    worst = std::max(worst, relative_error(analysed, it->second));
+  }
+  EXPECT_LT(worst, 0.01);
+}
+
+// Thm. 3: on one coupled arrival trace, IF's total work and inelastic work
+// never exceed any other policy's. The dominance-thm3 golden records the
+// largest violation of each over the replay; only roundoff may remain.
+TEST(GoldenClaims, InelasticFirstDominatesWorkOnEveryTrace) {
+  const GoldenCsv csv = read_golden("dominance-thm3");
+  ASSERT_FALSE(csv.rows.empty());
+  const std::size_t viol_w = csv.column("dom_viol_w");
+  const std::size_t viol_wi = csv.column("dom_viol_wi");
+  for (const auto& row : csv.rows) {
+    EXPECT_LE(std::stod(row[viol_w]), 1e-9);
+    EXPECT_LE(std::stod(row[viol_wi]), 1e-9);
+  }
 }
 
 }  // namespace

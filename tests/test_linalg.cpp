@@ -98,7 +98,7 @@ TEST(Lu, SolvesKnownSystem) {
   // Solution of A x = [4, 5, 6]: x = [6, ...]. Compute expected via direct
   // elimination: x0 = 6 from row 2; 2*6 + x1 + x2 = 4 => x1 + x2 = -8;
   // 6 + 3 x1 + 2 x2 = 5 => 3 x1 + 2 x2 = -1 => x1 = 15, x2 = -23.
-  const Vector x = lu_solve(a, {4.0, 5.0, 6.0});
+  const Vector x = LuFactorization(a).solve(Vector{4.0, 5.0, 6.0});
   EXPECT_NEAR(x[0], 6.0, 1e-12);
   EXPECT_NEAR(x[1], 15.0, 1e-12);
   EXPECT_NEAR(x[2], -23.0, 1e-12);
@@ -164,7 +164,7 @@ TEST(Lu, SolveTransposedMatchesExplicitTranspose) {
   }
   const Vector b = {1.0, 2.0, 3.0};
   const Vector via_transposed = LuFactorization(a).solve_transposed(b);
-  const Vector direct = lu_solve(a.transpose(), b);
+  const Vector direct = LuFactorization(a.transpose()).solve(b);
   for (std::size_t r = 0; r < 3; ++r) {
     EXPECT_NEAR(via_transposed[r], direct[r], 1e-12);
   }
@@ -176,7 +176,7 @@ TEST(Lu, PivotingHandlesZeroDiagonal) {
   a(0, 1) = 1;
   a(1, 0) = 1;
   a(1, 1) = 0;
-  const Vector x = lu_solve(a, {3.0, 4.0});  // swap: x = [4, 3]
+  const Vector x = LuFactorization(a).solve(Vector{3.0, 4.0});  // [4, 3]
   EXPECT_NEAR(x[0], 4.0, 1e-12);
   EXPECT_NEAR(x[1], 3.0, 1e-12);
 }
@@ -219,40 +219,6 @@ TEST(Csr, FromTripletsMergesDuplicatesAndChecksBounds) {
   EXPECT_DOUBLE_EQ(m.to_dense()(0, 1), 4.0);
   EXPECT_THROW(CsrMatrix::from_triplets(2, 2, {{2, 0, 1.0}}), Error);
   EXPECT_THROW(CsrMatrix::from_triplets(2, 2, {{0, 2, 1.0}}), Error);
-}
-
-TEST(Csr, TransposeMatchesDenseTranspose) {
-  // Includes an empty row (1) and an empty column (0) to exercise the
-  // counting-sort bookkeeping off the happy path.
-  const CsrMatrix m = CsrMatrix::from_triplets(
-      3, 3, {{0, 1, 1.0}, {0, 2, 2.0}, {2, 1, 3.0}, {2, 2, 4.0}});
-  const CsrMatrix t = m.transposed();
-  EXPECT_EQ(t.rows(), 3u);
-  EXPECT_EQ(t.cols(), 3u);
-  const Matrix td = t.to_dense();
-  const Matrix d = m.to_dense();
-  for (std::size_t r = 0; r < 3; ++r) {
-    for (std::size_t c = 0; c < 3; ++c) {
-      EXPECT_DOUBLE_EQ(td(r, c), d(c, r));
-    }
-  }
-  // Within each transposed row, entries keep ascending original-row order
-  // (the sweep-order contract the stationary solvers depend on).
-  EXPECT_EQ(t.row_nnz(1), 2u);
-  EXPECT_EQ(t.row_cols(1)[0], 0u);
-  EXPECT_EQ(t.row_cols(1)[1], 2u);
-}
-
-TEST(Csr, MultiplyMatchesDenseMatvec) {
-  const CsrMatrix m = CsrMatrix::from_triplets(
-      3, 3, {{0, 0, 2.0}, {0, 2, 1.0}, {1, 1, -1.0}, {2, 0, 4.0}});
-  const Vector x = {1.0, 2.0, 3.0};
-  const Vector y = m.multiply(x);
-  const Vector expect = matvec(m.to_dense(), x);
-  ASSERT_EQ(y.size(), expect.size());
-  for (std::size_t i = 0; i < y.size(); ++i) {
-    EXPECT_DOUBLE_EQ(y[i], expect[i]);
-  }
 }
 
 TEST(Csr, StreamingRebuildReusesShape) {

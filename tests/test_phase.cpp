@@ -2,7 +2,6 @@
 // (the §5.2 busy-period transformation machinery).
 #include <gtest/gtest.h>
 
-#include <cmath>
 #include <cstdio>
 #include <string>
 
@@ -51,25 +50,6 @@ TEST(PhaseType, Coxian2Moments) {
   EXPECT_NEAR(d.mean(), 1.0, 1e-12);
   // m2 = 2 (1/nu1^2 + p/(nu1 nu2) + p/nu2^2) = 2 (0.25 + 0.25 + 0.5) = 2.
   EXPECT_NEAR(d.raw_moment(2), 2.0, 1e-12);
-}
-
-TEST(PhaseType, CdfMatchesExponentialClosedForm) {
-  const PhaseType d = PhaseType::exponential(1.5);
-  for (double t : {0.1, 0.5, 1.0, 3.0}) {
-    EXPECT_NEAR(d.cdf(t), 1.0 - std::exp(-1.5 * t), 1e-10) << t;
-  }
-  EXPECT_DOUBLE_EQ(d.cdf(0.0), 0.0);
-}
-
-TEST(PhaseType, CdfIsMonotoneAndReachesOne) {
-  const PhaseType d = PhaseType::coxian2(2.0, 0.5, 0.7);
-  double prev = 0.0;
-  for (double t = 0.0; t <= 40.0; t += 0.5) {
-    const double f = d.cdf(t);
-    EXPECT_GE(f, prev - 1e-12);
-    prev = f;
-  }
-  EXPECT_NEAR(prev, 1.0, 1e-6);
 }
 
 TEST(PhaseType, SamplingMatchesMoments) {

@@ -140,7 +140,7 @@ TEST(Qbd, TwoPhaseAgreesWithTruncatedGth) {
     }
   }
   chain.freeze();
-  const Vector pi = gth_stationary(chain);
+  const Vector pi = gth_stationary(chain.rate_matrix(), chain.exit_rates());
 
   // Compare level distributions and the mean.
   double mean = 0.0;
@@ -175,7 +175,7 @@ TEST(Qbd, BoundaryLevelsWithDifferentRates) {
     chain.add_rate(l, l - 1, std::min<double>(static_cast<double>(l), 3.0));
   }
   chain.freeze();
-  const Vector pi = gth_stationary(chain);
+  const Vector pi = gth_stationary(chain.rate_matrix(), chain.exit_rates());
   for (std::size_t l = 0; l <= 8; ++l) {
     EXPECT_NEAR(sol.level_probability(l), pi[l], 1e-9) << "level " << l;
   }

@@ -101,7 +101,7 @@ Vector truncated_reference(const QbdProcess& p, std::size_t levels,
     }
   }
   chain.freeze();
-  const Vector pi = gth_stationary(chain);
+  const Vector pi = gth_stationary(chain.rate_matrix(), chain.exit_rates());
   double mean = 0.0;
   for (std::size_t l = 0; l < levels; ++l) {
     for (std::size_t r = 0; r < m; ++r) {

@@ -58,7 +58,7 @@ TEST(MM1, MeanJobsMatchesStationarySolve) {
     chain.add_rate(s + 1, s, mu);
   }
   chain.freeze();
-  const Vector pi = gth_stationary(chain);
+  const Vector pi = gth_stationary(chain.rate_matrix(), chain.exit_rates());
   double mean = 0.0;
   for (std::size_t s = 0; s < n; ++s) mean += static_cast<double>(s) * pi[s];
   EXPECT_NEAR(mean, MM1(lambda, mu).mean_jobs(), 1e-8);
@@ -92,7 +92,7 @@ TEST(MMk, MeanJobsMatchesStationarySolve) {
                    std::min<double>(static_cast<double>(s + 1), k) * mu);
   }
   chain.freeze();
-  const Vector pi = gth_stationary(chain);
+  const Vector pi = gth_stationary(chain.rate_matrix(), chain.exit_rates());
   double mean = 0.0;
   for (std::size_t s = 0; s < n; ++s) mean += static_cast<double>(s) * pi[s];
   EXPECT_NEAR(mean, MMk(lambda, mu, k).mean_jobs(), 1e-7);

@@ -5,9 +5,12 @@
 // disk-cache field table keeps serializer/deserializer/count in sync, and
 // `cache ls/gc` manifest + eviction behave.
 #include <gtest/gtest.h>
+#include <sys/resource.h>
 
 #include <chrono>
+#include <csignal>
 #include <cstdio>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -321,6 +324,48 @@ TEST(Merge, RejectsMismatchedHeadersAndTruncatedRows) {
   std::remove(a.c_str());
   std::remove(b.c_str());
   std::remove(out.c_str());
+}
+
+/// Caps the size of any file this process writes at `bytes` and ignores
+/// SIGXFSZ, so a write past the cap fails with EFBIG instead of killing
+/// the process. For death-test children only: the cap is permanent.
+void limit_file_size(rlim_t bytes) {
+  const rlimit limit{bytes, bytes};
+  if (::setrlimit(RLIMIT_FSIZE, &limit) != 0) std::exit(3);
+  std::signal(SIGXFSZ, SIG_IGN);
+}
+
+TEST(Merge, FailedFinalFlushPublishesNothing) {
+  // The merged CSV (~500 bytes) fits in the stream buffer, so it reaches
+  // the temp file only at the final flush, which a 100-byte size cap makes
+  // fail. The merge must throw and leave neither --out nor the temp.
+  namespace fs = std::filesystem;
+  const fs::path dir = fs::path(testing::TempDir()) / "merge_fsize";
+  fs::remove_all(dir);
+  fs::create_directories(dir / "in");
+  const std::string a = (dir / "in" / "a.csv").string();
+  const std::string b = (dir / "in" / "b.csv").string();
+  std::string rows = "x,y\n";
+  for (int n = 0; n < 40; ++n) rows += std::to_string(n) + ",value\n";
+  write_file(a, rows);
+  write_file(b, rows);
+  const fs::path out_dir = dir / "out";
+  fs::create_directories(out_dir);
+  const std::string out = (out_dir / "merged.csv").string();
+  EXPECT_EXIT(
+      {
+        limit_file_size(100);
+        try {
+          merge_csv_reports({a, b}, out);
+        } catch (const Error&) {
+          std::exit(0);
+        }
+        std::fprintf(stderr, "merge_csv_reports returned normally\n");
+        std::exit(1);
+      },
+      ::testing::ExitedWithCode(0), "");
+  EXPECT_TRUE(fs::is_empty(out_dir));
+  fs::remove_all(dir);
 }
 
 TEST(DiskCacheFieldTable, SerializerAndCountStayInSync) {
