@@ -1,14 +1,11 @@
 #include "dist/work_queue.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <filesystem>
-#include <fstream>
 #include <limits>
 #include <set>
-#include <sstream>
 
 #include "common/atomic_file.hpp"
 #include "common/error.hpp"
@@ -78,14 +75,6 @@ std::optional<std::size_t> parse_chunk_file_name(const std::string& name,
     value = value * 10 + static_cast<std::size_t>(name[n] - '0');
   }
   return value;
-}
-
-std::optional<std::string> read_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in.good()) return std::nullopt;
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  return buffer.str();
 }
 
 std::size_t as_index(const JsonValue& v, const std::string& where) {
@@ -548,25 +537,10 @@ void WorkQueue::discard_task(std::size_t chunk) const {
 }
 
 std::size_t WorkQueue::sweep_stale_tmp() const {
-  constexpr double kStaleSeconds = 3600.0;
   std::size_t removed = 0;
-  const auto now = fs::file_time_type::clock::now();
   for (const char* sub :
        {"/tasks", "/leases", "/results", "/done", "/failed", ""}) {
-    std::error_code ec;
-    for (fs::directory_iterator it(directory_ + sub, ec), end;
-         !ec && it != end; it.increment(ec)) {
-      if (!it->is_regular_file(ec)) continue;
-      const std::string name = it->path().filename().string();
-      if (name.find(".tmp.") == std::string::npos) continue;
-      std::error_code tmp_ec;
-      const auto mtime = fs::last_write_time(it->path(), tmp_ec);
-      if (tmp_ec) continue;
-      const double age =
-          std::chrono::duration<double>(now - mtime).count();
-      if (age <= kStaleSeconds) continue;
-      if (fs::remove(it->path(), tmp_ec) && !tmp_ec) ++removed;
-    }
+    removed += remove_stale_tmp_files(directory_ + sub);
   }
   return removed;
 }
@@ -580,18 +554,14 @@ void WorkQueue::commit(const ChunkTask& task, const std::string& owner,
                "chunk commit size mismatch");
   DistMetrics& metrics = dist_metrics();
   const ScopedTimer timer(metrics.commit_seconds, &metrics.committed);
-  // Result files first (each temp + atomic rename, so a torn chunk CSV
+  // Result files first (each published atomically, so a torn chunk CSV
   // can never sit under the final name), then the done marker, then the
   // lease. Dying between any two steps is recoverable: the lease expires
   // and the re-solve rewrites identical bytes.
-  const std::string csv_tmp = unique_tmp_path(result_csv_path(task.chunk));
-  write_csv_report(csv_tmp, points, results, manifest_.with_size_dist);
-  atomic_publish_file(csv_tmp, result_csv_path(task.chunk));
-
-  const std::string json_tmp = unique_tmp_path(result_json_path(task.chunk));
-  write_json_report(json_tmp, points, results, &stats,
+  write_csv_report(result_csv_path(task.chunk), points, results,
+                   manifest_.with_size_dist);
+  write_json_report(result_json_path(task.chunk), points, results, &stats,
                     manifest_.with_size_dist);
-  atomic_publish_file(json_tmp, result_json_path(task.chunk));
 
   JsonValue record = JsonValue::make_object();
   record.set("chunk",

@@ -203,16 +203,16 @@ class WorkQueue {
   /// after a reclaim/commit race). No-op when absent.
   void discard_task(std::size_t chunk) const;
 
-  /// Sweeps up '.tmp.' files orphaned by crashed writers across the
-  /// queue's subdirectories — but only once they are demonstrably stale
-  /// (> 1 h old, the disk cache's convention): a younger one may belong
-  /// to a live writer mid-store. Workers run this on startup and
+  /// Sweeps up temp files orphaned by crashed writers across the queue's
+  /// subdirectories, once stale (common/atomic_file's
+  /// remove_stale_tmp_files: a younger one may belong to a live writer
+  /// mid-publish). Workers run this on startup and
   /// `esched collect` before merging, so tolerated crashes do not leak
   /// disk forever. Returns the number of files removed.
   std::size_t sweep_stale_tmp() const;
 
-  /// Commits a solved chunk: result CSV and JSON via temp + atomic
-  /// rename, then the done record, then the lease is dropped. `results`
+  /// Commits a solved chunk: result CSV and JSON, each published
+  /// atomically, then the done record, then the lease is dropped. `results`
   /// must cover exactly [task.begin, task.end) of the combined grid.
   void commit(const ChunkTask& task, const std::string& owner,
               const std::vector<RunPoint>& points,

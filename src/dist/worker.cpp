@@ -90,6 +90,11 @@ WorkerSummary run_worker(const std::string& queue_dir,
     throw Error("worker poll interval must be at least 1 ms, got " +
                 std::to_string(options.poll_ms));
   }
+  // With a TTL of 0 every worker would requeue every other worker's live
+  // lease on its next loop, and the fleet would solve chunks over and over.
+  if (!(options.lease_ttl_seconds > 0.0)) {
+    throw Error("worker lease TTL (--lease-ttl) must be positive");
+  }
   const auto start = std::chrono::steady_clock::now();
   WorkQueue queue(queue_dir);
   const QueueManifest& manifest = queue.manifest();

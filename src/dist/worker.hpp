@@ -27,7 +27,8 @@ struct WorkerOptions {
   std::string owner;
   /// A lease whose heartbeat (bumped per completed row) is older than
   /// this is treated as crashed and requeued. Must comfortably exceed
-  /// the slowest single point's solve time.
+  /// the slowest single point's solve time; positive (run_worker throws
+  /// otherwise).
   double lease_ttl_seconds = 60.0;
   /// Poll interval while other workers hold the remaining leases; at
   /// least 1 (0 would rescan the queue without sleeping).

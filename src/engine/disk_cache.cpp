@@ -1,13 +1,11 @@
 #include "engine/disk_cache.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
-#include <iterator>
 #include <set>
 #include <sstream>
 
@@ -252,30 +250,15 @@ void DiskResultCache::store(const std::string& key,
                             const RunResult& result) const {
   CacheMetrics& metrics = cache_metrics();
   const ScopedTimer timer(metrics.store_seconds, &metrics.stores);
-  // Unique temp name (pid + in-process counter, shared discipline from
-  // common/atomic_file), streamed serialization, then atomic publish:
-  // concurrent shard processes may race on the same key and either
-  // complete file wins. An unwritable cache silently skips persistence —
-  // the cache is an accelerator, not a correctness dependency — hence the
-  // try/catch around the publish instead of atomic_write_file's throw.
-  const std::string path = entry_path(key);
-  const std::string tmp = unique_tmp_path(path);
-  {
-    // esched-lint: allow(raw-file-io): streams into a unique temp name
-    // from common/atomic_file; published below via atomic_publish_file.
-    std::ofstream out(tmp);
-    if (!out.good()) return;  // unwritable cache: silently skip persistence
-    out << "key " << key << '\n' << serialize_run_result(result);
-    out.close();  // the final flush can fail too
-    if (!out.good()) {
-      std::remove(tmp.c_str());
-      return;
-    }
-  }
+  // Published atomically: concurrent shard processes may race on the same
+  // key and either complete file wins.
   try {
-    atomic_publish_file(tmp, path);
+    atomic_write_file(entry_path(key), [&](std::ostream& out) {
+      out << "key " << key << '\n' << serialize_run_result(result);
+    });
   } catch (const Error&) {
-    // atomic_publish_file already removed the temp file on failure.
+    // An unwritable cache skips persistence: the cache is an accelerator,
+    // not a correctness dependency.
   }
 }
 
@@ -321,23 +304,9 @@ CacheGcResult DiskResultCache::gc(std::optional<double> max_age_seconds,
   CacheMetrics& metrics = cache_metrics();
   const ScopedTimer timer(metrics.gc_seconds);
   namespace fs = std::filesystem;
-  std::error_code ec;
-  // Orphaned temp files (a writer died between open and rename) are
-  // garbage regardless of the age/size policy — but only once they are
-  // demonstrably stale: a live shard process may hold a young one open
-  // right now, and unlinking it would silently drop that store.
-  constexpr double kTmpStaleSeconds = 3600.0;
-  const auto now = fs::file_time_type::clock::now();
-  for (fs::directory_iterator it(directory_, ec), end; !ec && it != end;
-       it.increment(ec)) {
-    const std::string name = it->path().filename().string();
-    if (name.find(".result.tmp.") == std::string::npos) continue;
-    std::error_code tmp_ec;
-    const auto mtime = fs::last_write_time(it->path(), tmp_ec);
-    if (tmp_ec) continue;
-    const double age = std::chrono::duration<double>(now - mtime).count();
-    if (age > kTmpStaleSeconds) fs::remove(it->path(), ec);
-  }
+  // Temp files orphaned by dead writers (result entries, table creation
+  // or compaction) are garbage regardless of the age/size policy.
+  remove_stale_tmp_files(directory_);
 
   // Oldest first; keys are not needed for the age/size policy.
   const std::vector<CacheEntryInfo> entries = list_entries(false);

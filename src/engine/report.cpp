@@ -96,6 +96,15 @@ bool is_summary_record(const std::vector<std::string>& cells) {
   return cells.size() == 1 && cells.front().rfind("# ", 0) == 0;
 }
 
+/// Appends one data row and folds it into the summary trailer: the one
+/// row writer of batch, streamed, queue-chunk and merged CSVs, so their
+/// bytes match by construction.
+void write_csv_row(std::ostream& out, CsvSummary& summary,
+                   const std::vector<std::string>& row) {
+  out << csv_encode_row(row) << '\n';
+  summary.add_row(row);
+}
+
 }  // namespace
 
 bool report_has_size_dists(const std::vector<RunPoint>& points) {
@@ -151,32 +160,27 @@ void write_csv_report(const std::string& path,
                       std::optional<bool> with_size_dist) {
   ESCHED_CHECK(points.size() == results.size(),
                "points/results size mismatch");
-  // One writer for batch, streamed and queue-chunk CSVs, so their bytes
-  // match by construction.
-  StreamingCsvReport report(
-      path, /*resume=*/false,
-      with_size_dist.value_or(report_has_size_dists(points)));
-  for (std::size_t n = 0; n < points.size(); ++n) {
-    report.add_row(n, points[n], results[n]);
-  }
-  report.finish(points.size());
+  const bool size_dists =
+      with_size_dist.value_or(report_has_size_dists(points));
+  atomic_write_file(path, [&](std::ostream& out) {
+    const std::vector<std::string>& header = report_header(size_dists);
+    CsvSummary summary(header);
+    out << csv_encode_row(header) << '\n';
+    for (std::size_t n = 0; n < points.size(); ++n) {
+      write_csv_row(out, summary,
+                    report_row(points[n], results[n], size_dists));
+    }
+    summary.write(out);
+  });
 }
 
-StreamingCsvReport::StreamingCsvReport(const std::string& path, bool resume,
+StreamingCsvReport::StreamingCsvReport(const std::string& path,
                                        bool with_size_dist)
     : path_(path),
       with_size_dist_(with_size_dist),
       summary_(report_header(with_size_dist)) {
   const std::size_t arity = report_header(with_size_dist_).size();
-  std::string existing;
-  if (resume) {
-    std::ifstream in(path, std::ios::binary);
-    if (in.good()) {
-      std::ostringstream buffer;
-      buffer << in.rdbuf();
-      existing = buffer.str();
-    }
-  }
+  const std::string existing = read_file(path).value_or(std::string());
   if (!existing.empty()) {
     // Keep the longest clean prefix: the matching header plus every
     // complete, well-formed data row; stop at a torn line, a malformed
@@ -257,9 +261,8 @@ void StreamingCsvReport::add_row(std::size_t index, const RunPoint& point,
   if (verified_ < resumed_) return;
   while (!pending_.empty() && pending_.begin()->first == next_) {
     open_for_append();
-    const std::vector<std::string>& row = pending_.begin()->second;
-    out_ << csv_encode_row(row) << '\n' << std::flush;
-    summary_.add_row(row);
+    write_csv_row(out_, summary_, pending_.begin()->second);
+    out_ << std::flush;
     pending_.erase(pending_.begin());
     ++next_;
   }
@@ -281,64 +284,46 @@ void StreamingCsvReport::finish(std::size_t total) {
 MergeStats merge_csv_reports(const std::vector<std::string>& inputs,
                              const std::string& out_path) {
   ESCHED_CHECK(!inputs.empty(), "merge needs at least one input CSV");
-  // Stream into a sibling temp file and rename at the end: the output
-  // replaces `out_path` atomically, so a failed merge leaves no torn
-  // file, `--out` may even name one of the inputs, and concurrent merges
-  // racing on one --out each publish a complete file (unique temp names —
-  // a fixed name would let the loser keep writing into the winner's
-  // published artifact).
-  const std::string tmp_path = unique_tmp_path(out_path);
-  std::vector<std::string> header;
-  std::ofstream out;
-  CsvSummary summary({});
+  // Published atomically (common/atomic_file): a failed merge leaves no
+  // torn file, `--out` may even name one of the inputs, and concurrent
+  // merges racing on one --out each publish a complete file.
   MergeStats stats;
-  try {
-  for (const std::string& input : inputs) {
-    std::ifstream in(input, std::ios::binary);
-    ESCHED_CHECK(in.good(), "cannot read '" + input + "'");
-    std::ostringstream buffer;
-    buffer << in.rdbuf();
-    const std::string text = buffer.str();
-
-    std::size_t offset = 0;
-    std::vector<std::string> cells;
-    bool complete = false;
-    ESCHED_CHECK(csv_parse_record(text, &offset, &cells, &complete) &&
-                     complete && !cells.empty(),
-                 "'" + input + "' has no CSV header");
-    if (header.empty()) {
-      header = cells;
-      summary = CsvSummary(header);
-      out.open(tmp_path);
-      ESCHED_CHECK(out.good(), "failed to open CSV file: " + tmp_path);
-      out << csv_encode_row(header) << '\n';
-    } else {
-      ESCHED_CHECK(cells == header,
-                   "'" + input + "' has a different header than '" +
-                       inputs.front() + "'; refusing to merge");
+  atomic_write_file(out_path, [&](std::ostream& out) {
+    std::vector<std::string> header;
+    CsvSummary summary({});
+    for (const std::string& input : inputs) {
+      const std::optional<std::string> text = read_file(input);
+      ESCHED_CHECK(text.has_value(), "cannot read '" + input + "'");
+      std::size_t offset = 0;
+      std::vector<std::string> cells;
+      bool complete = false;
+      ESCHED_CHECK(csv_parse_record(*text, &offset, &cells, &complete) &&
+                       complete && !cells.empty(),
+                   "'" + input + "' has no CSV header");
+      if (header.empty()) {
+        header = cells;
+        summary = CsvSummary(header);
+        out << csv_encode_row(header) << '\n';
+      } else {
+        ESCHED_CHECK(cells == header,
+                     "'" + input + "' has a different header than '" +
+                         inputs.front() + "'; refusing to merge");
+      }
+      while (csv_parse_record(*text, &offset, &cells, &complete)) {
+        if (is_summary_record(cells)) continue;  // recomputed below
+        ESCHED_CHECK(complete, "'" + input + "' ends in a truncated row");
+        ESCHED_CHECK(cells.size() == header.size(),
+                     "'" + input + "' has a row with " +
+                         std::to_string(cells.size()) +
+                         " fields (header has " +
+                         std::to_string(header.size()) + ")");
+        write_csv_row(out, summary, cells);
+        ++stats.rows;
+      }
+      ++stats.files;
     }
-    while (csv_parse_record(text, &offset, &cells, &complete)) {
-      if (is_summary_record(cells)) continue;  // recomputed below
-      ESCHED_CHECK(complete, "'" + input + "' ends in a truncated row");
-      ESCHED_CHECK(cells.size() == header.size(),
-                   "'" + input + "' has a row with " +
-                       std::to_string(cells.size()) + " fields (header has " +
-                       std::to_string(header.size()) + ")");
-      out << csv_encode_row(cells) << '\n';
-      summary.add_row(cells);
-      ++stats.rows;
-    }
-    ++stats.files;
-  }
-  summary.write(out);
-  out.close();  // the final flush can fail too
-  ESCHED_CHECK(out.good(), "error writing '" + tmp_path + "'");
-  } catch (...) {
-    out.close();
-    std::remove(tmp_path.c_str());
-    throw;
-  }
-  atomic_publish_file(tmp_path, out_path);
+    summary.write(out);
+  });
   return stats;
 }
 
@@ -346,7 +331,7 @@ MergeStats merge_json_reports(const std::vector<std::string>& inputs,
                               const std::string& out_path) {
   ESCHED_CHECK(!inputs.empty(), "merge needs at least one input JSON report");
   // Accumulate everything in memory first (reports are rows of numbers; a
-  // million-point sweep is tens of MB), then write temp + rename so a
+  // million-point sweep is tens of MB), then publish atomically so a
   // failed merge leaves no torn file and --out may name an input.
   std::vector<std::string> point_lines;
   std::vector<std::string> keys;  // the point-object "header"
@@ -358,11 +343,9 @@ MergeStats merge_json_reports(const std::vector<std::string>& inputs,
   double threads = 0, wall_seconds = 0, solve_seconds = 0;
   MergeStats stats;
   for (const std::string& input : inputs) {
-    std::ifstream in(input, std::ios::binary);
-    ESCHED_CHECK(in.good(), "cannot read '" + input + "'");
-    std::ostringstream buffer;
-    buffer << in.rdbuf();
-    const JsonValue root = parse_json(buffer.str(), input);
+    const std::optional<std::string> text = read_file(input);
+    ESCHED_CHECK(text.has_value(), "cannot read '" + input + "'");
+    const JsonValue root = parse_json(*text, input);
     const JsonValue* points = root.find("points");
     ESCHED_CHECK(points != nullptr && points->is_array(),
                  "'" + input +
@@ -417,12 +400,9 @@ MergeStats merge_json_reports(const std::vector<std::string>& inputs,
     ++stats.files;
   }
 
-  // Unique temp + rename, as in the CSV merge: concurrent merges racing
-  // on one --out each publish a complete file.
-  const std::string tmp_path = unique_tmp_path(out_path);
-  {
-    std::ofstream out(tmp_path);
-    ESCHED_CHECK(out.good(), "failed to open JSON file: " + tmp_path);
+  // Published atomically, as the CSV merge: concurrent merges racing on
+  // one --out each publish a complete file.
+  atomic_write_file(out_path, [&](std::ostream& out) {
     out << "{\n  \"points\": [\n";
     for (std::size_t n = 0; n < point_lines.size(); ++n) {
       out << point_lines[n] << (n + 1 < point_lines.size() ? "," : "")
@@ -440,13 +420,7 @@ MergeStats merge_json_reports(const std::vector<std::string>& inputs,
           << ", \"solve_seconds\": " << format_double(solve_seconds) << "}";
     }
     out << "\n}\n";
-    out.close();  // the final flush can fail too
-    if (!out.good()) {
-      std::remove(tmp_path.c_str());
-      throw Error("error writing '" + tmp_path + "'");
-    }
-  }
-  atomic_publish_file(tmp_path, out_path);
+  });
   return stats;
 }
 
@@ -482,41 +456,39 @@ void write_json_report(const std::string& path,
                "points/results size mismatch");
   const bool with_size_dist =
       with_size_dist_opt.value_or(report_has_size_dists(points));
-  std::ofstream out(path);
-  ESCHED_CHECK(out.good(), "cannot open '" + path + "' for writing");
-  const auto& header = report_header(with_size_dist);
-  out << "{\n  \"points\": [\n";
-  for (std::size_t n = 0; n < points.size(); ++n) {
-    const auto row = report_row(points[n], results[n], with_size_dist);
-    out << "    {";
-    for (std::size_t c = 0; c < header.size(); ++c) {
-      if (c > 0) out << ", ";
-      // Only the policy/solver/size-dist columns are strings; everything
-      // else is emitted numerically (format_double never produces non-JSON
-      // text).
-      const bool quoted = header[c] == "policy" || header[c] == "solver" ||
-                          header[c] == "size_dist_i" ||
-                          header[c] == "size_dist_e";
-      out << '"' << header[c] << "\": ";
-      if (quoted) out << '"' << row[c] << '"';
-      else out << row[c];
+  atomic_write_file(path, [&](std::ostream& out) {
+    const auto& header = report_header(with_size_dist);
+    out << "{\n  \"points\": [\n";
+    for (std::size_t n = 0; n < points.size(); ++n) {
+      const auto row = report_row(points[n], results[n], with_size_dist);
+      out << "    {";
+      for (std::size_t c = 0; c < header.size(); ++c) {
+        if (c > 0) out << ", ";
+        // Only the policy/solver/size-dist columns are strings; everything
+        // else is emitted numerically (format_double never produces
+        // non-JSON text).
+        const bool quoted = header[c] == "policy" || header[c] == "solver" ||
+                            header[c] == "size_dist_i" ||
+                            header[c] == "size_dist_e";
+        out << '"' << header[c] << "\": ";
+        if (quoted) out << '"' << row[c] << '"';
+        else out << row[c];
+      }
+      out << '}' << (n + 1 < points.size() ? "," : "") << '\n';
     }
-    out << '}' << (n + 1 < points.size() ? "," : "") << '\n';
-  }
-  out << "  ]";
-  if (stats != nullptr) {
-    out << ",\n  \"stats\": {\"total_points\": " << stats->total_points
-        << ", \"solved_points\": " << stats->solved_points
-        << ", \"cache_hits\": " << stats->cache_hits
-        << ", \"disk_hits\": " << stats->disk_hits
-        << ", \"threads\": " << stats->threads_used
-        << ", \"wall_seconds\": " << format_double(stats->wall_seconds)
-        << ", \"solve_seconds\": "
-        << format_double(stats->solve_seconds_total) << "}";
-  }
-  out << "\n}\n";
-  out.close();  // the final flush can fail too
-  ESCHED_CHECK(out.good(), "error writing '" + path + "'");
+    out << "  ]";
+    if (stats != nullptr) {
+      out << ",\n  \"stats\": {\"total_points\": " << stats->total_points
+          << ", \"solved_points\": " << stats->solved_points
+          << ", \"cache_hits\": " << stats->cache_hits
+          << ", \"disk_hits\": " << stats->disk_hits
+          << ", \"threads\": " << stats->threads_used
+          << ", \"wall_seconds\": " << format_double(stats->wall_seconds)
+          << ", \"solve_seconds\": "
+          << format_double(stats->solve_seconds_total) << "}";
+    }
+    out << "\n}\n";
+  });
 }
 
 void print_sweep_summary(std::ostream& os, const std::vector<RunPoint>& points,

@@ -36,6 +36,8 @@ bool report_has_size_dists(const std::vector<RunPoint>& points);
 /// larger sweep, pass report_has_size_dists of the FULL sweep instead —
 /// deriving from the slice would let shards of a mixed exp/non-exp
 /// size_dist sweep disagree on the header and `esched merge` refuse them.
+/// Published atomically (common/atomic_file): a failed write leaves `path`
+/// as it was.
 void write_csv_report(const std::string& path,
                       const std::vector<RunPoint>& points,
                       const std::vector<RunResult>& results,
@@ -71,23 +73,22 @@ class CsvSummary {
 /// a flush after every row so a running sweep can be tailed. Completions
 /// may arrive out of order; rows are buffered until their predecessors
 /// are on disk, so the file is always a clean input-order prefix plus at
-/// most one torn line if the process dies mid-write. With resume = true,
-/// an existing file with this report's header keeps its complete data
-/// rows (any torn tail and old summary trailer are truncated away) and
-/// add_row skips the indices already on disk — rerunning the identical
-/// command after an interruption yields a byte-identical final CSV.
+/// most one torn line if the process dies mid-write. An existing file
+/// with this report's header is resumed: it keeps its complete data rows
+/// (any torn tail and old summary trailer are truncated away) and add_row
+/// skips the indices already on disk — rerunning the identical command
+/// after an interruption yields a byte-identical final CSV.
 class StreamingCsvReport {
  public:
-  /// Opens `path`. resume = false truncates unconditionally; resume =
-  /// true scans an existing file first (throws esched::Error when its
-  /// header is complete but does not match the report schema; a file
-  /// torn before even the header finished restarts fresh).
+  /// Opens `path`, scanning an existing file first (throws esched::Error
+  /// when its header is complete but does not match the report schema; a
+  /// file torn before even the header finished restarts fresh).
   /// `with_size_dist` selects the extended schema with size_dist columns;
   /// a streaming caller must pass what report_has_size_dists would say of
   /// the sweep's points (the CLI derives it from the loaded scenarios) so
   /// streamed files stay byte-identical to batch-written ones.
-  StreamingCsvReport(const std::string& path, bool resume,
-                     bool with_size_dist = false);
+  explicit StreamingCsvReport(const std::string& path,
+                              bool with_size_dist = false);
 
   /// Hands over the result of input index `index`; writes it (and any
   /// buffered successors) once all earlier rows are on disk. An index
@@ -119,6 +120,9 @@ class StreamingCsvReport {
 
   std::string path_;
   bool with_size_dist_ = false;
+  // esched-lint: allow(raw-file-io): the --stream file is appended in
+  // place so a running sweep can be tailed; the resume scan, not an
+  // atomic publish, makes a torn tail recoverable.
   std::ofstream out_;
   CsvSummary summary_;
   std::size_t truncate_at_ = 0;  ///< clean-prefix byte length on resume
@@ -161,8 +165,8 @@ MergeStats merge_csv_reports(const std::vector<std::string>& inputs,
 /// wall-clock stats are volatile either way). Every point object must
 /// carry the same keys in the same order as the first input's first point
 /// (the JSON "header"); inputs with zero points are fine. The stats block
-/// is omitted when no input has one. Writes via temp + atomic rename, so
-/// out_path may name an input and a failed merge leaves no torn file.
+/// is omitted when no input has one. Published atomically, so out_path
+/// may name an input and a failed merge leaves no torn file.
 /// Throws esched::Error on unreadable/unparseable input or key mismatch.
 MergeStats merge_json_reports(const std::vector<std::string>& inputs,
                               const std::string& out_path);
@@ -181,7 +185,7 @@ RowCallback progress_callback(std::size_t total, std::ostream& os,
                               std::size_t offset = 0);
 
 /// Same rows as a JSON document: {"points": [...], "stats": {...}?}.
-/// `with_size_dist` as in write_csv_report.
+/// `with_size_dist` and the atomic publication as in write_csv_report.
 void write_json_report(const std::string& path,
                        const std::vector<RunPoint>& points,
                        const std::vector<RunResult>& results,

@@ -632,30 +632,10 @@ CacheGcResult TieredResultCache::gc(
     std::optional<std::uintmax_t> max_bytes) const {
   if (table_ == nullptr) return files_.gc(max_age_seconds, max_bytes);
 
-  // Stale table-creation temps (a creator died between open and link) are
-  // cruft under the same >1h rule the file tier uses for its own temps.
   namespace fs = std::filesystem;
-  constexpr double kTmpStaleSeconds = 3600.0;
-  const std::string table_tmp_prefix =
-      fs::path(ShmResultCache::table_path(files_.directory()))
-          .filename()
-          .string() +
-      ".tmp.";
-  std::error_code ec;
-  const auto now = fs::file_time_type::clock::now();
-  for (fs::directory_iterator it(files_.directory(), ec), end;
-       !ec && it != end; it.increment(ec)) {
-    const std::string name = it->path().filename().string();
-    if (name.rfind(table_tmp_prefix, 0) != 0) continue;
-    std::error_code tmp_ec;
-    const auto mtime = fs::last_write_time(it->path(), tmp_ec);
-    if (tmp_ec) continue;
-    const double age = std::chrono::duration<double>(now - mtime).count();
-    if (age > kTmpStaleSeconds) fs::remove(it->path(), ec);
-  }
-
-  // Age policy + temp sweep on the file tier; the byte budget is applied
-  // below across both tiers (a table slot costs slot_bytes).
+  // Age policy on the file tier, plus the stale-temp sweep of the whole
+  // directory (table temps included); the byte budget is applied below
+  // across both tiers (a table slot costs slot_bytes).
   CacheGcResult result = files_.gc(max_age_seconds, std::nullopt);
   ShmTableInfo table_info = table_->info();
   std::vector<CacheEntryInfo> table_entries = table_->list_entries();

@@ -1,9 +1,8 @@
 #include "engine/spec.hpp"
 
 #include <algorithm>
-#include <fstream>
-#include <sstream>
 
+#include "common/atomic_file.hpp"
 #include "common/error.hpp"
 #include "engine/report.hpp"
 
@@ -324,11 +323,9 @@ Scenario parse_scenario_text(const std::string& text,
 }
 
 Scenario load_scenario_file(const std::string& path) {
-  std::ifstream in(path);
-  ESCHED_CHECK(in.good(), "cannot open scenario spec '" + path + "'");
-  std::stringstream buffer;
-  buffer << in.rdbuf();
-  return parse_scenario_text(buffer.str(), path);
+  const std::optional<std::string> text = read_file(path);
+  ESCHED_CHECK(text.has_value(), "cannot open scenario spec '" + path + "'");
+  return parse_scenario_text(*text, path);
 }
 
 JsonValue scenario_to_json(const Scenario& scenario) {

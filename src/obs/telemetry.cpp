@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <filesystem>
-#include <fstream>
-#include <sstream>
 
 #include "common/atomic_file.hpp"
 #include "common/error.hpp"
@@ -145,7 +143,7 @@ FleetSnapshot read_fleet_telemetry(const std::string& dir) {
   for (const fs::directory_entry& entry : it) {
     if (!entry.is_regular_file()) continue;
     const std::string name = entry.path().filename().string();
-    if (name.find(".tmp.") != std::string::npos) continue;  // mid-publish
+    if (is_tmp_file_name(name)) continue;  // mid-publish
     if (name.size() <= std::string(kTelemetrySuffix).size() ||
         name.compare(name.size() - std::string(kTelemetrySuffix).size(),
                      std::string::npos, kTelemetrySuffix) != 0) {
@@ -153,10 +151,10 @@ FleetSnapshot read_fleet_telemetry(const std::string& dir) {
     }
     WorkerTelemetry worker;
     try {
-      std::ifstream in(entry.path(), std::ios::binary);
-      std::ostringstream text;
-      text << in.rdbuf();
-      const JsonValue doc = parse_json(text.str(), name);
+      const std::optional<std::string> text =
+          read_file(entry.path().string());
+      if (!text.has_value()) throw Error(name + ": unreadable");
+      const JsonValue doc = parse_json(*text, name);
       const JsonValue* version = doc.find("telemetry_schema_version");
       if (version == nullptr ||
           version->as_integer(name, 1, 1000000) != kTelemetrySchemaVersion) {

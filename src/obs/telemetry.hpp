@@ -6,7 +6,7 @@
 //
 // Every publication goes through atomic_write_file (temp + rename), so a
 // reader never sees a torn document — a worker SIGKILLed mid-write leaves
-// at worst a stale previous snapshot and a sweepable '.tmp.' orphan, and
+// at worst a stale previous snapshot and a sweepable temp orphan, and
 // a snapshot that fails to parse is skipped by the merger (reads as
 // absent), never fatal. Heartbeat lag is the file's mtime age, the same
 // wall-clock-free convention the lease protocol uses.
@@ -99,10 +99,12 @@ struct FleetSnapshot {
   std::size_t skipped_files = 0;  ///< unparsable or foreign files ignored
 };
 
-/// Reads and merges every '*.metrics.json' under `dir`. Torn, foreign,
-/// and '.tmp.' files are counted in skipped_files and otherwise ignored;
-/// a missing or empty directory yields an empty snapshot — status must
-/// degrade, not throw, while a fleet is mid-flight.
+/// Reads and merges every '*.metrics.json' under `dir`. Torn, unreadable
+/// and version-skewed snapshots are counted in skipped_files and
+/// otherwise ignored; temp files (is_tmp_file_name) and foreign names are
+/// not snapshots and are passed over. A missing or empty directory yields
+/// an empty snapshot — status must degrade, not throw, while a fleet is
+/// mid-flight.
 FleetSnapshot read_fleet_telemetry(const std::string& dir);
 
 }  // namespace esched

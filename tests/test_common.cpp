@@ -1,9 +1,11 @@
 // Unit tests for common utilities: error macros, numeric helpers, the
-// table printer, the CSV writer, JSON number formatting, and atomic file
-// publication.
+// table printer, the CSV writer, JSON number formatting, and the file
+// module (atomic publication, the stale-temp reaper, whole-file reads).
 #include <gtest/gtest.h>
 #include <sys/resource.h>
 
+#include <algorithm>
+#include <chrono>
 #include <cmath>
 #include <csignal>
 #include <cstdio>
@@ -11,8 +13,11 @@
 #include <filesystem>
 #include <fstream>
 #include <iomanip>
+#include <iterator>
 #include <limits>
+#include <optional>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
@@ -275,6 +280,65 @@ TEST(AtomicFile, FailedFinalFlushPublishesNothing) {
       },
       ::testing::ExitedWithCode(0), "");
   EXPECT_TRUE(fs::is_empty(dir));
+  fs::remove_all(dir);
+}
+
+TEST(AtomicFile, StreamingWriterPublishesNothingWhenTheBodyThrows) {
+  // A body that throws halfway leaves the old file untouched and no temp
+  // behind; the body's own exception reaches the caller.
+  namespace fs = std::filesystem;
+  const fs::path dir = fs::path(testing::TempDir()) / "atomic_throw";
+  fs::remove_all(dir);
+  fs::create_directories(dir);
+  const std::string dest = (dir / "out.txt").string();
+  atomic_write_file(dest, "old\n");
+  EXPECT_THROW(atomic_write_file(dest,
+                                 [](std::ostream& out) {
+                                   out << "half a body";
+                                   throw std::runtime_error("body failed");
+                                 }),
+               std::runtime_error);
+  EXPECT_EQ(read_file(dest), std::optional<std::string>("old\n"));
+  EXPECT_EQ(std::distance(fs::directory_iterator(dir),
+                          fs::directory_iterator()),
+            1);
+  atomic_write_file(dest, [](std::ostream& out) { out << "new" << 1 << '\n'; });
+  EXPECT_EQ(read_file(dest), std::optional<std::string>("new1\n"));
+  EXPECT_FALSE(read_file((dir / "absent.txt").string()).has_value());
+  fs::remove_all(dir);
+}
+
+TEST(AtomicFile, ReaperRemovesOnlyStaleTemps) {
+  // Temps older than an hour are debris of dead writers; a young temp may
+  // be a live publish, and files that are not temps are never touched,
+  // however old.
+  namespace fs = std::filesystem;
+  const fs::path dir = fs::path(testing::TempDir()) / "atomic_reaper";
+  fs::remove_all(dir);
+  fs::create_directories(dir);
+  const auto write_aged = [&](const std::string& name, std::chrono::hours age) {
+    const std::string path = (dir / name).string();
+    atomic_write_file(path, "x");
+    fs::last_write_time(path, fs::file_time_type::clock::now() - age);
+  };
+  write_aged("stale.csv.tmp.7.8", std::chrono::hours(2));
+  write_aged("stale.result.tmp.1.2", std::chrono::hours(2));
+  write_aged("young.csv.tmp.3.4", std::chrono::hours(0));
+  write_aged("old.csv", std::chrono::hours(48));
+  write_aged("old.result", std::chrono::hours(48));
+  EXPECT_TRUE(is_tmp_file_name("young.csv.tmp.3.4"));
+  EXPECT_FALSE(is_tmp_file_name("old.csv"));
+
+  EXPECT_EQ(remove_stale_tmp_files(dir.string()), 2u);
+  std::vector<std::string> left;
+  for (const auto& entry : fs::directory_iterator(dir)) {
+    left.push_back(entry.path().filename().string());
+  }
+  std::sort(left.begin(), left.end());
+  EXPECT_EQ(left, (std::vector<std::string>{"old.csv", "old.result",
+                                            "young.csv.tmp.3.4"}));
+  EXPECT_EQ(remove_stale_tmp_files(dir.string()), 0u);
+  EXPECT_EQ(remove_stale_tmp_files((dir / "absent").string()), 0u);
   fs::remove_all(dir);
 }
 

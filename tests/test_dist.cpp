@@ -385,6 +385,26 @@ TEST(DistWorkers, ZeroPollIntervalIsRejectedBeforeAnyClaim) {
   fs::remove_all(dir);
 }
 
+TEST(DistWorkers, ZeroLeaseTtlIsRejectedBeforeAnyClaim) {
+  // A TTL of 0 would make every worker requeue every live lease.
+  const std::string dir = scratch_dir("zero_ttl");
+  WorkQueue queue = WorkQueue::init(dir, test_sweep(), 3);
+  const std::size_t pending = queue.pending_tasks().size();
+  WorkerOptions options;
+  options.threads = 1;
+  options.lease_ttl_seconds = 0.0;
+  try {
+    run_worker(dir, options);
+    ADD_FAILURE() << "run_worker accepted a lease TTL of 0";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("--lease-ttl"), std::string::npos)
+        << e.what();
+  }
+  EXPECT_EQ(queue.pending_tasks().size(), pending);
+  EXPECT_TRUE(queue.leases().empty());
+  fs::remove_all(dir);
+}
+
 TEST(MergeJsonReports, ConcatenatesPointsAndRecomputesStats) {
   const LoadedSweep sweep = test_sweep();
   const std::vector<RunPoint> all = sweep.concatenated();

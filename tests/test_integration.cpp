@@ -228,5 +228,66 @@ TEST(GoldenClaims, InelasticFirstDominatesWorkOnEveryTrace) {
   }
 }
 
+// Fig. 4 / Thm. 5: with exponential sizes, Inelastic-First is optimal
+// whenever mu_I >= mu_E, so in every rho panel of the fig4 winner map IF
+// has the lower E[T] at each cell on or above the diagonal.
+TEST(GoldenClaims, Fig4InelasticFirstWinsWhereMuIAtLeastMuE) {
+  const GoldenCsv csv = read_golden("fig4");
+  const std::size_t rho = csv.column("rho");
+  const std::size_t mu_i = csv.column("mu_i");
+  const std::size_t mu_e = csv.column("mu_e");
+  const std::size_t policy = csv.column("policy");
+  const std::size_t et = csv.column("et");
+  // (rho, mu_i, mu_e) -> policy -> E[T]
+  std::map<std::vector<std::string>, std::map<std::string, double>> cells;
+  for (const auto& row : csv.rows) {
+    cells[{row[rho], row[mu_i], row[mu_e]}][row[policy]] = std::stod(row[et]);
+  }
+  std::map<std::string, std::size_t> checked;  // per rho panel
+  for (const auto& [cell, by_policy] : cells) {
+    if (std::stod(cell[1]) < std::stod(cell[2])) continue;
+    ASSERT_EQ(by_policy.count("IF"), 1u) << "rho=" << cell[0];
+    ASSERT_EQ(by_policy.count("EF"), 1u) << "rho=" << cell[0];
+    EXPECT_LE(by_policy.at("IF"), by_policy.at("EF"))
+        << "rho=" << cell[0] << " mu_i=" << cell[1] << " mu_e=" << cell[2];
+    ++checked[cell[0]];
+  }
+  EXPECT_EQ(checked.size(), 3u);  // rho 0.5, 0.7, 0.9
+  for (const auto& [panel, count] : checked) {
+    EXPECT_GT(count, 0u) << "rho=" << panel;
+  }
+}
+
+// Thm. 5: IF minimises E[T] over every policy wherever mu_I >= mu_E. In
+// the optimality-family golden no member of the family (EF, FairShare,
+// Cap2, IF+idle1) beats IF on such a case, beyond solver roundoff.
+TEST(GoldenClaims, OptimalityFamilyTheorem5) {
+  const GoldenCsv csv = read_golden("optimality-family");
+  const std::vector<std::size_t> case_columns = {
+      csv.column("k"), csv.column("rho"), csv.column("mu_i"),
+      csv.column("mu_e")};
+  const std::size_t policy = csv.column("policy");
+  const std::size_t et = csv.column("et");
+  std::map<std::vector<std::string>, std::map<std::string, double>> cases;
+  for (const auto& row : csv.rows) {
+    std::vector<std::string> key;
+    for (std::size_t c : case_columns) key.push_back(row[c]);
+    cases[key][row[policy]] = std::stod(row[et]);
+  }
+  std::size_t checked = 0;
+  for (const auto& [key, by_policy] : cases) {
+    if (std::stod(key[2]) < std::stod(key[3])) continue;
+    ASSERT_EQ(by_policy.count("IF"), 1u) << "rho=" << key[1];
+    ASSERT_GT(by_policy.size(), 1u) << "rho=" << key[1];
+    double best = by_policy.at("IF");
+    for (const auto& [name, value] : by_policy) best = std::min(best, value);
+    EXPECT_LE(by_policy.at("IF") - best, 1e-9)
+        << "k=" << key[0] << " rho=" << key[1] << " mu_i=" << key[2]
+        << " mu_e=" << key[3];
+    ++checked;
+  }
+  EXPECT_GT(checked, 0u);
+}
+
 }  // namespace
 }  // namespace esched

@@ -446,9 +446,9 @@ TEST(SizeDist, StreamedReportWithSizeDistsMatchesBatchBytes) {
   const std::string batch_path = testing::TempDir() + "sdist_batch.csv";
   const std::string stream_path = testing::TempDir() + "sdist_stream.csv";
   write_csv_report(batch_path, {point}, {result});
+  std::remove(stream_path.c_str());
   {
-    StreamingCsvReport report(stream_path, /*resume=*/false,
-                              /*with_size_dist=*/true);
+    StreamingCsvReport report(stream_path, /*with_size_dist=*/true);
     report.add_row(0, point, result);
     report.finish(1);
   }

@@ -1,7 +1,8 @@
 // Tests for the streaming/resume/merge layer: streamed CSVs match batch
 // CSVs byte-for-byte, an interrupted stream resumes to a byte-identical
 // file, `merge_csv_reports` of shard CSVs reproduces the unsharded report
-// (including empty shards), shard range math survives huge totals, the
+// (including empty shards), a report or merge whose final flush fails
+// publishes nothing, shard range math survives huge totals, the
 // disk-cache field table keeps serializer/deserializer/count in sync, and
 // `cache ls/gc` manifest + eviction behave.
 #include <gtest/gtest.h>
@@ -57,7 +58,7 @@ Scenario stream_scenario() {
 /// holds a partial run) and finishes the report.
 void stream_sweep(const std::vector<RunPoint>& points,
                   const std::string& path) {
-  StreamingCsvReport report(path, /*resume=*/true);
+  StreamingCsvReport report(path);
   SweepRunner runner(4);
   runner.run(points, nullptr,
              [&report](std::size_t index, const RunPoint& point,
@@ -158,7 +159,7 @@ TEST(StreamingCsvReport, ResumeAfterMidRowTruncationIsByteIdentical) {
   write_file(resumed_path, full.substr(0, cut));
 
   {
-    StreamingCsvReport probe(resumed_path, /*resume=*/true);
+    StreamingCsvReport probe(resumed_path);
     EXPECT_EQ(probe.rows_resumed(), 5u);  // the torn 6th row is dropped
     // Abandon without finishing: the truncated-but-clean file remains.
   }
@@ -176,7 +177,7 @@ TEST(StreamingCsvReport, ResumeAfterMidRowTruncationIsByteIdentical) {
 TEST(StreamingCsvReport, RefusesForeignHeader) {
   const std::string path = testing::TempDir() + "stream_foreign.csv";
   write_file(path, "a,b,c\n1,2,3\n");
-  EXPECT_THROW(StreamingCsvReport(path, /*resume=*/true), Error);
+  EXPECT_THROW(StreamingCsvReport{path}, Error);
   std::remove(path.c_str());
 }
 
@@ -189,7 +190,7 @@ TEST(StreamingCsvReport, TornHeaderRestartsFresh) {
   write_file(path, "k,rho,mu_i");  // header prefix, no newline
   stream_sweep(points, path);
   {
-    StreamingCsvReport probe(path, /*resume=*/true);
+    StreamingCsvReport probe(path);
     EXPECT_EQ(probe.rows_resumed(), points.size());
   }
   std::remove(path.c_str());
@@ -366,6 +367,57 @@ TEST(Merge, FailedFinalFlushPublishesNothing) {
       ::testing::ExitedWithCode(0), "");
   EXPECT_TRUE(fs::is_empty(out_dir));
   fs::remove_all(dir);
+}
+
+/// Writes a two-row report (~1 KB as CSV or JSON) into a fresh `out_dir`
+/// in a death-test child whose files are capped at 100 bytes. The rows
+/// fit in the stream buffer, so they reach the temp file only at the
+/// final flush, which the cap makes fail: the write must throw
+/// esched::Error and leave `out_dir` empty — no torn report under its
+/// final name, no temp.
+template <typename Write>
+void expect_failed_flush_publishes_nothing(const std::string& name,
+                                           Write write) {
+  namespace fs = std::filesystem;
+  const fs::path out_dir = fs::path(testing::TempDir()) / name;
+  fs::remove_all(out_dir);
+  fs::create_directories(out_dir);
+  std::vector<RunPoint> points = stream_scenario().expand();
+  points.resize(2);
+  const std::vector<RunResult> results(points.size());
+  const std::string path = (out_dir / "report").string();
+  EXPECT_EXIT(
+      {
+        limit_file_size(100);
+        try {
+          write(path, points, results);
+        } catch (const Error&) {
+          std::exit(0);
+        }
+        std::fprintf(stderr, "the report write returned normally\n");
+        std::exit(1);
+      },
+      ::testing::ExitedWithCode(0), "");
+  EXPECT_TRUE(fs::is_empty(out_dir));
+  fs::remove_all(out_dir);
+}
+
+TEST(Report, CsvFailedFinalFlushPublishesNothing) {
+  expect_failed_flush_publishes_nothing(
+      "report_csv_fsize",
+      [](const std::string& path, const std::vector<RunPoint>& points,
+         const std::vector<RunResult>& results) {
+        write_csv_report(path, points, results);
+      });
+}
+
+TEST(Report, JsonFailedFinalFlushPublishesNothing) {
+  expect_failed_flush_publishes_nothing(
+      "report_json_fsize",
+      [](const std::string& path, const std::vector<RunPoint>& points,
+         const std::vector<RunResult>& results) {
+        write_json_report(path, points, results);
+      });
 }
 
 TEST(DiskCacheFieldTable, SerializerAndCountStayInSync) {

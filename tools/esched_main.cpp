@@ -198,6 +198,16 @@ void print_scenarios() {
   std::printf("\n");
 }
 
+/// The "--flag VALUE" accessor of every option parser: returns the
+/// argument after args[*n] and advances *n past it.
+std::string next_value(const std::vector<std::string>& args, std::size_t* n,
+                       const char* flag) {
+  if (*n + 1 >= args.size()) {
+    throw esched::Error(std::string(flag) + " expects a value");
+  }
+  return args[++*n];
+}
+
 long parse_long(const char* flag, const std::string& value) {
   char* end = nullptr;
   errno = 0;
@@ -308,28 +318,22 @@ int run_cache(const std::vector<std::string>& args) {
   std::optional<std::uintmax_t> max_bytes;
   std::uint64_t slots = esched::ShmResultCache::kDefaultSlotCount;
   for (std::size_t n = 1; n < args.size(); ++n) {
-    const auto next_value = [&](const char* flag) -> std::string {
-      if (n + 1 >= args.size()) {
-        throw esched::Error(std::string(flag) + " expects a value");
-      }
-      return args[++n];
-    };
     if (args[n] == "--cache-dir") {
-      cache_dir = next_value("--cache-dir");
+      cache_dir = next_value(args, &n, "--cache-dir");
     } else if (args[n] == "--max-age" && action == "gc") {
       max_age = static_cast<double>(
-          parse_long("--max-age", next_value("--max-age")));
+          parse_long("--max-age", next_value(args, &n, "--max-age")));
     } else if (args[n] == "--max-bytes" && action == "gc") {
       max_bytes = static_cast<std::uintmax_t>(
-          parse_long("--max-bytes", next_value("--max-bytes")));
+          parse_long("--max-bytes", next_value(args, &n, "--max-bytes")));
     } else if (args[n] == "--format" && action == "ls") {
-      format = next_value("--format");
+      format = next_value(args, &n, "--format");
       if (format != "text" && format != "json") {
         throw esched::Error("--format expects text or json");
       }
     } else if (args[n] == "--slots" && action == "init") {
       slots = static_cast<std::uint64_t>(
-          parse_long("--slots", next_value("--slots")));
+          parse_long("--slots", next_value(args, &n, "--slots")));
     } else {
       throw esched::Error("unknown cache " + action + " option '" + args[n] +
                           "'");
@@ -443,15 +447,6 @@ int run_cache(const std::vector<std::string>& args) {
       result.removed, result.scanned, result.bytes_removed,
       result.bytes_kept);
   return 0;
-}
-
-/// Shared "--flag VALUE" accessor for the queue subcommand parsers.
-std::string next_value(const std::vector<std::string>& args, std::size_t* n,
-                       const char* flag) {
-  if (*n + 1 >= args.size()) {
-    throw esched::Error(std::string(flag) + " expects a value");
-  }
-  return args[++*n];
 }
 
 /// Installs the process-wide trace sink for its lifetime when a --trace
@@ -949,9 +944,10 @@ int main(int argc, char** argv) {
   bool show_progress = false;
 
   try {
-    if (argc > 1) {
-      const std::string subcommand = argv[1];
-      const std::vector<std::string> rest(argv + 2, argv + argc);
+    const std::vector<std::string> args(argv + 1, argv + argc);
+    if (!args.empty()) {
+      const std::string& subcommand = args.front();
+      const std::vector<std::string> rest(args.begin() + 1, args.end());
       if (subcommand == "merge") return run_merge(rest);
       if (subcommand == "cache") return run_cache(rest);
       if (subcommand == "queue") return run_queue(rest);
@@ -960,14 +956,8 @@ int main(int argc, char** argv) {
       if (subcommand == "collect") return run_collect(rest);
       if (subcommand == "trace") return run_trace(rest);
     }
-    for (int n = 1; n < argc; ++n) {
-      const std::string arg = argv[n];
-      const auto next_value = [&](const char* flag) -> std::string {
-        if (n + 1 >= argc) {
-          throw esched::Error(std::string(flag) + " expects a value");
-        }
-        return argv[++n];
-      };
+    for (std::size_t n = 0; n < args.size(); ++n) {
+      const std::string& arg = args[n];
       if (arg == "--help" || arg == "-h") {
         print_usage();
         return 0;
@@ -982,41 +972,41 @@ int main(int argc, char** argv) {
       } else if (arg == "show" && scenario_args.empty()) {
         show_spec = true;
       } else if (arg == "--threads") {
-        threads = parse_int("--threads", next_value("--threads"));
+        threads = parse_int("--threads", next_value(args, &n, "--threads"));
       } else if (arg == "--seed") {
         seed = static_cast<std::uint64_t>(
-            parse_long("--seed", next_value("--seed")));
+            parse_long("--seed", next_value(args, &n, "--seed")));
         seed_set = true;
       } else if (arg == "--sim-jobs") {
         sim_jobs = static_cast<std::uint64_t>(
-            parse_long("--sim-jobs", next_value("--sim-jobs")));
+            parse_long("--sim-jobs", next_value(args, &n, "--sim-jobs")));
       } else if (arg == "--view") {
-        view_override = next_value("--view");
+        view_override = next_value(args, &n, "--view");
       } else if (arg == "--shard") {
         std::tie(shard_index, shard_count) =
-            parse_shard(next_value("--shard"));
+            parse_shard(next_value(args, &n, "--shard"));
       } else if (arg == "--cache-dir") {
-        cache_dir = next_value("--cache-dir");
+        cache_dir = next_value(args, &n, "--cache-dir");
       } else if (arg == "--out") {
-        out_path = next_value("--out");
+        out_path = next_value(args, &n, "--out");
       } else if (arg == "--stream") {
         stream = true;
       } else if (arg == "--progress") {
         show_progress = true;
       } else if (arg == "--json") {
-        json_path = next_value("--json");
+        json_path = next_value(args, &n, "--json");
       } else if (arg == "--metrics-out") {
-        metrics_path = next_value("--metrics-out");
+        metrics_path = next_value(args, &n, "--metrics-out");
       } else if (arg == "--trace") {
-        trace_path = next_value("--trace");
+        trace_path = next_value(args, &n, "--trace");
       } else if (arg == "--telemetry-dir") {
-        telemetry_dir = next_value("--telemetry-dir");
+        telemetry_dir = next_value(args, &n, "--telemetry-dir");
       } else if (arg == "--telemetry-interval") {
-        telemetry_interval =
-            parse_telemetry_interval(next_value("--telemetry-interval"));
+        telemetry_interval = parse_telemetry_interval(
+            next_value(args, &n, "--telemetry-interval"));
       } else if (arg == "--rows") {
         summary_rows = static_cast<std::size_t>(
-            parse_long("--rows", next_value("--rows")));
+            parse_long("--rows", next_value(args, &n, "--rows")));
       } else if (!arg.empty() && arg[0] == '-') {
         throw esched::Error("unknown option '" + arg + "'");
       } else {
@@ -1091,7 +1081,7 @@ int main(int argc, char** argv) {
     std::unique_ptr<esched::StreamingCsvReport> stream_report;
     if (stream) {
       stream_report = std::make_unique<esched::StreamingCsvReport>(
-          out_path, /*resume=*/true, with_size_dist);
+          out_path, with_size_dist);
       if (stream_report->rows_resumed() > 0) {
         std::printf("resuming %s: %zu complete rows kept\n", out_path.c_str(),
                     stream_report->rows_resumed());

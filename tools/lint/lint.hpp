@@ -5,12 +5,12 @@
 //
 //   raw-file-io         In the atomic-publication zones (src/dist/,
 //                       src/obs/, src/engine/disk_cache.*,
-//                       src/engine/shm_cache.*) files must be
-//                       published through common/atomic_file
-//                       (atomic_write_file / atomic_publish_file), never
+//                       src/engine/report.*, src/engine/shm_cache.*)
+//                       files must be published through
+//                       common/atomic_file (atomic_write_file), never
 //                       via raw std::ofstream / fopen / rename — a torn
-//                       file under a final name breaks the queue protocol
-//                       and the crash-safety story.
+//                       file under a final name breaks the queue protocol,
+//                       shard merges and the crash-safety story.
 //   nondeterminism      No rand()/std::random_device/wall-clock calls in
 //                       library code: solves and reports are bitwise
 //                       deterministic (N-thread == 1-thread, resumable
@@ -36,8 +36,8 @@
 // that line or in the contiguous comment/blank block directly above it
 // (so a multi-line rationale comment covers the line it annotates):
 //
-//   // esched-lint: allow(raw-file-io): streams into a unique temp,
-//   // published below via atomic_publish_file
+//   // esched-lint: allow(raw-file-io): the --stream file is appended
+//   // in place so a running sweep can be tailed
 //
 // Annotations naming an unknown rule are themselves diagnosed
 // (unknown-suppression), so typos cannot silently disable checking.
