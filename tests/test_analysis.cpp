@@ -844,5 +844,122 @@ TEST(ExactCtmc, BitwisePinned) {
   }
 }
 
+TEST(ExactCtmcPh, BitwisePinned) {
+  // The phase-type chain's counterpart of ExactCtmc.BitwisePinned: the
+  // bits of solve_exact_ctmc_ph for erlang:2, erlang:3, a hyperexponential
+  // and a Coxian-2 (all unit mean) at k = 1, 2, 4 under IF and EF, 16
+  // levels each, where every chain takes the block fold along i. Then the
+  // k = 1 erlang:4 IF fold, where a quarter of each level receives
+  // down-transitions, and an IF erlang:3 chain over the fold's flop limit
+  // that takes SOR. Recorded before the fold stopped holding its censored
+  // level blocks as dense matrices. Never regenerate them to make a
+  // change pass.
+  struct Pin {
+    double mean_response_time, mean_jobs_i, mean_jobs_e, boundary_mass,
+        residual;
+    std::size_t states;
+    const char* method;
+  };
+  static const Pin expected[] = {
+      {0x1.83baf7191409ep+1, 0x1.f72371da594a3p-2, 0x1.a109b0ac85bb3p+0,
+       0x1.b83a973536a02p-12, 0x1.cp-56, 561, "block"},
+      {0x1.8bcb3be9ec186p+1, 0x1.a043ee9a53c65p+0, 0x1.13b130f3ed844p-1,
+       0x1.21617438cf3d6p-11, 0x1.cp-55, 817, "block"},
+      {0x1.b26c80d277296p+0, 0x1.8d37b72ab748ep-1, 0x1.9995a5914b2f2p+0,
+       0x1.a6a9ea312e9ap-12, 0x1.8p-54, 816, "block"},
+      {0x1.cf52732961e39p+0, 0x1.fece08bff8b01p+0, 0x1.13b130f3ed835p-1,
+       0x1.65820331c2203p-11, 0x1.2p-53, 1552, "block"},
+      {0x1.0fbecb4e5e82ep+0, 0x1.6d1c7a0c18d1p+0, 0x1.8bc68c02896a5p+0,
+       0x1.832b8233ba6f5p-12, 0x1.cp-53, 1275, "block"},
+      {0x1.37389c6fc48fdp+0, 0x1.6ec95b92b167bp+1, 0x1.13b130f3ed867p-1,
+       0x1.1f2a03cb1a945p-10, 0x1.cp-53, 3515, "block"},
+      {0x1.77b739d1a6479p+1, 0x1.e70e70d9293e6p-2, 0x1.943ce7ef38148p+0,
+       0x1.4540c720e8e6dp-12, 0x1.8p-55, 833, "block"},
+      {0x1.8292777897742p+1, 0x1.935adb9543acfp+0, 0x1.13b130f3ed84ep-1,
+       0x1.e58bfe5a15917p-12, 0x1.cp-53, 1089, "block"},
+      {0x1.a8fd95b8ac8f8p+0, 0x1.897ed22f47b57p-1, 0x1.8e3d35514dbaep+0,
+       0x1.3ad085851a0d5p-12, 0x1.6p-53, 1598, "block"},
+      {0x1.c9990d7a975d8p+0, 0x1.f6ca7a64dd278p+0, 0x1.13b130f3ed839p-1,
+       0x1.34a137ce6e73cp-11, 0x1.cp-54, 2574, "block"},
+      {0x1.0c6e627e26019p+0, 0x1.6c96cbd0f6bc9p+0, 0x1.8304ae5d0d47dp+0,
+       0x1.25de3de0f0fc4p-12, 0x1.8p-52, 3655, "block"},
+      {0x1.360d88139ddd1p+0, 0x1.6d26a57814d4dp+1, 0x1.13b130f3ed82dp-1,
+       0x1.038e4e4202cedp-10, 0x1.8p-52, 8055, "block"},
+      {0x1.d2c028807093cp+1, 0x1.33d84f089865ep-1, 0x1.f3874462b7cf1p+0,
+       0x1.2f8a3bf9934aap-9, 0x1p-54, 561, "block"},
+      {0x1.c8f54a9147fb6p+1, 0x1.f5e536516e045p+0, 0x1.13b130f3ed84p-1,
+       0x1.0231dc5697781p-9, 0x1.3p-55, 817, "block"},
+      {0x1.ed12596a4e6f3p+0, 0x1.a506a96a9f82p-1, 0x1.dfc98edf84745p+0,
+       0x1.105a921136064p-9, 0x1.8p-54, 816, "block"},
+      {0x1.f35e62e1b5277p+0, 0x1.18a2929436a13p+1, 0x1.13b130f3ed832p-1,
+       0x1.f1ce61478b735p-10, 0x1.4p-54, 1552, "block"},
+      {0x1.22a156113fc12p+0, 0x1.702a17134cc6cp+0, 0x1.bd99a6b698efap+0,
+       0x1.a4e9fb73be9f8p-10, 0x1.cp-53, 1275, "block"},
+      {0x1.3e4d65304527ap+0, 0x1.78b3416cff0a4p+1, 0x1.13b130f3ed819p-1,
+       0x1.1574954730d9dp-9, 0x1.a68p-53, 3515, "block"},
+      {0x1.a6fddb76a07bap+1, 0x1.13b130f3ed839p-1, 0x1.c6579ac5b6b82p+0,
+       0x1.e8ad617aed4eap-11, 0x1.cp-56, 561, "block"},
+      {0x1.a6fddb76a07c2p+1, 0x1.c6579ac5b6b8ap+0, 0x1.13b130f3ed83bp-1,
+       0x1.e8ad617aed4fbp-11, 0x1.cp-55, 817, "block"},
+      {0x1.cdb16586c8e8cp+0, 0x1.986ecd7e015ep-1, 0x1.ba275a974bc9fp+0,
+       0x1.c9b4bd6578334p-11, 0x1p-54, 816, "block"},
+      {0x1.e032b2d742e4ep+0, 0x1.0b3730f34d0c3p+1, 0x1.13b130f3ed833p-1,
+       0x1.15fcd2c059dc5p-10, 0x1p-53, 1552, "block"},
+      {0x1.191466292c671p+0, 0x1.6eb65db539a01p+0, 0x1.a44f8d2475e6ep+0,
+       0x1.8bbf0ae51329p-11, 0x1.6p-53, 1275, "block"},
+      {0x1.3abd8ddcc8a69p+0, 0x1.73b6ad91b721ep+1, 0x1.13b130f3ed83ap-1,
+       0x1.8777c49dc8572p-10, 0x1p-53, 3515, "block"},
+      {0x1.71ab32eb7283fp+1, 0x1.df03f03a6eb08p-2, 0x1.8dc84b3b04a62p+0,
+       0x1.15e503bec773p-12, 0x1p-55, 1105, "block"},
+      {0x1.c5b888e483ce9p-1, 0x1.364508d6bb2ffp+0, 0x1.d46403aa2c5c8p-1,
+       0x1.6137ef5149acdp-33, 0x1.1438p-41, 8815, "sor"},
+  };
+  struct Case {
+    SystemParams params;
+    const AllocationPolicy* policy;
+    PhaseType size_dist;
+    ExactCtmcOptions options;
+  };
+  const PhaseType dists[] = {
+      PhaseType::erlang(2, 2.0), PhaseType::erlang(3, 3.0),
+      PhaseType::hyperexponential({0.25, 0.75}, {0.5, 1.5}),
+      PhaseType::coxian2(2.0, 1.0, 0.5)};
+  const InelasticFirst inelastic_first;
+  const ElasticFirst elastic_first;
+  const AllocationPolicy* policies[] = {&inelastic_first, &elastic_first};
+  ExactCtmcOptions sixteen;
+  sixteen.imax = sixteen.jmax = 16;
+  std::vector<Case> cases;
+  for (const PhaseType& dist : dists) {
+    for (const int k : {1, 2, 4}) {
+      for (const AllocationPolicy* policy : policies) {
+        cases.push_back(
+            {SystemParams::from_load(k, 1.0, 1.0, 0.7), policy, dist, sixteen});
+      }
+    }
+  }
+  cases.push_back({SystemParams::from_load(1, 1.0, 1.0, 0.7), &inelastic_first,
+                   PhaseType::erlang(4, 4.0), sixteen});
+  ExactCtmcOptions wide;
+  wide.imax = 16;
+  wide.jmax = 40;
+  cases.push_back({SystemParams::from_load(4, 1.0, 1.0, 0.6), &inelastic_first,
+                   PhaseType::erlang(3, 3.0), wide});
+  ASSERT_EQ(cases.size(), std::size(expected));
+  for (std::size_t c = 0; c < cases.size(); ++c) {
+    const Case& in = cases[c];
+    const ExactCtmcResult r =
+        solve_exact_ctmc_ph(in.params, *in.policy, in.size_dist, in.options);
+    const Pin& e = expected[c];
+    EXPECT_EQ(r.mean_response_time, e.mean_response_time) << "case " << c;
+    EXPECT_EQ(r.mean_jobs_i, e.mean_jobs_i) << "case " << c;
+    EXPECT_EQ(r.mean_jobs_e, e.mean_jobs_e) << "case " << c;
+    EXPECT_EQ(r.boundary_mass, e.boundary_mass) << "case " << c;
+    EXPECT_EQ(r.solve_info.residual, e.residual) << "case " << c;
+    EXPECT_EQ(r.num_states, e.states) << "case " << c;
+    EXPECT_EQ(r.solve_info.method, e.method) << "case " << c;
+  }
+}
+
 }  // namespace
 }  // namespace esched
