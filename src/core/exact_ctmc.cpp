@@ -16,6 +16,7 @@
 #include "markov/nested_dissection.hpp"
 #include "markov/stationary.hpp"
 #include "obs/metrics.hpp"
+#include "obs/trace.hpp"
 
 namespace esched {
 
@@ -60,10 +61,12 @@ constexpr double kAutoBlockFlopLimit = 2e9;
 /// One direct elimination order for the block method: the levels of a
 /// block-tridiagonal fold (`level_of`), or nested dissection of the chain's
 /// grid (`level_of` null). `counter` is the exact.method.block.* counter a
-/// solve in this order bumps.
+/// solve in this order bumps, and `name` its last part, which the
+/// exact.factor trace span reports as its ordering.
 struct BlockOrdering {
   const std::vector<std::uint32_t>* level_of = nullptr;
   const char* counter = "";
+  const char* name = "";
   double flops = 0.0;
   std::size_t bytes = 0;
 };
@@ -84,7 +87,9 @@ struct BlockPlan {
 /// kGthStateLimit states, else the plan's orderings in turn; SOR when the
 /// elimination that ran threw (a reducible chain).
 /// Records per-method solve-time / state-count metrics and, for the block
-/// method, the counter of the ordering that produced the result.
+/// method, the counter of the ordering that produced the result. Each
+/// direct attempt runs in an exact.factor trace span (fields states and
+/// ordering: gth, axis.i, axis.j or nd) and SOR in exact.iterate.
 std::pair<Vector, StationarySolveInfo> solve_stationary(
     const CsrMatrix& rates, const Vector& exit_rates, const BlockPlan& plan) {
   const std::size_t n = rates.rows();
@@ -94,6 +99,8 @@ std::pair<Vector, StationarySolveInfo> solve_stationary(
   const char* block_counter = nullptr;
   if (n <= kGthStateLimit) {
     try {
+      const TraceSpan span("exact.factor",
+                           {{"states", n}, {"ordering", "gth"}});
       pi = gth_stationary(rates, exit_rates);
       solve_info.converged = true;
       solve_info.residual = stationary_residual(rates, exit_rates, pi);
@@ -108,6 +115,8 @@ std::pair<Vector, StationarySolveInfo> solve_stationary(
              plan.tries[0].flops <= plan.auto_flop_limit) {
     for (const BlockOrdering& ordering : plan.tries) {
       try {
+        const TraceSpan span("exact.factor",
+                             {{"states", n}, {"ordering", ordering.name}});
         pi = ordering.level_of != nullptr
                  ? block_tridiagonal_stationary(rates, exit_rates,
                                                 *ordering.level_of,
@@ -127,6 +136,7 @@ std::pair<Vector, StationarySolveInfo> solve_stationary(
     }
   }
   if (solve_info.method.empty()) {
+    const TraceSpan span("exact.iterate", {{"states", n}});
     pi = sor_stationary(rates, exit_rates, kSorTol, kSorMaxIters, kSorOmega,
                         &solve_info);
     ESCHED_CHECK(solve_info.converged, "SOR did not converge in " +
@@ -188,38 +198,45 @@ ExactCtmcResult ExactCtmcBatch::solve(const AllocationPolicy& policy) {
   // arrivals are dropped at the truncation boundary (reflecting wall). The
   // exit rate sums arrival_i, arrival_e, service_i, service_e in that order,
   // the order the solver's results are pinned in.
-  scratch_rates_.begin_rows(num_states, num_states);
-  scratch_exit_.assign(num_states, 0.0);
-  for (long i = 0; i < ni; ++i) {
-    for (long j = 0; j < nj; ++j) {
-      const State state{i, j};
-      policy.check_feasible(state, params_);
-      const Allocation a = policy.allocate(state, params_);
-      const std::size_t s = state_index(i, j, nj);
-      double svc_i = 0.0;
-      if (i > 0 && a.inelastic > 0.0) svc_i = a.inelastic * params_.mu_i;
-      // Bounded elasticity: only cap * j servers of the class allocation
-      // can actually be used by elastic jobs.
-      const double usable = params_.usable_elastic(a.elastic, j);
-      double svc_e = 0.0;
-      if (j > 0 && usable > 0.0) svc_e = usable * params_.mu_e;
-      const bool arrival_i = i + 1 < ni && params_.lambda_i > 0.0;
-      const bool arrival_e = j + 1 < nj && params_.lambda_e > 0.0;
-      if (svc_i > 0.0) scratch_rates_.push(state_index(i - 1, j, nj), svc_i);
-      if (svc_e > 0.0) scratch_rates_.push(state_index(i, j - 1, nj), svc_e);
-      if (arrival_e) {
-        scratch_rates_.push(state_index(i, j + 1, nj), params_.lambda_e);
+  {
+    const TraceSpan build_span("exact.build", {{"states", num_states}});
+    scratch_rates_.begin_rows(num_states, num_states);
+    scratch_exit_.assign(num_states, 0.0);
+    for (long i = 0; i < ni; ++i) {
+      for (long j = 0; j < nj; ++j) {
+        const State state{i, j};
+        policy.check_feasible(state, params_);
+        const Allocation a = policy.allocate(state, params_);
+        const std::size_t s = state_index(i, j, nj);
+        double svc_i = 0.0;
+        if (i > 0 && a.inelastic > 0.0) svc_i = a.inelastic * params_.mu_i;
+        // Bounded elasticity: only cap * j servers of the class allocation
+        // can actually be used by elastic jobs.
+        const double usable = params_.usable_elastic(a.elastic, j);
+        double svc_e = 0.0;
+        if (j > 0 && usable > 0.0) svc_e = usable * params_.mu_e;
+        const bool arrival_i = i + 1 < ni && params_.lambda_i > 0.0;
+        const bool arrival_e = j + 1 < nj && params_.lambda_e > 0.0;
+        if (svc_i > 0.0) {
+          scratch_rates_.push(state_index(i - 1, j, nj), svc_i);
+        }
+        if (svc_e > 0.0) {
+          scratch_rates_.push(state_index(i, j - 1, nj), svc_e);
+        }
+        if (arrival_e) {
+          scratch_rates_.push(state_index(i, j + 1, nj), params_.lambda_e);
+        }
+        if (arrival_i) {
+          scratch_rates_.push(state_index(i + 1, j, nj), params_.lambda_i);
+        }
+        scratch_rates_.next_row();
+        double exit = 0.0;
+        if (arrival_i) exit += params_.lambda_i;
+        if (arrival_e) exit += params_.lambda_e;
+        if (svc_i > 0.0) exit += svc_i;
+        if (svc_e > 0.0) exit += svc_e;
+        scratch_exit_[s] = exit;
       }
-      if (arrival_i) {
-        scratch_rates_.push(state_index(i + 1, j, nj), params_.lambda_i);
-      }
-      scratch_rates_.next_row();
-      double exit = 0.0;
-      if (arrival_i) exit += params_.lambda_i;
-      if (arrival_e) exit += params_.lambda_e;
-      if (svc_i > 0.0) exit += svc_i;
-      if (svc_e > 0.0) exit += svc_e;
-      scratch_exit_[s] = exit;
     }
   }
 
@@ -234,17 +251,17 @@ ExactCtmcResult ExactCtmcBatch::solve(const AllocationPolicy& policy) {
     plan.ni = static_cast<std::size_t>(ni);
     plan.nj = static_cast<std::size_t>(nj);
     const BlockOrdering by_i{
-        &level_by_i_, "exact.method.block.axis.i",
+        &level_by_i_, "exact.method.block.axis.i", "axis.i",
         block_solver_flop_estimate(scratch_rates_, level_by_i_),
         block_solver_workspace_bytes(level_by_i_)};
     const BlockOrdering by_j{
-        &level_by_j_, "exact.method.block.axis.j",
+        &level_by_j_, "exact.method.block.axis.j", "axis.j",
         block_solver_flop_estimate(scratch_rates_, level_by_j_),
         block_solver_workspace_bytes(level_by_j_)};
     const NestedDissectionCost nd_cost =
         nested_dissection_cost(plan.ni, plan.nj);
-    const BlockOrdering nd{nullptr, "exact.method.block.nd", nd_cost.flops,
-                           nd_cost.workspace_bytes};
+    const BlockOrdering nd{nullptr, "exact.method.block.nd", "nd",
+                           nd_cost.flops, nd_cost.workspace_bytes};
     std::array<BlockOrdering, 3> orderings = {nj > ni ? by_j : by_i,
                                               nj > ni ? by_i : by_j, nd};
     std::stable_sort(orderings.begin(), orderings.end(),
@@ -453,12 +470,16 @@ class PhChainBuilder {
   }
 
   ExactCtmcResult solve() {
-    build();
-    SparseCtmc chain(states_.size());
-    for (const CtmcTransition& tr : transitions_) {
-      chain.add_rate(tr.from, tr.to, tr.rate);
-    }
-    chain.freeze();
+    const SparseCtmc chain = [&] {
+      const TraceSpan build_span("exact.build");
+      build();
+      SparseCtmc built(states_.size());
+      for (const CtmcTransition& tr : transitions_) {
+        built.add_rate(tr.from, tr.to, tr.rate);
+      }
+      built.freeze();
+      return built;
+    }();
 
     // The augmented chain is level-structured in i = sum(c) + w: phase
     // progression and admissions preserve i, arrivals/completions move it
@@ -478,7 +499,7 @@ class PhChainBuilder {
       const std::size_t bytes = block_solver_workspace_bytes(level_of);
       if (bytes <= kBlockMemoryLimit) {
         plan.tries.push_back(
-            {&level_of, "exact.method.block.axis.i",
+            {&level_of, "exact.method.block.axis.i", "axis.i",
              block_solver_flop_estimate(chain.rate_matrix(), level_of),
              bytes});
       }

@@ -88,7 +88,10 @@ class ExactCtmcBatch {
   /// nested dissection (nested_dissection_cost) and runs the cheapest.
   /// Under IF an elastic completion leaves at most k states of an N_E
   /// level, while every state of an N_I level has an inelastic completion,
-  /// so IF-type chains fold along N_E and EF along N_I. FairShare and Cap2
+  /// so IF-type chains fold along N_E and EF along N_I. The fold holds each
+  /// level as its sparse rows plus the columns of those few down-targets,
+  /// so such a fold costs about b * m^2 per level of b states with m
+  /// down-targets, not b^3 (see markov/block_solver.hpp). FairShare and Cap2
   /// move both i and j in every state, fill both folds, and take nested
   /// dissection. Ties between the axes keep the longer axis (more, smaller
   /// blocks).

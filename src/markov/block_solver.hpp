@@ -9,9 +9,9 @@
 //     [ C_1  A_1  B_1       ]
 //     [      C_2  A_2  ...  ]
 //
-// which GTH-style block elimination solves *exactly* in O(levels * block^3)
-// time and O(levels * block^2) memory instead of dense O(n^3) / O(n^2):
-// censoring the chain on levels 0..l gives the backward recursion
+// which GTH-style block elimination solves *exactly* instead of by dense
+// O(n^3) / O(n^2) elimination: censoring the chain on levels 0..l gives the
+// backward recursion
 //
 //     S_{L-1} = A_{L-1},   S_l = A_l + R_l C_{l+1},
 //     R_l     = B_l (-S_{l+1})^{-1},
@@ -22,6 +22,15 @@
 // forward accumulation pi_{l+1} = pi_l R_l is subtraction-free like scalar
 // GTH. pi_0 solves the censored generator S_0 by dense GTH; the R factors
 // then roll the distribution back up level by level.
+//
+// The fold is sparse. S_l differs from the sparse A_l only in the m_l
+// columns of the level-l states that receive down-transitions, so each
+// level is held as A_l's rows plus those m_l dense columns, and (-S)^T is
+// factored by an LU that touches only stored entries: about b * m^2 work
+// per level of b states (see block_solver_flop_estimate) and O(b * m)
+// scratch, plus the kept factors. Only S_0 is formed densely, for GTH.
+// The LU pivots, scales and updates exactly as a dense elimination that
+// skips zeros, so its results are bitwise those of the dense fold.
 #pragma once
 
 #include <cstdint>
@@ -44,11 +53,14 @@ Vector block_tridiagonal_stationary(const CsrMatrix& rates,
                                     const std::vector<std::uint32_t>& level_of,
                                     StationarySolveInfo* info = nullptr);
 
-/// Estimated peak workspace of block_tridiagonal_stationary for this level
-/// partition: the stored R factors (sum of b_l * b_{l+1} doubles) plus the
-/// dense per-level blocks (a few max-block-squared). Used by the exact
-/// backend's auto method selection to fall back to SOR rather than blow
-/// the memory budget on degenerate partitions (e.g. one giant level).
+/// Upper bound on the peak workspace of block_tridiagonal_stationary for
+/// this level partition, as if every kept factor were dense (sum of b_l^2
+/// doubles over levels l >= 1) and every level block were held densely (a
+/// few max-block-squared). The sparse fold keeps far less on chains whose
+/// levels have few down-targets; the bound is left as it is so that no
+/// chain's route changes. Used by the exact backend's auto method
+/// selection to fall back to SOR rather than blow the memory budget on
+/// degenerate partitions (e.g. one giant level).
 std::size_t block_solver_workspace_bytes(
     const std::vector<std::uint32_t>& level_of);
 

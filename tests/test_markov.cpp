@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <optional>
 #include <random>
 #include <string>
 #include <utility>
@@ -451,52 +452,466 @@ TEST(BlockSolver, MatchesGthOnTwoDimensionalChain) {
   }
 }
 
-TEST(BlockSolver, RandomizedChainsAgreeWithGth) {
-  // Random level-structured irreducible chains: a guaranteed up/down
-  // ladder through each level's first state, every state tied to its
-  // level's first state both ways, plus random extra edges.
-  std::mt19937_64 rng(20260808);
+/// Random level-structured irreducible chain, `trial` choosing the level
+/// count: a guaranteed up/down ladder through each level's first state,
+/// every state tied to its level's first state both ways, plus random
+/// extra edges.
+SparseCtmc random_level_chain(std::mt19937_64& rng, int trial,
+                              std::vector<std::uint32_t>* level_of) {
   std::uniform_real_distribution<double> rate(0.1, 2.0);
   std::uniform_int_distribution<int> coin(0, 1);
+  const std::size_t num_levels = 2 + trial % 5;
+  std::vector<std::size_t> first;
+  level_of->clear();
+  for (std::size_t l = 0; l < num_levels; ++l) {
+    const std::size_t size = 1 + rng() % 3;
+    first.push_back(level_of->size());
+    for (std::size_t b = 0; b < size; ++b) {
+      level_of->push_back(static_cast<std::uint32_t>(l));
+    }
+  }
+  const std::size_t n = level_of->size();
+  SparseCtmc chain(n);
+  for (std::size_t l = 0; l + 1 < num_levels; ++l) {
+    chain.add_rate(first[l], first[l + 1], rate(rng));
+    chain.add_rate(first[l + 1], first[l], rate(rng));
+  }
+  for (std::size_t s = 0; s < n; ++s) {
+    const std::size_t anchor = first[(*level_of)[s]];
+    if (s != anchor) {
+      chain.add_rate(s, anchor, rate(rng));
+      chain.add_rate(anchor, s, rate(rng));
+    }
+    for (std::size_t t = 0; t < n; ++t) {
+      const long diff = static_cast<long>((*level_of)[s]) -
+                        static_cast<long>((*level_of)[t]);
+      if (s == t || diff < -1 || diff > 1) continue;
+      if (coin(rng) == 1) chain.add_rate(s, t, rate(rng));
+    }
+  }
+  chain.freeze();
+  return chain;
+}
+
+TEST(BlockSolver, RandomizedChainsAgreeWithGth) {
+  std::mt19937_64 rng(20260808);
   for (int trial = 0; trial < 20; ++trial) {
-    const std::size_t num_levels = 2 + trial % 5;
     std::vector<std::uint32_t> level_of;
-    std::vector<std::size_t> first;
-    for (std::size_t l = 0; l < num_levels; ++l) {
-      const std::size_t size = 1 + rng() % 3;
-      first.push_back(level_of.size());
-      for (std::size_t b = 0; b < size; ++b) {
-        level_of.push_back(static_cast<std::uint32_t>(l));
-      }
-    }
-    const std::size_t n = level_of.size();
-    SparseCtmc chain(n);
-    for (std::size_t l = 0; l + 1 < num_levels; ++l) {
-      chain.add_rate(first[l], first[l + 1], rate(rng));
-      chain.add_rate(first[l + 1], first[l], rate(rng));
-    }
-    for (std::size_t s = 0; s < n; ++s) {
-      const std::size_t anchor = first[level_of[s]];
-      if (s != anchor) {
-        chain.add_rate(s, anchor, rate(rng));
-        chain.add_rate(anchor, s, rate(rng));
-      }
-      for (std::size_t t = 0; t < n; ++t) {
-        const long diff = static_cast<long>(level_of[s]) -
-                          static_cast<long>(level_of[t]);
-        if (s == t || diff < -1 || diff > 1) continue;
-        if (coin(rng) == 1) chain.add_rate(s, t, rate(rng));
-      }
-    }
-    chain.freeze();
+    const SparseCtmc chain = random_level_chain(rng, trial, &level_of);
     const Vector exact =
         gth_stationary(chain.rate_matrix(), chain.exit_rates());
     const Vector block = block_tridiagonal_stationary(
         chain.rate_matrix(), chain.exit_rates(), level_of, nullptr);
-    for (std::size_t s = 0; s < n; ++s) {
+    for (std::size_t s = 0; s < level_of.size(); ++s) {
       EXPECT_NEAR(block[s], exact[s], 1e-11)
           << "trial " << trial << " state " << s;
     }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Bitwise reference for the level fold: block_tridiagonal_stationary must
+// reproduce the dense fold it replaced EXACTLY — the same pivots, factors
+// and updates in the same order — so exact-chain results stay
+// byte-identical. The reference below is that dense fold, verbatim apart
+// from names and the dropped input checks: an LU over a b x b Matrix that
+// skips zeros, and a backward sweep holding every censored level block
+// densely.
+
+class DenseFoldFactor {
+ public:
+  explicit DenseFoldFactor(Matrix g) {
+    const std::size_t n = g.rows();
+    perm_.resize(n);
+    for (std::size_t i = 0; i < n; ++i) perm_[i] = i;
+    std::vector<std::size_t> urow;
+    for (std::size_t col = 0; col < n; ++col) {
+      std::size_t pivot = col;
+      double best = std::abs(g(col, col));
+      for (std::size_t r = col + 1; r < n; ++r) {
+        const double cand = std::abs(g(r, col));
+        if (cand > best) {
+          best = cand;
+          pivot = r;
+        }
+      }
+      ESCHED_CHECK(best > 1e-300, "matrix is numerically singular");
+      if (pivot != col) {
+        for (std::size_t c = 0; c < n; ++c) std::swap(g(pivot, c), g(col, c));
+        std::swap(perm_[pivot], perm_[col]);
+      }
+      const double inv_diag = 1.0 / g(col, col);
+      urow.clear();
+      for (std::size_t c = col + 1; c < n; ++c) {
+        if (g(col, c) != 0.0) urow.push_back(c);
+      }
+      for (std::size_t r = col + 1; r < n; ++r) {
+        const double factor = g(r, col) * inv_diag;
+        g(r, col) = factor;
+        if (factor == 0.0) continue;
+        for (const std::size_t c : urow) g(r, c) -= factor * g(col, c);
+      }
+    }
+    diag_.resize(n);
+    l_ptr_.push_back(0);
+    u_ptr_.push_back(0);
+    for (std::size_t r = 0; r < n; ++r) {
+      diag_[r] = g(r, r);
+      for (std::size_t c = r + 1; c < n; ++c) {
+        if (g(r, c) != 0.0) u_.push_back({c, g(r, c)});
+        if (g(c, r) != 0.0) l_.push_back({c, g(c, r)});
+      }
+      u_ptr_.push_back(u_.size());
+      l_ptr_.push_back(l_.size());
+    }
+  }
+
+  /// Solves G x = b.
+  Vector solve(const Vector& b) const {
+    const std::size_t n = diag_.size();
+    Vector x(n);
+    for (std::size_t r = 0; r < n; ++r) x[r] = b[perm_[r]];
+    for (std::size_t k = 0; k < n; ++k) {
+      const double xk = x[k];
+      if (xk == 0.0) continue;
+      for (std::size_t e = l_ptr_[k]; e < l_ptr_[k + 1]; ++e) {
+        x[l_[e].first] -= l_[e].second * xk;
+      }
+    }
+    for (std::size_t k = n; k-- > 0;) {
+      double acc = x[k];
+      for (std::size_t e = u_ptr_[k]; e < u_ptr_[k + 1]; ++e) {
+        acc -= u_[e].second * x[u_[e].first];
+      }
+      x[k] = acc / diag_[k];
+    }
+    return x;
+  }
+
+  /// Solves G^T x = b.
+  Vector solve_transposed(const Vector& b) const {
+    const std::size_t n = diag_.size();
+    Vector y = b;
+    for (std::size_t k = 0; k < n; ++k) {
+      const double yk = y[k] / diag_[k];
+      y[k] = yk;
+      if (yk == 0.0) continue;
+      for (std::size_t e = u_ptr_[k]; e < u_ptr_[k + 1]; ++e) {
+        y[u_[e].first] -= u_[e].second * yk;
+      }
+    }
+    for (std::size_t k = n; k-- > 0;) {
+      double acc = y[k];
+      for (std::size_t e = l_ptr_[k]; e < l_ptr_[k + 1]; ++e) {
+        acc -= l_[e].second * y[l_[e].first];
+      }
+      y[k] = acc;
+    }
+    Vector x(n);
+    for (std::size_t r = 0; r < n; ++r) x[perm_[r]] = y[r];
+    return x;
+  }
+
+ private:
+  std::vector<std::size_t> perm_;
+  Vector diag_;
+  std::vector<std::size_t> l_ptr_, u_ptr_;
+  std::vector<std::pair<std::size_t, double>> l_, u_;
+};
+
+/// DenseFoldFactor over (-S)^T with the fold-densified indices last.
+struct DenseLevelFactor {
+  std::vector<std::size_t> order;
+  std::optional<DenseFoldFactor> factor;
+
+  Vector permute(const Vector& v) const {
+    Vector p(v.size());
+    for (std::size_t i = 0; i < v.size(); ++i) p[i] = v[order[i]];
+    return p;
+  }
+  Vector unpermute(const Vector& p) const {
+    Vector v(p.size());
+    for (std::size_t i = 0; i < p.size(); ++i) v[order[i]] = p[i];
+    return v;
+  }
+  Vector solve(const Vector& v) const {
+    return unpermute(factor->solve(permute(v)));
+  }
+  Vector solve_transposed(const Vector& v) const {
+    return unpermute(factor->solve_transposed(permute(v)));
+  }
+};
+
+Vector reference_block_stationary(const CsrMatrix& rates,
+                                  const Vector& exit_rates,
+                                  const std::vector<std::uint32_t>& level) {
+  const std::size_t n = rates.rows();
+  const std::size_t num_levels =
+      static_cast<std::size_t>(*std::max_element(level.begin(), level.end())) +
+      1;
+  std::vector<std::size_t> local(n);
+  std::vector<std::vector<std::size_t>> states(num_levels);
+  for (std::size_t s = 0; s < n; ++s) {
+    local[s] = states[level[s]].size();
+    states[level[s]].push_back(s);
+  }
+  const auto level_block = [&](std::size_t l) {
+    const std::size_t b = states[l].size();
+    Matrix a(b, b);
+    for (std::size_t r = 0; r < b; ++r) {
+      const std::size_t u = states[l][r];
+      a(r, r) = -exit_rates[u];
+      for (std::size_t k = 0; k < rates.row_nnz(u); ++k) {
+        const std::size_t to = rates.row_cols(u)[k];
+        if (level[to] == l) a(r, local[to]) += rates.row_values(u)[k];
+      }
+    }
+    return a;
+  };
+  std::vector<std::optional<DenseLevelFactor>> up_factor(num_levels - 1);
+  Matrix s_block = level_block(num_levels - 1);
+  std::vector<bool> fold_marks(states[num_levels - 1].size(), false);
+  Vector rhs;
+  for (std::size_t l = num_levels - 1; l-- > 0;) {
+    const std::size_t b = states[l].size();
+    const std::size_t b_up = states[l + 1].size();
+    DenseLevelFactor lf;
+    for (std::size_t i = 0; i < b_up; ++i) {
+      if (!fold_marks[i]) lf.order.push_back(i);
+    }
+    for (std::size_t i = 0; i < b_up; ++i) {
+      if (fold_marks[i]) lf.order.push_back(i);
+    }
+    Matrix g(b_up, b_up);
+    for (std::size_t r = 0; r < b_up; ++r) {
+      for (std::size_t c = 0; c < b_up; ++c) {
+        g(r, c) = -s_block(lf.order[c], lf.order[r]);
+      }
+    }
+    lf.factor.emplace(std::move(g));
+    up_factor[l] = std::move(lf);
+    std::vector<std::vector<std::pair<std::size_t, double>>> c_cols(b);
+    for (std::size_t r2 = 0; r2 < b_up; ++r2) {
+      const std::size_t u2 = states[l + 1][r2];
+      for (std::size_t k = 0; k < rates.row_nnz(u2); ++k) {
+        const std::size_t to = rates.row_cols(u2)[k];
+        if (level[to] == l) {
+          c_cols[local[to]].emplace_back(r2, rates.row_values(u2)[k]);
+        }
+      }
+    }
+    Matrix next = level_block(l);
+    for (std::size_t c = 0; c < b; ++c) {
+      if (c_cols[c].empty()) continue;
+      rhs.assign(b_up, 0.0);
+      for (const auto& [r2, w] : c_cols[c]) rhs[r2] += w;
+      const Vector x = up_factor[l]->solve_transposed(rhs);
+      for (std::size_t i = 0; i < b; ++i) {
+        const std::size_t u = states[l][i];
+        double acc = 0.0;
+        for (std::size_t k = 0; k < rates.row_nnz(u); ++k) {
+          const std::size_t to = rates.row_cols(u)[k];
+          if (level[to] == l + 1) {
+            acc += rates.row_values(u)[k] * x[local[to]];
+          }
+        }
+        next(i, c) += acc;
+      }
+    }
+    s_block = std::move(next);
+    fold_marks.assign(b, false);
+    for (std::size_t c = 0; c < b; ++c) {
+      if (!c_cols[c].empty()) fold_marks[c] = true;
+    }
+  }
+  const std::size_t b0 = states[0].size();
+  for (std::size_t r = 0; r < b0; ++r) {
+    for (std::size_t c = 0; c < b0; ++c) {
+      if (r != c && s_block(r, c) < 0.0) s_block(r, c) = 0.0;
+    }
+  }
+  Vector level_pi = gth_stationary(std::move(s_block));
+  Vector pi(n, 0.0);
+  for (std::size_t r = 0; r < b0; ++r) pi[states[0][r]] = level_pi[r];
+  for (std::size_t l = 0; l + 1 < num_levels; ++l) {
+    rhs.assign(states[l + 1].size(), 0.0);
+    for (std::size_t i = 0; i < states[l].size(); ++i) {
+      const std::size_t u = states[l][i];
+      for (std::size_t k = 0; k < rates.row_nnz(u); ++k) {
+        const std::size_t to = rates.row_cols(u)[k];
+        if (level[to] == l + 1) {
+          rhs[local[to]] += level_pi[i] * rates.row_values(u)[k];
+        }
+      }
+    }
+    level_pi = up_factor[l]->solve(rhs);
+    for (double& v : level_pi) {
+      if (v < 0.0) v = 0.0;
+    }
+    for (std::size_t c = 0; c < states[l + 1].size(); ++c) {
+      pi[states[l + 1][c]] = level_pi[c];
+    }
+  }
+  normalize_probability(pi);
+  return pi;
+}
+
+/// A random level-structured irreducible chain with `num_levels` levels of
+/// 1..max_block states each, built around each level's first state (the
+/// anchor): an up/down ladder through the anchors, every state tied to its
+/// anchor both ways, random within-level hops, and up- and
+/// down-transitions from random states, the down ones landing on a random
+/// subset of the level below so the fold densifies anywhere from one
+/// column to all of them. About a fifth of the other states are tight:
+/// their only exits are two hops within their level, one onto a
+/// down-target, never onto a tight state. Their columns of (-S)^T are
+/// exactly dominant (IF's states at j = jmax have the same two exits,
+/// i +- 1), so once the elimination has updated such a column it meets a
+/// pivot tie that roundoff can tip into a row swap.
+SparseCtmc wide_level_chain(std::mt19937_64& rng, std::size_t num_levels,
+                            std::size_t max_block,
+                            std::vector<std::uint32_t>* level_of) {
+  std::uniform_real_distribution<double> rate(0.1, 2.0);
+  std::uniform_real_distribution<double> unit(0.0, 1.0);
+  std::vector<std::size_t> first;
+  level_of->clear();
+  for (std::size_t l = 0; l < num_levels; ++l) {
+    const std::size_t size = 1 + rng() % max_block;
+    first.push_back(level_of->size());
+    for (std::size_t b = 0; b < size; ++b) {
+      level_of->push_back(static_cast<std::uint32_t>(l));
+    }
+  }
+  first.push_back(level_of->size());
+  const std::size_t n = level_of->size();
+  std::vector<bool> tight(n, false);
+  for (std::size_t s = 0; s < n; ++s) {
+    tight[s] = s != first[(*level_of)[s]] && unit(rng) < 0.2;
+  }
+  // Down-transitions into level l land on its first targets(l) states.
+  std::vector<double> target_share(num_levels);
+  for (double& share : target_share) share = unit(rng);
+  const auto targets = [&](std::size_t l) {
+    return 1 + static_cast<std::size_t>(
+                   target_share[l] *
+                   static_cast<double>(first[l + 1] - first[l] - 1));
+  };
+  SparseCtmc chain(n);
+  for (std::size_t l = 0; l + 1 < num_levels; ++l) {
+    chain.add_rate(first[l], first[l + 1], rate(rng));
+    chain.add_rate(first[l + 1], first[l], rate(rng));
+  }
+  for (std::size_t s = 0; s < n; ++s) {
+    const std::size_t l = (*level_of)[s];
+    const std::size_t anchor = first[l];
+    if (s == anchor) continue;
+    chain.add_rate(anchor, s, rate(rng));
+    if (tight[s]) {
+      const std::size_t size = first[l + 1] - first[l];
+      for (const std::size_t pick :
+           {rng() % targets(l), rng() % size}) {
+        const std::size_t to = first[l] + pick;
+        chain.add_rate(s, to == s || tight[to] ? anchor : to, rate(rng));
+      }
+      continue;
+    }
+    chain.add_rate(s, anchor, rate(rng));
+    for (std::size_t t = first[l] + 1; t < first[l + 1]; ++t) {
+      if (t != s && unit(rng) < 0.08) chain.add_rate(s, t, rate(rng));
+    }
+    if (l + 1 < num_levels && unit(rng) < 0.3) {
+      const std::size_t b_up = first[l + 2] - first[l + 1];
+      chain.add_rate(s, first[l + 1] + rng() % b_up, rate(rng));
+    }
+    if (l > 0 && unit(rng) < 0.5) {
+      chain.add_rate(s, first[l - 1] + rng() % targets(l - 1), rate(rng));
+    }
+  }
+  chain.freeze();
+  return chain;
+}
+
+/// A strip: `levels` levels of `width` states j = 0..width-1 in a line,
+/// with hops both ways along the line and one level up from every state.
+/// Only the states j >= marked go down, onto state j % marked of the level
+/// below, so the fold densifies the first `marked` columns of each level.
+/// Those states have no way down: their censored rows are conservative,
+/// which makes their columns of (-S)^T tight in the trailing dense block,
+/// and the line makes the leading sparse rows meet ties too; roundoff
+/// tips some of both into row swaps.
+SparseCtmc strip_chain(std::mt19937_64& rng, std::size_t levels,
+                       std::size_t width, std::size_t marked,
+                       std::vector<std::uint32_t>* level_of) {
+  std::uniform_real_distribution<double> rate(0.1, 2.0);
+  const std::size_t n = levels * width;
+  SparseCtmc chain(n);
+  level_of->assign(n, 0);
+  for (std::size_t l = 0; l < levels; ++l) {
+    for (std::size_t j = 0; j < width; ++j) {
+      const std::size_t s = l * width + j;
+      (*level_of)[s] = static_cast<std::uint32_t>(l);
+      if (j + 1 < width) chain.add_rate(s, s + 1, rate(rng));
+      if (j > 0) chain.add_rate(s, s - 1, rate(rng));
+      if (l + 1 < levels) chain.add_rate(s, s + width, rate(rng));
+      if (l > 0 && j >= marked) {
+        chain.add_rate(s, (l - 1) * width + j % marked, rate(rng));
+      }
+    }
+  }
+  chain.freeze();
+  return chain;
+}
+
+void expect_fold_matches_dense_reference(
+    const SparseCtmc& chain, const std::vector<std::uint32_t>& level_of) {
+  const Vector ref = reference_block_stationary(
+      chain.rate_matrix(), chain.exit_rates(), level_of);
+  const Vector pi = block_tridiagonal_stationary(
+      chain.rate_matrix(), chain.exit_rates(), level_of, nullptr);
+  ASSERT_EQ(ref.size(), pi.size());
+  for (std::size_t s = 0; s < ref.size(); ++s) {
+    EXPECT_EQ(ref[s], pi[s]) << "state " << s;  // bitwise, not NEAR
+  }
+}
+
+TEST(BlockSolver, SparseFoldBitwiseMatchesDenseReference) {
+  {
+    std::mt19937_64 rng(20260808);
+    for (int trial = 0; trial < 20; ++trial) {
+      SCOPED_TRACE(::testing::Message() << "small trial " << trial);
+      std::vector<std::uint32_t> level_of;
+      const SparseCtmc chain = random_level_chain(rng, trial, &level_of);
+      expect_fold_matches_dense_reference(chain, level_of);
+    }
+  }
+  std::mt19937_64 rng(20261019);
+  for (int trial = 0; trial < 40; ++trial) {
+    SCOPED_TRACE(::testing::Message() << "wide trial " << trial);
+    std::vector<std::uint32_t> level_of;
+    const SparseCtmc chain =
+        wide_level_chain(rng, 2 + trial % 7, 8 + trial % 53, &level_of);
+    expect_fold_matches_dense_reference(chain, level_of);
+  }
+  for (int trial = 0; trial < 40; ++trial) {
+    SCOPED_TRACE(::testing::Message() << "strip trial " << trial);
+    std::vector<std::uint32_t> level_of;
+    const SparseCtmc chain = strip_chain(rng, 3 + trial % 4, 6 + trial % 30,
+                                         2 + trial % 5, &level_of);
+    expect_fold_matches_dense_reference(chain, level_of);
+  }
+  // IF folds its (N_I, N_E) chain along N_E and EF along N_I; at j = jmax
+  // IF's states with i >= k only hop within the level.
+  for (const bool inelastic_first : {true, false}) {
+    SCOPED_TRACE(::testing::Message() << "IF=" << inelastic_first);
+    const long imax = 39, jmax = 39;
+    const SparseCtmc chain = two_class_chain(imax, jmax, inelastic_first);
+    std::vector<std::uint32_t> level_of(chain.num_states());
+    for (std::size_t s = 0; s < level_of.size(); ++s) {
+      const auto nj = static_cast<std::size_t>(jmax + 1);
+      level_of[s] = static_cast<std::uint32_t>(inelastic_first ? s % nj
+                                                               : s / nj);
+    }
+    expect_fold_matches_dense_reference(chain, level_of);
   }
 }
 

@@ -841,6 +841,11 @@ int run_status(const std::vector<std::string>& args) {
   if (queue_dir.empty()) {
     throw esched::Error("status requires --queue-dir Q");
   }
+  // Leases older than the TTL count as expired: a zero TTL would report
+  // every live lease as expired.
+  if (!(lease_ttl > 0.0)) {
+    throw esched::Error("--lease-ttl must be positive");
+  }
   // The conventional in-queue location workers get by pointing
   // --telemetry-dir at <queue-dir>/telemetry; picked up automatically so
   // `esched status --queue-dir Q` shows the fleet without extra flags.
