@@ -14,12 +14,11 @@ namespace esched {
 
 namespace {
 
-/// Per-state (level, index-within-level) coordinates plus the per-level
-/// state lists. Within a level, states keep ascending global order, so the
-/// construction is deterministic.
+/// Per-state index within its level plus the per-level state lists.
+/// Within a level, states keep ascending global order, so the construction
+/// is deterministic.
 struct LevelPartition {
-  std::vector<std::uint32_t> level;       // = level_of (validated)
-  std::vector<std::size_t> local;         // index within the level
+  std::vector<std::uint32_t> local;  // index within the level
   std::vector<std::vector<std::size_t>> states;  // per level, ascending
 };
 
@@ -30,11 +29,10 @@ LevelPartition partition_levels(const std::vector<std::uint32_t>& level_of,
   for (std::uint32_t l : level_of) max_level = std::max(max_level, l);
   const std::size_t num_levels = static_cast<std::size_t>(max_level) + 1;
   LevelPartition p;
-  p.level = level_of;
   p.local.resize(n);
   p.states.resize(num_levels);
   for (std::size_t s = 0; s < n; ++s) {
-    p.local[s] = p.states[level_of[s]].size();
+    p.local[s] = static_cast<std::uint32_t>(p.states[level_of[s]].size());
     p.states[level_of[s]].push_back(s);
   }
   for (std::size_t l = 0; l < num_levels; ++l) {
@@ -506,15 +504,15 @@ Vector block_tridiagonal_stationary(const CsrMatrix& rates,
     const std::size_t* to = rates.row_cols(s);
     const std::size_t nnz = rates.row_nnz(s);
     for (std::size_t k = 0; k < nnz; ++k) {
-      const long diff = static_cast<long>(part.level[s]) -
-                        static_cast<long>(part.level[to[k]]);
+      const long diff = static_cast<long>(level_of[s]) -
+                        static_cast<long>(level_of[to[k]]);
       ESCHED_CHECK(diff >= -1 && diff <= 1,
                    "transition " + std::to_string(s) + " -> " +
                        std::to_string(to[k]) + " jumps from level " +
-                       std::to_string(part.level[s]) + " to level " +
-                       std::to_string(part.level[to[k]]) +
+                       std::to_string(level_of[s]) + " to level " +
+                       std::to_string(level_of[to[k]]) +
                        ": the chain is not level-structured");
-      if (diff == 1) has_down[part.level[s]] = true;
+      if (diff == 1) has_down[level_of[s]] = true;
     }
   }
   for (std::size_t l = 1; l < num_levels; ++l) {
@@ -566,7 +564,7 @@ Vector block_tridiagonal_stationary(const CsrMatrix& rates,
       const double* rate = rates.row_values(u);
       const std::size_t nnz = rates.row_nnz(u);
       for (std::size_t k = 0; k < nnz; ++k) {
-        const std::uint32_t target = part.level[to[k]];
+        const std::uint32_t target = level_of[to[k]];
         const std::size_t c = part.local[to[k]];
         if (target > l) {
           rows->up.push(c, rate[k]);
@@ -753,7 +751,7 @@ Vector block_tridiagonal_stationary(const CsrMatrix& rates,
       const double* rate = rates.row_values(u);
       const std::size_t nnz = rates.row_nnz(u);
       for (std::size_t k = 0; k < nnz; ++k) {
-        if (part.level[to[k]] == l + 1) {
+        if (level_of[to[k]] == l + 1) {
           rhs[part.local[to[k]]] += level_pi[i] * rate[k];
         }
       }
