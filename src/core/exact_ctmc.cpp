@@ -1,10 +1,8 @@
 #include "core/exact_ctmc.hpp"
 
 #include <algorithm>
-#include <array>
 #include <chrono>
 #include <cmath>
-#include <limits>
 #include <numeric>
 #include <unordered_map>
 #include <utility>
@@ -34,29 +32,9 @@ std::size_t state_index(long i, long j, long nj) {
   return static_cast<std::size_t>(i * nj + j);
 }
 
-/// Auto uses dense GTH elimination up to this many states; above it the
-/// block method or SOR does better.
+/// Dense GTH solves chains (or closed classes) of at most this many
+/// states; larger ones take the block method.
 constexpr std::size_t kGthStateLimit = 500;
-
-/// SOR's residual target, sweep cap and relaxation factor (omega = 1 is
-/// Gauss-Seidel). GTH and the block method are direct.
-constexpr double kSorTol = 1e-12;
-constexpr int kSorMaxIters = 200000;
-constexpr double kSorOmega = 1.0;
-
-/// Workspace cap for the block method (block_solver_workspace_bytes per
-/// axis, NestedDissectionCost::workspace_bytes). Orderings over it are not
-/// considered; when none fits, auto falls back to SOR.
-constexpr std::size_t kBlockMemoryLimit = std::size_t{4} << 30;
-
-/// Auto takes the block method on the phase-type chain only when its
-/// estimated elimination work stays below this (~a second or two of
-/// arithmetic). Multi-server phase-augmented chains where nearly every
-/// state receives a down-transition have effectively dense blocks, exceed
-/// it and go to SOR, which scales with nnz * sweeps instead of block^3.
-/// The exponential chain does not need it: nested dissection bounds its
-/// direct elimination at O(n^1.5) work.
-constexpr double kAutoBlockFlopLimit = 2e9;
 
 /// One direct elimination order for the block method: the levels of a
 /// block-tridiagonal fold (`level_of`), or nested dissection of the chain's
@@ -67,82 +45,156 @@ struct BlockOrdering {
   const std::vector<std::uint32_t>* level_of = nullptr;
   const char* counter = "";
   const char* name = "";
-  double flops = 0.0;
-  std::size_t bytes = 0;
 };
 
-/// The block method as a chain offers it: the orderings in the order auto
-/// tries them (the cheapest, then nested dissection when a level
-/// elimination throws), the grid nested dissection runs on, and the
-/// estimate above which auto prefers SOR. No ordering means none fits
-/// kBlockMemoryLimit. Chains of at most kGthStateLimit states need none.
-struct BlockPlan {
-  std::vector<BlockOrdering> tries;
+/// What a chain builder hands the solver: the generator, the block
+/// method's level vectors along i and along j, and the ni x nj grid nested
+/// dissection runs on (0 x 0 on the phase-type chain, which has none).
+struct ChainLayout {
+  const CsrMatrix& rates;
+  const Vector& exit_rates;
+  const std::vector<std::uint32_t>& level_by_i;
+  const std::vector<std::uint32_t>& level_by_j;
   std::size_t ni = 0;
   std::size_t nj = 0;
-  double auto_flop_limit = std::numeric_limits<double>::infinity();
 };
 
-/// Runs auto, the one stationary-solver route: dense GTH up to
-/// kGthStateLimit states, else the plan's orderings in turn; SOR when the
-/// elimination that ran threw (a reducible chain).
-/// Records per-method solve-time / state-count metrics and, for the block
-/// method, the counter of the ordering that produced the result. Each
-/// direct attempt runs in an exact.factor trace span (fields states and
-/// ordering: gth, axis.i, axis.j or nd) and SOR in exact.iterate.
+/// The block method's ordering: the axis whose fold has the lower
+/// block_solver_flop_estimate under this chain's rates (a tie keeps the
+/// axis with more levels, i.e. smaller blocks), or nested dissection when
+/// its exact count (the same for every policy) is strictly lower.
+BlockOrdering cheapest_ordering(const ChainLayout& chain) {
+  const auto top_level = [](const std::vector<std::uint32_t>& level_of) {
+    return *std::max_element(level_of.begin(), level_of.end());
+  };
+  const double flops_i =
+      block_solver_flop_estimate(chain.rates, chain.level_by_i);
+  const double flops_j =
+      block_solver_flop_estimate(chain.rates, chain.level_by_j);
+  const bool by_j =
+      flops_j < flops_i ||
+      (flops_j == flops_i &&
+       top_level(chain.level_by_j) > top_level(chain.level_by_i));
+  if (chain.ni > 0 && nested_dissection_cost(chain.ni, chain.nj).flops <
+                          std::min(flops_i, flops_j)) {
+    return {nullptr, "exact.method.block.nd", "nd"};
+  }
+  return by_j ? BlockOrdering{&chain.level_by_j, "exact.method.block.axis.j",
+                              "axis.j"}
+              : BlockOrdering{&chain.level_by_i, "exact.method.block.axis.i",
+                              "axis.i"};
+}
+
+/// Stationary law of an irreducible chain by dense GTH up to
+/// kGthStateLimit states, else by the block method in the chain's
+/// cheapest ordering, inside an exact.factor trace span (fields states and
+/// ordering: gth, axis.i, axis.j or nd). Fills info's method and residual,
+/// and points `counter` at the block ordering's counter. Throws Error when
+/// the elimination meets a state with no path down (a reducible chain).
+Vector eliminate(const ChainLayout& chain, StationarySolveInfo& info,
+                 const char*& counter) {
+  const std::size_t n = chain.rates.rows();
+  if (n <= kGthStateLimit) {
+    const TraceSpan span("exact.factor", {{"states", n}, {"ordering", "gth"}});
+    Vector pi = gth_stationary(chain.rates, chain.exit_rates);
+    info.residual = stationary_residual(chain.rates, chain.exit_rates, pi);
+    info.method = "gth";
+    return pi;
+  }
+  const BlockOrdering ordering = cheapest_ordering(chain);
+  const TraceSpan span("exact.factor",
+                       {{"states", n}, {"ordering", ordering.name}});
+  Vector pi = ordering.level_of != nullptr
+                  ? block_tridiagonal_stationary(chain.rates, chain.exit_rates,
+                                                 *ordering.level_of, &info)
+                  : nested_dissection_stationary(chain.rates, chain.exit_rates,
+                                                 chain.ni, chain.nj, &info);
+  info.method = "block";
+  counter = ordering.counter;
+  return pi;
+}
+
+/// Stationary law of a reducible chain: 0 off its closed class, and on the
+/// class the law of the class's own chain, solved by eliminate(). No rate
+/// leaves a closed class, so its states keep their exit rates; and since
+/// the class is strongly connected and every transition moves a level by
+/// at most one, its levels along each axis form a range, which is shifted
+/// to start at 0. The class is not a full grid, so nested dissection is
+/// not offered. Finding and extracting the class runs in an exact.factor
+/// span with ordering closed_class. Throws when the chain has several
+/// closed classes: its stationary law is then not unique.
+Vector closed_class_stationary(const ChainLayout& chain,
+                               StationarySolveInfo& info,
+                               const char*& counter) {
+  const std::size_t n = chain.rates.rows();
+  std::vector<std::size_t> members;
+  CsrMatrix rates;
+  Vector exit_rates;
+  std::vector<std::uint32_t> level_by_i;
+  std::vector<std::uint32_t> level_by_j;
+  {
+    const TraceSpan span("exact.factor",
+                         {{"states", n}, {"ordering", "closed_class"}});
+    std::vector<std::vector<std::size_t>> classes =
+        closed_classes(chain.rates);
+    ESCHED_CHECK(classes.size() == 1,
+                 "exact solve: the chain has " +
+                     std::to_string(classes.size()) +
+                     " closed classes, so its stationary law is not unique");
+    members = std::move(classes.front());
+    const std::size_t m = members.size();
+    rates.begin_rows(m, m);
+    exit_rates.resize(m);
+    level_by_i.resize(m);
+    level_by_j.resize(m);
+    for (std::size_t r = 0; r < m; ++r) {
+      const std::size_t s = members[r];
+      const std::size_t* to = chain.rates.row_cols(s);
+      const double* rate = chain.rates.row_values(s);
+      for (std::size_t k = 0; k < chain.rates.row_nnz(s); ++k) {
+        const auto local =
+            std::lower_bound(members.begin(), members.end(), to[k]);
+        rates.push(static_cast<std::size_t>(local - members.begin()),
+                   rate[k]);
+      }
+      rates.next_row();
+      exit_rates[r] = chain.exit_rates[s];
+      level_by_i[r] = chain.level_by_i[s];
+      level_by_j[r] = chain.level_by_j[s];
+    }
+    for (std::vector<std::uint32_t>* level_of : {&level_by_i, &level_by_j}) {
+      const std::uint32_t low =
+          *std::min_element(level_of->begin(), level_of->end());
+      for (std::uint32_t& level : *level_of) level -= low;
+    }
+  }
+  const Vector class_pi =
+      eliminate({rates, exit_rates, level_by_i, level_by_j}, info, counter);
+  Vector pi(n, 0.0);
+  for (std::size_t r = 0; r < members.size(); ++r) {
+    pi[members[r]] = class_pi[r];
+  }
+  return pi;
+}
+
+/// The one stationary-solver route: eliminate(), and when that throws (a
+/// reducible chain, e.g. an idling policy that serves nobody in some
+/// states), closed_class_stationary(). Records per-method solve-time /
+/// state-count metrics, the counter of the block ordering that produced
+/// the result, and exact.method.closed_class for a reducible chain.
 std::pair<Vector, StationarySolveInfo> solve_stationary(
-    const CsrMatrix& rates, const Vector& exit_rates, const BlockPlan& plan) {
-  const std::size_t n = rates.rows();
+    const ChainLayout& chain) {
+  const std::size_t n = chain.rates.rows();
   const auto start = std::chrono::steady_clock::now();
   Vector pi;
   StationarySolveInfo solve_info;
   const char* block_counter = nullptr;
-  if (n <= kGthStateLimit) {
-    try {
-      const TraceSpan span("exact.factor",
-                           {{"states", n}, {"ordering", "gth"}});
-      pi = gth_stationary(rates, exit_rates);
-      solve_info.converged = true;
-      solve_info.residual = stationary_residual(rates, exit_rates, pi);
-      solve_info.method = "gth";
-    } catch (const Error&) {
-      // A state with no path down (a reducible chain, e.g. an idling
-      // policy that serves nobody) leaves GTH a zero pivot; SOR still
-      // solves the chain, as it does past the block method.
-      global_metrics().counter("exact.method.gth.fallbacks").add();
-    }
-  } else if (!plan.tries.empty() &&
-             plan.tries[0].flops <= plan.auto_flop_limit) {
-    for (const BlockOrdering& ordering : plan.tries) {
-      try {
-        const TraceSpan span("exact.factor",
-                             {{"states", n}, {"ordering", ordering.name}});
-        pi = ordering.level_of != nullptr
-                 ? block_tridiagonal_stationary(rates, exit_rates,
-                                                *ordering.level_of,
-                                                &solve_info)
-                 : nested_dissection_stationary(rates, exit_rates, plan.ni,
-                                                plan.nj, &solve_info);
-        block_counter = ordering.counter;
-        solve_info.method = "block";
-        break;
-      } catch (const Error&) {
-        // Some policies (e.g. idling variants) leave a level with no
-        // down-transitions, or a state with no path to the states after
-        // it; move on to the next ordering and then to SOR, which still
-        // solves the chain.
-        global_metrics().counter("exact.method.block.fallbacks").add();
-      }
-    }
-  }
-  if (solve_info.method.empty()) {
-    const TraceSpan span("exact.iterate", {{"states", n}});
-    pi = sor_stationary(rates, exit_rates, kSorTol, kSorMaxIters, kSorOmega,
-                        &solve_info);
-    ESCHED_CHECK(solve_info.converged, "SOR did not converge in " +
-                                           std::to_string(kSorMaxIters) +
-                                           " sweeps");
-    solve_info.method = "sor";
+  bool reducible = false;
+  try {
+    pi = eliminate(chain, solve_info, block_counter);
+  } catch (const Error&) {
+    pi = closed_class_stationary(chain, solve_info, block_counter);
+    reducible = true;
   }
 
   const double seconds =
@@ -154,10 +206,7 @@ std::pair<Vector, StationarySolveInfo> solve_stationary(
   metrics.histogram(prefix + ".seconds").record(seconds);
   metrics.histogram(prefix + ".states").record(static_cast<double>(n));
   if (block_counter != nullptr) metrics.counter(block_counter).add();
-  if (solve_info.method == "sor") {
-    metrics.histogram("exact.method.sor.sweeps")
-        .record(static_cast<double>(solve_info.iterations));
-  }
+  if (reducible) metrics.counter("exact.method.closed_class").add();
   return {std::move(pi), std::move(solve_info)};
 }
 
@@ -240,43 +289,9 @@ ExactCtmcResult ExactCtmcBatch::solve(const AllocationPolicy& policy) {
     }
   }
 
-  // The block method takes the cheapest of three orderings: levels along
-  // N_I, levels along N_E (both by their fold's flop estimate under this
-  // policy) and nested dissection (its exact count, the same for every
-  // policy). A tie between the axes keeps the longer one (more levels of
-  // smaller blocks); nested dissection must be strictly cheaper. It is
-  // also auto's retry when a level elimination throws.
-  BlockPlan plan;
-  if (num_states > kGthStateLimit) {
-    plan.ni = static_cast<std::size_t>(ni);
-    plan.nj = static_cast<std::size_t>(nj);
-    const BlockOrdering by_i{
-        &level_by_i_, "exact.method.block.axis.i", "axis.i",
-        block_solver_flop_estimate(scratch_rates_, level_by_i_),
-        block_solver_workspace_bytes(level_by_i_)};
-    const BlockOrdering by_j{
-        &level_by_j_, "exact.method.block.axis.j", "axis.j",
-        block_solver_flop_estimate(scratch_rates_, level_by_j_),
-        block_solver_workspace_bytes(level_by_j_)};
-    const NestedDissectionCost nd_cost =
-        nested_dissection_cost(plan.ni, plan.nj);
-    const BlockOrdering nd{nullptr, "exact.method.block.nd", "nd",
-                           nd_cost.flops, nd_cost.workspace_bytes};
-    std::array<BlockOrdering, 3> orderings = {nj > ni ? by_j : by_i,
-                                              nj > ni ? by_i : by_j, nd};
-    std::stable_sort(orderings.begin(), orderings.end(),
-                     [](const BlockOrdering& a, const BlockOrdering& b) {
-                       return a.flops < b.flops;
-                     });
-    for (const BlockOrdering& ordering : orderings) {
-      if (ordering.bytes > kBlockMemoryLimit) continue;
-      if (plan.tries.empty() || ordering.level_of == nullptr) {
-        plan.tries.push_back(ordering);
-      }
-      if (ordering.level_of == nullptr) break;
-    }
-  }
-  auto [pi, solve_info] = solve_stationary(scratch_rates_, scratch_exit_, plan);
+  auto [pi, solve_info] = solve_stationary(
+      {scratch_rates_, scratch_exit_, level_by_i_, level_by_j_,
+       static_cast<std::size_t>(ni), static_cast<std::size_t>(nj)});
 
   ExactCtmcResult result;
   result.num_states = num_states;
@@ -481,47 +496,32 @@ class PhChainBuilder {
       return built;
     }();
 
-    // The augmented chain is level-structured in i = sum(c) + w: phase
-    // progression and admissions preserve i, arrivals/completions move it
-    // by one — so the block solver applies to it directly.
-    std::vector<std::uint32_t> level_of(states_.size());
+    // The augmented chain is level-structured both in i = sum(c) + w
+    // (phase progression and admissions keep i, arrivals and completions
+    // move it by one) and in j, so the block method folds along either.
+    std::vector<std::uint32_t> level_by_i(states_.size());
+    std::vector<std::uint32_t> level_by_j(states_.size());
     for (std::size_t n = 0; n < states_.size(); ++n) {
       const PhState& st = states_[n];
       const long started =
           std::accumulate(st.c.begin(), st.c.end(), 0L,
                           [](long acc, int v) { return acc + v; });
-      level_of[n] = static_cast<std::uint32_t>(started + st.w);
+      level_by_i[n] = static_cast<std::uint32_t>(started + st.w);
+      level_by_j[n] = static_cast<std::uint32_t>(st.j);
     }
-
-    BlockPlan plan;
-    plan.auto_flop_limit = kAutoBlockFlopLimit;
-    if (states_.size() > kGthStateLimit) {
-      const std::size_t bytes = block_solver_workspace_bytes(level_of);
-      if (bytes <= kBlockMemoryLimit) {
-        plan.tries.push_back(
-            {&level_of, "exact.method.block.axis.i", "axis.i",
-             block_solver_flop_estimate(chain.rate_matrix(), level_of),
-             bytes});
-      }
-    }
-    auto [pi, solve_info] =
-        solve_stationary(chain.rate_matrix(), chain.exit_rates(), plan);
+    auto [pi, solve_info] = solve_stationary(
+        {chain.rate_matrix(), chain.exit_rates(), level_by_i, level_by_j});
 
     ExactCtmcResult result;
     result.num_states = states_.size();
     result.solve_info = solve_info;
     for (std::size_t n = 0; n < states_.size(); ++n) {
-      const PhState& st = states_[n];
-      const long started =
-          std::accumulate(st.c.begin(), st.c.end(), 0L,
-                          [](long acc, int v) { return acc + v; });
-      const long i = started + st.w;
+      const long i = level_by_i[n];
+      const long j = level_by_j[n];
       const double p = pi[n];
       result.mean_jobs_i += static_cast<double>(i) * p;
-      result.mean_jobs_e += static_cast<double>(st.j) * p;
-      if (i == options_.imax || st.j == options_.jmax) {
-        result.boundary_mass += p;
-      }
+      result.mean_jobs_e += static_cast<double>(j) * p;
+      if (i == options_.imax || j == options_.jmax) result.boundary_mass += p;
     }
     const double total_lambda = params_.lambda_i + params_.lambda_e;
     result.mean_response_time =

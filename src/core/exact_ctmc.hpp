@@ -21,17 +21,17 @@
 namespace esched {
 
 /// Options for the truncated solve. The stationary solver is not an
-/// option: chains of up to 500 states take dense GTH and larger ones the
-/// block method. On the exponential (N_I, N_E) chain the block method
-/// eliminates in the cheapest of three orderings whose workspace fits
-/// 4 GiB: levels along N_I, levels along N_E, or nested dissection of the
-/// grid; see ExactCtmcBatch. When a level elimination throws (a level
-/// without down-transitions), the solve retries nested dissection, and
-/// when that throws too (a reducible chain), SOR; a throwing dense GTH
-/// goes to SOR as well. The phase-type chain levels along i only, and goes
-/// to SOR instead when the fold's estimated work is over a fixed flop
-/// limit. Tests that compare solvers call the
-/// reference solvers (markov/stationary.hpp, markov/block_solver.hpp,
+/// option, and every route is direct: chains of up to 500 states take
+/// dense GTH and larger ones the block method, in the cheapest ordering
+/// the chain offers. Both chains offer levels along N_I and along N_E; the
+/// exponential (N_I, N_E) chain also offers nested dissection of its grid
+/// (see ExactCtmcBatch). An elimination throws only on a reducible chain
+/// (a policy that idles with jobs present); the solve then puts all mass
+/// on the chain's one closed class and solves that class by dense GTH. A
+/// chain with several closed classes has no unique stationary law and
+/// throws esched::Error, as does a closed class of over 500 states. Tests
+/// that compare solvers call the reference solvers
+/// (markov/stationary.hpp, markov/block_solver.hpp,
 /// markov/nested_dissection.hpp) on the chain directly.
 struct ExactCtmcOptions {
   long imax = 120;  ///< inelastic truncation level
@@ -49,10 +49,8 @@ struct ExactCtmcResult {
   /// j == jmax; a large value means the truncation is too tight.
   double boundary_mass = 0.0;
   std::size_t num_states = 0;
-  /// Cost/quality of the stationary solve. The direct solvers (GTH,
-  /// block) report iterations == 0, converged == true, and the measured
-  /// residual; the SOR path reports the iterative solver's own exit
-  /// state. solve_info.method names the solver that actually ran.
+  /// Quality of the stationary solve: the measured residual, and in
+  /// solve_info.method the solver that actually ran ("gth" or "block").
   StationarySolveInfo solve_info;
 };
 
@@ -112,7 +110,10 @@ class ExactCtmcBatch {
 /// empty system), arrivals are dropped at the i/j truncation boundary, and
 /// boundary_mass reports the stationary mass sitting on it — the same
 /// truncation-mass accounting as the exponential chain. The chain is
-/// level-structured in i = sum(c) + w, so the block solver applies.
+/// level-structured both in i = sum(c) + w and in j, so the block solver
+/// folds along whichever axis is cheaper under the policy's rates: under
+/// IF an elastic completion lands on few states of a j level, so IF chains
+/// fold along j, and EF chains along i.
 ///
 /// Exactness requires that the phase counts be a sufficient statistic,
 /// which holds when (a) the policy's inelastic allocation is integral in

@@ -121,7 +121,9 @@ std::string RunPoint::cache_key() const {
       // bytes, so warm caches miss instead of serving the old path's rows.
       // rev=2: the block solver levels along the cheaper axis per policy.
       // rev=3: the block method may eliminate in nested-dissection order.
-      key += ";rev=3";
+      // rev=4: SOR is gone; phase-type chains may fold along j, and
+      // reducible chains solve their closed class.
+      key += ";rev=4";
       break;
     case SolverKind::kSimulation:
       key += ";jobs=" + std::to_string(options.sim_jobs);

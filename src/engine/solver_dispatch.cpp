@@ -119,7 +119,6 @@ RunResult exact_to_run_result(const ExactCtmcResult& exact) {
   result.mean_jobs_e = exact.mean_jobs_e;
   result.boundary_mass = exact.boundary_mass;
   result.num_states = static_cast<long>(exact.num_states);
-  result.solver_iterations = exact.solve_info.iterations;
   result.solve_residual = exact.solve_info.residual;
   return result;
 }

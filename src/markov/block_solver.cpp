@@ -433,23 +433,6 @@ struct LevelFactor {
 
 }  // namespace
 
-std::size_t block_solver_workspace_bytes(
-    const std::vector<std::uint32_t>& level_of) {
-  if (level_of.empty()) return 0;
-  std::uint32_t max_level = 0;
-  for (std::uint32_t l : level_of) max_level = std::max(max_level, l);
-  std::vector<std::size_t> size(static_cast<std::size_t>(max_level) + 1, 0);
-  for (std::uint32_t l : level_of) ++size[l];
-  std::size_t doubles = 0;
-  std::size_t max_block = 0;
-  for (std::size_t l = 0; l < size.size(); ++l) {
-    max_block = std::max(max_block, size[l]);
-    if (l > 0) doubles += size[l] * size[l];  // kept LU of -S_l^T, if dense
-  }
-  doubles += 3 * max_block * max_block;  // dense S, G and next S: a bound
-  return doubles * sizeof(double);
-}
-
 double block_solver_flop_estimate(const CsrMatrix& rates,
                                   const std::vector<std::uint32_t>& level_of) {
   const std::size_t n = rates.rows();
@@ -497,8 +480,8 @@ Vector block_tridiagonal_stationary(const CsrMatrix& rates,
   // can assume |level(from) - level(to)| <= 1, and that every level can be
   // left downwards at all — a level with no down-transitions makes the
   // censored blocks exactly singular (everything below it is transient),
-  // which the direct elimination cannot represent; callers fall back to an
-  // iterative solver for such chains.
+  // which the direct elimination cannot represent; the exact backend then
+  // solves the chain's closed class instead.
   std::vector<bool> has_down(num_levels, false);
   for (std::size_t s = 0; s < n; ++s) {
     const std::size_t* to = rates.row_cols(s);
@@ -590,8 +573,8 @@ Vector block_tridiagonal_stationary(const CsrMatrix& rates,
   // of C, and down-transitions land on few level-l states — and the
   // forward pass needs only pi_l R_l, one solve against the kept factor
   // per level. That replaces b solves per level (every row of R) with
-  // ~|cols(C)| + 1, which is what makes the direct solve beat SOR on the
-  // phase-augmented chains.
+  // ~|cols(C)| + 1, which is what keeps the fold cheap on chains whose
+  // levels have few down-targets.
   //
   // S_l itself is never dense either (except S_0, for GTH): it is A_l in
   // every column but the m_l fold-densified ones, the level-l states that
@@ -768,8 +751,6 @@ Vector block_tridiagonal_stationary(const CsrMatrix& rates,
   ESCHED_DEBUG_CHECK(check_probability_vector(pi, "block_tridiagonal_stationary"));
 
   if (info != nullptr) {
-    info->iterations = 0;
-    info->converged = true;
     info->residual = stationary_residual(rates, exit_rates, pi);
   }
   return pi;

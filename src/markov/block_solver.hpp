@@ -45,24 +45,13 @@ namespace esched {
 /// an off-diagonal rate matrix plus exit rates. `level_of[s]` assigns each
 /// state to a level; levels must be contiguous (0..L-1 all non-empty) and
 /// every transition must stay within a level or move to an adjacent one —
-/// violations throw esched::Error naming the offending structure. `info`
-/// (optional) reports iterations == 0, converged == true, and the measured
-/// residual, like the dense GTH path.
+/// violations throw esched::Error naming the offending structure, as does
+/// a level with no down-transitions (a reducible chain). `info` (optional)
+/// reports the measured residual.
 Vector block_tridiagonal_stationary(const CsrMatrix& rates,
                                     const Vector& exit_rates,
                                     const std::vector<std::uint32_t>& level_of,
                                     StationarySolveInfo* info = nullptr);
-
-/// Upper bound on the peak workspace of block_tridiagonal_stationary for
-/// this level partition, as if every kept factor were dense (sum of b_l^2
-/// doubles over levels l >= 1) and every level block were held densely (a
-/// few max-block-squared). The sparse fold keeps far less on chains whose
-/// levels have few down-targets; the bound is left as it is so that no
-/// chain's route changes. Used by the exact backend's auto method
-/// selection to fall back to SOR rather than blow the memory budget on
-/// degenerate partitions (e.g. one giant level).
-std::size_t block_solver_workspace_bytes(
-    const std::vector<std::uint32_t>& level_of);
 
 /// Estimated floating-point work of block_tridiagonal_stationary on this
 /// chain. The elimination is only cheap when the fold densifies few
@@ -70,8 +59,8 @@ std::size_t block_solver_workspace_bytes(
 /// b_l * m_l^2 (updates into the m_l fold-densified rows) plus m_l^3 (the
 /// trailing dense block), where m_l counts the level-l states that receive
 /// down-transitions. Chains whose every state is a down-target (m ~ b)
-/// degrade to dense O(levels * block^3) work, and auto method selection
-/// uses this estimate to prefer SOR there.
+/// degrade to dense O(levels * block^3) work; the exact backend compares
+/// this estimate across level axes and with nested dissection's count.
 double block_solver_flop_estimate(const CsrMatrix& rates,
                                   const std::vector<std::uint32_t>& level_of);
 

@@ -406,11 +406,6 @@ NestedDissectionCost nested_dissection_cost(std::size_t ni, std::size_t nj) {
   const Walk<false> walk = plan(ni, nj);
   NestedDissectionCost cost;
   cost.flops = walk.flops;
-  cost.workspace_bytes =
-      (walk.update_peak + walk.factor_peak + walk.front_peak) *
-          sizeof(double) +
-      ni * nj * sizeof(std::int32_t) +
-      walk.front_dim_peak * (2 * sizeof(std::uint32_t) + sizeof(std::size_t));
   return cost;
 }
 
@@ -451,8 +446,6 @@ Vector nested_dissection_stationary(const CsrMatrix& rates,
   ESCHED_DEBUG_CHECK(
       check_probability_vector(pi, "nested_dissection_stationary"));
   if (info != nullptr) {
-    info->iterations = 0;
-    info->converged = true;
     info->residual = stationary_residual(rates, exit_rates, pi);
   }
   return pi;

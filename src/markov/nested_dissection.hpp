@@ -35,17 +35,13 @@
 
 namespace esched {
 
-/// Cost of nested_dissection_stationary on an ni x nj grid. Both numbers
-/// depend on the grid shape only, and come from an allocation-free walk of
-/// the same dissection the solve runs.
+/// Cost of nested_dissection_stationary on an ni x nj grid. It depends on
+/// the grid shape only, and comes from an allocation-free walk of the same
+/// dissection the solve runs.
 struct NestedDissectionCost {
   /// Multiply-adds of the factor pass, the subtree refactors and the
   /// back-substitution (dense fronts, so independent of the rates).
   double flops = 0.0;
-  /// Peak bytes the solve allocates beyond its input and result: stored
-  /// factor columns, pending update matrices, the largest front and the
-  /// state-to-front map.
-  std::size_t workspace_bytes = 0;
 };
 
 NestedDissectionCost nested_dissection_cost(std::size_t ni, std::size_t nj);
@@ -55,9 +51,8 @@ NestedDissectionCost nested_dissection_cost(std::size_t ni, std::size_t nj);
 /// join 4-neighbours, given as an off-diagonal rate matrix plus exit rates.
 /// A transition between non-neighbours throws esched::Error, as does a zero
 /// GTH pivot (a state with no path to the states still to be eliminated,
-/// i.e. a reducible chain). `info` (optional) reports iterations == 0,
-/// converged == true and the measured residual, like the other direct
-/// solvers.
+/// i.e. a reducible chain). `info` (optional) reports the measured
+/// residual, like the other direct solvers.
 Vector nested_dissection_stationary(const CsrMatrix& rates,
                                     const Vector& exit_rates, std::size_t ni,
                                     std::size_t nj,

@@ -1,23 +1,25 @@
 // Stationary distribution solvers for finite CTMCs.
 //
-// Three algorithms with different size/robustness trade-offs:
+// All of them are direct, with different size/structure trade-offs:
 //  - GTH elimination: O(n^3), no subtractions (numerically exact for
 //    probabilities); the backend uses it for chains of at most 500 states.
-//  - Gauss-Seidel/SOR on the balance equations: sparse, O(nnz) per sweep,
-//    for truncated 2-D chains without usable structure.
-//  - Block elimination, direct: the block-tridiagonal fold
-//    (markov/block_solver.hpp), O(levels * block^3), for level-structured
-//    chains, and nested dissection (markov/nested_dissection.hpp),
-//    O(n^1.5), for chains on a 2-D grid.
+//  - Block elimination: the block-tridiagonal fold
+//    (markov/block_solver.hpp), O(levels * block^3) at worst, for
+//    level-structured chains, and nested dissection
+//    (markov/nested_dissection.hpp), O(n^1.5), for chains on a 2-D grid.
 //
 // The exact-CTMC backend (core/exact_ctmc.hpp) picks among them by chain
-// size and structure; there is no option to force one. These functions are
-// also the references tests compare the backend's results against. Each
-// takes the generator as an off-diagonal rate matrix plus exit rates
-// (SparseCtmc::rate_matrix() and exit_rates() of a frozen chain).
+// size and structure; there is no option to force one. A reducible chain
+// makes every elimination throw; the backend then solves its closed class
+// (closed_classes below) by GTH. These functions are also the references
+// tests compare the backend's results against. Each takes the generator as
+// an off-diagonal rate matrix plus exit rates (SparseCtmc::rate_matrix()
+// and exit_rates() of a frozen chain).
 #pragma once
 
+#include <cstddef>
 #include <string>
+#include <vector>
 
 #include "linalg/csr.hpp"
 #include "linalg/matrix.hpp"
@@ -26,10 +28,8 @@ namespace esched {
 
 /// Result of a stationary solve.
 struct StationarySolveInfo {
-  int iterations = 0;     // 0 for the direct (GTH / block) solvers
-  double residual = 0.0;  // max |pi Q| entry at exit
-  bool converged = false;
-  /// Which solver actually ran ("gth", "sor", "block"); filled by the
+  double residual = 0.0;  // max |pi Q| entry of the result
+  /// Which solver actually ran ("gth", "block"); filled by the
   /// exact-CTMC backend, which picks the solver itself, and empty when a
   /// solver was invoked directly.
   std::string method;
@@ -43,19 +43,16 @@ Vector gth_stationary(Matrix generator);
 /// diagonal -exit_rates[s]), densified first.
 Vector gth_stationary(const CsrMatrix& rates, const Vector& exit_rates);
 
-/// Gauss-Seidel / SOR iteration on the global balance equations of a sparse
-/// CTMC. `omega` in (0, 2); omega = 1 is plain Gauss-Seidel. Iterates until
-/// the residual max|pi Q| drops below `tol` or `max_iters` sweeps elapse.
-/// Each sweep visits the states in a level schedule built once per call
-/// (states of one level share no edge), which reproduces the ascending
-/// Gauss-Seidel sweep bitwise — same iterates, iteration count and
-/// residual — while letting consecutive updates overlap.
-Vector sor_stationary(const CsrMatrix& rates, const Vector& exit_rates,
-                      double tol = 1e-12, int max_iters = 20000,
-                      double omega = 1.0, StationarySolveInfo* info = nullptr);
-
 /// Residual max_s |(pi Q)_s| — a direct check that `pi` satisfies balance.
 double stationary_residual(const CsrMatrix& rates, const Vector& exit_rates,
                            const Vector& pi);
+
+/// The closed communicating classes of the chain whose off-diagonal rate
+/// matrix is `rates`: the strongly connected components (Tarjan 1972,
+/// iterative) that no transition leaves. Each class lists its states in
+/// ascending order, and the classes come in the order of their smallest
+/// state. An irreducible chain has exactly one, every state; a finite
+/// chain has at least one.
+std::vector<std::vector<std::size_t>> closed_classes(const CsrMatrix& rates);
 
 }  // namespace esched

@@ -22,7 +22,7 @@
 //   spans   → span_begin, span_end (see TraceSpan below): paired events
 //             carrying {span, parent, name}, forming the per-process span
 //             tree worker → chunk → sweep → point → solve (→ exact.build,
-//             exact.factor, exact.iterate for exact solves) that
+//             exact.factor for exact solves) that
 //             `esched trace report` reconstructs across workers
 #pragma once
 

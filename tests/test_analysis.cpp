@@ -342,21 +342,12 @@ TEST(ExactCtmc, AllStationarySolversAgree) {
       nested_dissection_stationary(chain.rate_matrix(), chain.exit_rates(),
                                    imax + 1, jmax + 1),
       jmax);
-  StationarySolveInfo sor_info;
-  const GridMeans sor = grid_means(
-      p,
-      sor_stationary(chain.rate_matrix(), chain.exit_rates(), 1e-14, 200000,
-                     1.0, &sor_info),
-      jmax);
-  EXPECT_TRUE(sor_info.converged);
-  // The direct solvers agree to near machine precision; SOR to its
-  // convergence tolerance.
+  // The direct solvers agree to near machine precision.
   for (const GridMeans& direct : {gth, block, nd}) {
     EXPECT_NEAR(automatic.mean_response_time, direct.mean_response_time,
                 1e-10);
     EXPECT_NEAR(automatic.mean_jobs_i, direct.mean_jobs_i, 1e-10);
   }
-  EXPECT_NEAR(automatic.mean_response_time, sor.mean_response_time, 1e-7);
 }
 
 TEST(ExactCtmc, PhaseTypeWithExponentialSizesMatchesTheExponentialChain) {
@@ -390,30 +381,30 @@ TEST(ExactCtmc, PhaseTypeWithExponentialSizesMatchesTheExponentialChain) {
   }
 }
 
-TEST(ExactCtmc, PhaseTypeOverTheFlopLimitTakesSorAndKeepsTheInelasticMarginal) {
-  // Over kAutoBlockFlopLimit the phase-type chain must not fold: IF with
-  // erlang:3 sizes at k=4, rho 0.6, imax = jmax = 40 (23,575 states)
-  // estimates ~6.4e9 flops for the fold, which runs ~20x longer than SOR
-  // here. IF serves inelastic jobs regardless of N_E, so E[N_I] is the same
-  // at jmax = 1, where the 1,150-state chain folds; the two solves share
-  // no solver.
+TEST(ExactCtmc, PhaseTypeIfChainFoldsAlongJAndKeepsTheInelasticMarginal) {
+  // IF with erlang:3 sizes at k=4, rho 0.6, imax = jmax = 40 (23,575
+  // states): most states of an i level are down-targets, so the fold along
+  // i estimates ~6.4e9 flops, while an elastic completion lands on few
+  // states of a j level (~2.0e8 along j). IF serves inelastic jobs
+  // regardless of N_E, so E[N_I] is the same at jmax = 1, a 1,150-state
+  // chain; both solves are direct.
   const SystemParams p = SystemParams::from_load(4, 1.0, 1.0, 0.6);
   const PhaseType erl3 = PhaseType::erlang(3, 3.0 * p.mu_i);
-  ExactCtmcOptions over_limit;
-  over_limit.imax = over_limit.jmax = 40;
-  const ExactCtmcResult sor =
-      solve_exact_ctmc_ph(p, InelasticFirst{}, erl3, over_limit);
-  EXPECT_EQ(sor.num_states, 23575u);
-  EXPECT_EQ(sor.solve_info.method, "sor");
-  EXPECT_GT(sor.solve_info.iterations, 0);
-  EXPECT_TRUE(sor.solve_info.converged);
-  ExactCtmcOptions one_column = over_limit;
+  ExactCtmcOptions square;
+  square.imax = square.jmax = 40;
+  const std::uint64_t by_j_before = counter_total("exact.method.block.axis.j");
+  const ExactCtmcResult by_j =
+      solve_exact_ctmc_ph(p, InelasticFirst{}, erl3, square);
+  EXPECT_EQ(counter_total("exact.method.block.axis.j") - by_j_before, 1u);
+  EXPECT_EQ(by_j.num_states, 23575u);
+  EXPECT_EQ(by_j.solve_info.method, "block");
+  ExactCtmcOptions one_column = square;
   one_column.jmax = 1;
-  const ExactCtmcResult block =
+  const ExactCtmcResult narrow =
       solve_exact_ctmc_ph(p, InelasticFirst{}, erl3, one_column);
-  EXPECT_EQ(block.num_states, 1150u);
-  EXPECT_EQ(block.solve_info.method, "block");
-  EXPECT_LT(relative_error(sor.mean_jobs_i, block.mean_jobs_i), 1e-9);
+  EXPECT_EQ(narrow.num_states, 1150u);
+  EXPECT_EQ(narrow.solve_info.method, "block");
+  EXPECT_LT(relative_error(by_j.mean_jobs_i, narrow.mean_jobs_i), 1e-12);
 }
 
 TEST(ExactCtmc, AutoBlockLevelsIfAlongElasticAxisAndEfAlongInelastic) {
@@ -439,8 +430,6 @@ TEST(ExactCtmc, AutoBlockLevelsIfAlongElasticAxisAndEfAlongInelastic) {
     EXPECT_EQ(ordering, c.axis);
     const SparseCtmc chain =
         policy_chain(p, c.policy, options.imax, options.jmax);
-    // SOR stops on the residual; at the backend's 1e-12 its E[T] here is
-    // off by ~2e-9, so the reference iterates further.
     EXPECT_NEAR(automatic.mean_response_time,
                 grid_means(p,
                            gth_stationary(chain.rate_matrix(),
@@ -448,13 +437,6 @@ TEST(ExactCtmc, AutoBlockLevelsIfAlongElasticAxisAndEfAlongInelastic) {
                            options.jmax)
                     .mean_response_time,
                 1e-10);
-    EXPECT_NEAR(automatic.mean_response_time,
-                grid_means(p,
-                           sor_stationary(chain.rate_matrix(),
-                                          chain.exit_rates(), 1e-14, 200000),
-                           options.jmax)
-                    .mean_response_time,
-                1e-9);
     // The batch and the one-shot entry point share the axis pick.
     ExactCtmcBatch batch(p, options);
     const ExactCtmcResult batched = batch.solve(c.policy);
@@ -568,7 +550,6 @@ TEST(ExactCtmc, AutoRoutesEachPolicyToItsCheapestOrdering) {
     const ExactCtmcResult automatic =
         solve_auto(p, c.policy, options, &ordering);
     EXPECT_EQ(automatic.solve_info.method, "block");
-    EXPECT_EQ(automatic.solve_info.iterations, 0);
     EXPECT_EQ(ordering, c.ordering);
     // The batch (which has solved the other policies first) matches the
     // one-shot entry point bitwise.
@@ -611,25 +592,25 @@ class NoInelasticService final : public AllocationPolicy {
   std::string name() const override { return "NoInelasticService"; }
 };
 
-TEST(ExactCtmc, AutoFallsBackToSorWhenEveryEliminationThrows) {
+TEST(ExactCtmc, ReducibleChainsSolveTheirClosedClass) {
   // Levels along N_I are the cheapest ordering, but no level has a
-  // down-transition; nested dissection then eliminates the closed row
-  // before the middle separator and hits a zero pivot. Auto counts both
-  // fallbacks and solves the chain with SOR. Run directly, both
-  // eliminations throw.
+  // down-transition, so the fold throws; nested dissection, run directly,
+  // would hit a zero pivot too. Only the row i == imax is closed: the solve
+  // puts all mass there and solves the row's 31 states by dense GTH.
   const SystemParams p = SystemParams::from_load(4, 1.0, 1.0, 0.5);
   ExactCtmcOptions options;
   options.imax = options.jmax = 30;  // 961 states
   const NoInelasticService policy;
-  const std::uint64_t fallbacks_before =
-      counter_total("exact.method.block.fallbacks");
+  const std::uint64_t closed_before = counter_total("exact.method.closed_class");
   char ordering = '?';
   const ExactCtmcResult automatic = solve_auto(p, policy, options, &ordering);
-  EXPECT_EQ(automatic.solve_info.method, "sor");
+  EXPECT_EQ(automatic.solve_info.method, "gth");
   EXPECT_EQ(ordering, '-');
-  EXPECT_EQ(counter_total("exact.method.block.fallbacks") - fallbacks_before,
-            2u);
-  EXPECT_NEAR(automatic.mean_jobs_i, 30.0, 1e-9);
+  EXPECT_EQ(counter_total("exact.method.closed_class") - closed_before, 1u);
+  // All mass sits on the row i == 30, up to the rounding of its sum.
+  EXPECT_DOUBLE_EQ(automatic.mean_jobs_i, 30.0);
+  EXPECT_EQ(automatic.boundary_mass, 1.0);
+  EXPECT_LT(automatic.solve_info.residual, 1e-12);
   const SparseCtmc chain = policy_chain(p, policy, 30, 30);
   EXPECT_THROW(block_tridiagonal_stationary(chain.rate_matrix(),
                                             chain.exit_rates(),
@@ -640,25 +621,85 @@ TEST(ExactCtmc, AutoFallsBackToSorWhenEveryEliminationThrows) {
                Error);
 
   // Idling all k servers serves nobody: every arrival is absorbed at the
-  // corner (imax, jmax). At 20 levels (441 states) dense GTH hits the
-  // state with no path down; auto counts that fallback and solves with
-  // SOR, as it does for the same policy past the GTH limit.
+  // corner (imax, jmax), the one closed class. At 20 levels (441 states)
+  // dense GTH hits the state with no path down, at 40 the fold does; both
+  // solves end on the corner.
   const PolicyPtr idle_all = make_idling(make_inelastic_first(), 4.0);
   for (const long levels : {20L, 40L}) {
     SCOPED_TRACE(levels);
     ExactCtmcOptions idle_options;
     idle_options.imax = idle_options.jmax = levels;
-    const std::uint64_t gth_before =
-        counter_total("exact.method.gth.fallbacks");
+    const std::uint64_t before = counter_total("exact.method.closed_class");
     const ExactCtmcResult idle = solve_exact_ctmc(p, *idle_all, idle_options);
-    EXPECT_EQ(idle.solve_info.method, "sor");
+    EXPECT_EQ(idle.solve_info.method, "gth");
     EXPECT_EQ(idle.mean_response_time, static_cast<double>(levels));
-    EXPECT_EQ(counter_total("exact.method.gth.fallbacks") - gth_before,
-              levels == 20 ? 1u : 0u);
+    EXPECT_EQ(idle.boundary_mass, 1.0);
+    EXPECT_EQ(counter_total("exact.method.closed_class") - before, 1u);
   }
   const SparseCtmc corner = policy_chain(p, *idle_all, 20, 20);
   EXPECT_THROW(gth_stationary(corner.rate_matrix(), corner.exit_rates()),
                Error);
+
+  // Elastic-first idling one server never serves a lone inelastic job, so
+  // once N_I reaches 1 it never returns to 0: the closed class is the rows
+  // i >= 1, states 31..960, over the dense GTH limit. The block method
+  // solves the class; dense GTH on the same rows agrees.
+  const PolicyPtr ef_idle = make_idling(make_elastic_first(), 1.0);
+  const std::uint64_t ef_before = counter_total("exact.method.closed_class");
+  const ExactCtmcResult rows = solve_auto(p, *ef_idle, options, &ordering);
+  EXPECT_EQ(rows.solve_info.method, "block");
+  EXPECT_EQ(ordering, 'i');
+  EXPECT_EQ(counter_total("exact.method.closed_class") - ef_before, 1u);
+  EXPECT_LT(rows.solve_info.residual, 1e-12);
+  const SparseCtmc ef_chain = policy_chain(p, *ef_idle, 30, 30);
+  const std::vector<std::vector<std::size_t>> classes =
+      closed_classes(ef_chain.rate_matrix());
+  ASSERT_EQ(classes.size(), 1u);
+  ASSERT_EQ(classes[0].size(), 930u);
+  EXPECT_EQ(classes[0].front(), 31u);
+  const CsrMatrix& full = ef_chain.rate_matrix();
+  CsrMatrix class_rates;
+  Vector class_exit(930);
+  class_rates.begin_rows(930, 930);
+  for (std::size_t r = 0; r < 930; ++r) {
+    for (std::size_t k = 0; k < full.row_nnz(r + 31); ++k) {
+      class_rates.push(full.row_cols(r + 31)[k] - 31,
+                       full.row_values(r + 31)[k]);
+    }
+    class_rates.next_row();
+    class_exit[r] = ef_chain.exit_rates()[r + 31];
+  }
+  const Vector dense = gth_stationary(class_rates, class_exit);
+  double jobs_i = 0.0;
+  double jobs_e = 0.0;
+  for (std::size_t r = 0; r < 930; ++r) {
+    jobs_i += static_cast<double>(r / 31 + 1) * dense[r];
+    jobs_e += static_cast<double>(r % 31) * dense[r];
+  }
+  EXPECT_NEAR(rows.mean_jobs_i, jobs_i, 1e-12 * jobs_i);
+  EXPECT_NEAR(rows.mean_jobs_e, jobs_e, 1e-12 * jobs_e);
+}
+
+TEST(ExactCtmc, SeveralClosedClassesThrow) {
+  // Without elastic arrivals and with every server idle, j never changes
+  // and i only grows: each (10, j) is its own closed class, 11 in all, so
+  // the stationary law is not unique. The solve must say so, not return
+  // one of the laws.
+  SystemParams p;
+  p.k = 4;
+  p.lambda_i = 2.0;
+  p.lambda_e = 0.0;
+  const PolicyPtr idle_all = make_idling(make_inelastic_first(), 4.0);
+  ExactCtmcOptions options;
+  options.imax = options.jmax = 10;  // 121 states
+  try {
+    (void)solve_exact_ctmc(p, *idle_all, options);
+    ADD_FAILURE() << "expected esched::Error";
+  } catch (const Error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("11 closed classes"), std::string::npos) << what;
+    EXPECT_NE(what.find("not unique"), std::string::npos) << what;
+  }
 }
 
 TEST(ExactCtmc, EveryBlockSolveBumpsExactlyOneOrderingCounter) {
@@ -674,7 +715,7 @@ TEST(ExactCtmc, EveryBlockSolveBumpsExactlyOneOrderingCounter) {
   (void)solve_exact_ctmc(p, InelasticFirst{}, options);  // axis j
   (void)solve_exact_ctmc(p, ElasticFirst{}, options);    // axis i
   (void)solve_exact_ctmc(p, FairShare{}, options);       // nested dissection
-  (void)solve_exact_ctmc(p, NoInelasticService{}, options);  // SOR
+  (void)solve_exact_ctmc(p, NoInelasticService{}, options);  // closed class
   ExactCtmcOptions ph = options;
   ph.imax = ph.jmax = 12;  // 1,915 states
   (void)solve_exact_ctmc_ph(p, ElasticFirst{},
@@ -699,7 +740,6 @@ TEST(ExactCtmc, BitwisePinned) {
   struct Pin {
     double mean_response_time, mean_jobs_i, mean_jobs_e, boundary_mass,
         residual;
-    int iterations;
     const char* method;
     char ordering;  // as solve_auto reports it
   };
@@ -707,97 +747,97 @@ TEST(ExactCtmc, BitwisePinned) {
   // levels; IF, EF, FairShare, Cap2, IF+idle1. Then IF+idle4 at 40 levels.
   static const Pin expected[] = {
       {0x1.2c4b9f50d5a86p+0, 0x1.111110de81b49p-1, 0x1.47862dc3299c4p-1,
-       0x1.4b5ac7679963cp-18, 0x1.2p-54, 0, "gth", '-'},
+       0x1.4b5ac7679963cp-18, 0x1.2p-54, "gth", '-'},
       {0x1.3c6b00f590adep+0, 0x1.ce2b576076b0ep-1, 0x1.555555155555cp-2,
-       0x1.dd79ec93574d7p-18, 0x1p-53, 0, "gth", '-'},
+       0x1.dd79ec93574d7p-18, 0x1p-53, "gth", '-'},
       {0x1.2eee3f36e87bep+0, 0x1.4e37cb8743e5ep-1, 0x1.0fa4b2e68d11ep-1,
-       0x1.d74e507d7d95bp-24, 0x1.8p-55, 0, "gth", '-'},
+       0x1.d74e507d7d95bp-24, 0x1.8p-55, "gth", '-'},
       {0x1.2c4b9f50d5a86p+0, 0x1.111110de81b49p-1, 0x1.47862dc3299c4p-1,
-       0x1.4b5ac7679963cp-18, 0x1.2p-54, 0, "gth", '-'},
+       0x1.4b5ac7679963cp-18, 0x1.2p-54, "gth", '-'},
       {0x1.19d4b57284f2ap+3, 0x1.0c00442043776p+0, 0x1.f0a959dcf9076p+2,
-       0x1.d20c5bc7a054dp-4, 0x1.4p-56, 0, "gth", '-'},
+       0x1.d20c5bc7a054dp-4, 0x1.4p-56, "gth", '-'},
       {0x1.2c4e6eca13cf8p+0, 0x1.111111111111bp-1, 0x1.478bcc83168d6p-1,
-       0x1.9d7f782a2ab1bp-44, 0x1.8p-54, 0, "block", 'j'},
+       0x1.9d7f782a2ab1bp-44, 0x1.8p-54, "block", 'j'},
       {0x1.3c6ef372fb86dp+0, 0x1.ce333c3b4c62dp-1, 0x1.555555555555ap-2,
-       0x1.298e2bcb624b1p-43, 0x1.2p-52, 0, "block", 'i'},
+       0x1.298e2bcb624b1p-43, 0x1.2p-52, "block", 'i'},
       {0x1.2eee52af0cdap+0, 0x1.4e37df23c016cp-1, 0x1.0fa4c63a599d4p-1,
-       0x1.326c5004c47dep-63, 0x1p-54, 0, "block", 'n'},
+       0x1.326c5004c47dep-63, 0x1p-54, "block", 'n'},
       {0x1.2c4e6eca13cf8p+0, 0x1.111111111111bp-1, 0x1.478bcc83168d6p-1,
-       0x1.9d7f782a2ab1bp-44, 0x1.8p-54, 0, "block", 'j'},
+       0x1.9d7f782a2ab1bp-44, 0x1.8p-54, "block", 'j'},
       {0x1.5404da2c98a32p+4, 0x1.04fae1f850e57p+0, 0x1.43b52c0d1394dp+4,
-       0x1.80bad9e078305p-5, 0x1.7p-57, 0, "block", 'j'},
+       0x1.80bad9e078305p-5, 0x1.7p-57, "block", 'j'},
       {0x1.2c4e6eca15f3ep+0, 0x1.1111111111117p-1, 0x1.478bcc831ad64p-1,
-       0x1.15a54573c6a26p-94, 0x1.8p-54, 0, "block", 'j'},
+       0x1.15a54573c6a26p-94, 0x1.8p-54, "block", 'j'},
       {0x1.3c6ef372fe948p+0, 0x1.ce333c3b527e4p-1, 0x1.5555555555558p-2,
-       0x1.8f4d36aa74ff5p-94, 0x1p-52, 0, "block", 'i'},
+       0x1.8f4d36aa74ff5p-94, 0x1p-52, "block", 'i'},
       {0x1.2eee52af0cda7p+0, 0x1.4e37df23c0175p-1, 0x1.0fa4c63a599d9p-1,
-       0x1.020163af2f12cp-142, 0x1p-55, 0, "block", 'n'},
+       0x1.020163af2f12cp-142, 0x1p-55, "block", 'n'},
       {0x1.2c4e6eca15f3ep+0, 0x1.1111111111117p-1, 0x1.478bcc831ad64p-1,
-       0x1.15a54573c6a26p-94, 0x1.8p-54, 0, "block", 'j'},
+       0x1.15a54573c6a26p-94, 0x1.8p-54, "block", 'j'},
       {0x1.71d1b60c0c41p+5, 0x1.024a6500dbf2cp+0, 0x1.69bf62e405617p+5,
-       0x1.61eba05936b73p-6, 0x1.ap-58, 0, "block", 'j'},
+       0x1.61eba05936b73p-6, 0x1.ap-58, "block", 'j'},
       {0x1.6ee99cd9216fep-1, 0x1.e064226d3ea72p-1, 0x1.bcb535b4057d2p+0,
-       0x1.23b1ab37e3d7bp-11, 0x1.cp-53, 0, "gth", '-'},
+       0x1.23b1ab37e3d7bp-11, 0x1.cp-53, "gth", '-'},
       {0x1.01a8a75e70889p+0, 0x1.70f934d5b0228p+1, 0x1.bff563aea9d7dp-1,
-       0x1.2b94dd8530b4ap-7, 0x1p-53, 0, "gth", '-'},
+       0x1.2b94dd8530b4ap-7, 0x1p-53, "gth", '-'},
       {0x1.7f77e211ab3bbp-1, 0x1.2832e6ed7ff0fp+0, 0x1.a39bd0226a5c6p+0,
-       0x1.0e18d69d989dap-12, 0x1.4p-52, 0, "gth", '-'},
+       0x1.0e18d69d989dap-12, 0x1.4p-52, "gth", '-'},
       {0x1.7b3f1e35fd3b4p-1, 0x1.17b9444e89804p+0, 0x1.ac3405274f328p+0,
-       0x1.fbb7fb1377836p-12, 0x1.4p-53, 0, "gth", '-'},
+       0x1.fbb7fb1377836p-12, 0x1.4p-53, "gth", '-'},
       {0x1.dbbdfe521b01cp+0, 0x1.0c5397d46c696p+0, 0x1.78f1c324536fcp+2,
-       0x1.35181c0619e6dp-5, 0x1.cp-54, 0, "gth", '-'},
+       0x1.35181c0619e6dp-5, 0x1.cp-54, "gth", '-'},
       {0x1.70dc24ae79a7ap-1, 0x1.e06422a4f049bp-1, 0x1.c057ccc0048b6p+0,
-       0x1.9b27b36ff2c6p-27, 0x1.4p-52, 0, "block", 'j'},
+       0x1.9b27b36ff2c6p-27, 0x1.4p-52, "block", 'j'},
       {0x1.0bc5a6310c383p+0, 0x1.83d7585b8ee13p+1, 0x1.bffffffffd964p-1,
-       0x1.346f51169786fp-15, 0x1.8p-53, 0, "block", 'i'},
+       0x1.346f51169786fp-15, 0x1.8p-53, "block", 'i'},
       {0x1.8096617b3c391p-1, 0x1.28a954db9227fp+0, 0x1.a53c2de855b9fp+0,
-       0x1.1f74b763fd1e2p-30, 0x1p-53, 0, "block", 'n'},
+       0x1.1f74b763fd1e2p-30, 0x1p-53, "block", 'n'},
       {0x1.7cf7efa82d55ep-1, 0x1.17c08ead8da77p+0, 0x1.af639714e91afp+0,
-       0x1.5c34ade93aed7p-27, 0x1p-53, 0, "block", 'n'},
+       0x1.5c34ade93aed7p-27, 0x1p-53, "block", 'n'},
       {0x1.81865ca8b4d04p+1, 0x1.077e9b6ed5ec5p+0, 0x1.46e2e973df15dp+3,
-       0x1.dc0165799ced7p-9, 0x1.1p-52, 0, "block", 'j'},
+       0x1.dc0165799ced7p-9, 0x1.1p-52, "block", 'j'},
       {0x1.70dc2b9bf00aep-1, 0x1.e06422a4f049bp-1, 0x1.c057d9ae7b228p+0,
-       0x1.9937e086e19bap-58, 0x1.8p-53, 0, "block", 'j'},
+       0x1.9937e086e19bap-58, 0x1.8p-53, "block", 'j'},
       {0x1.0bdd15c10b54p+0, 0x1.8403178a7b877p+1, 0x1.c00000000011p-1,
-       0x1.3db690571034ep-30, 0x1.8p-52, 0, "block", 'i'},
+       0x1.3db690571034ep-30, 0x1.8p-52, "block", 'i'},
       {0x1.80966241a38bbp-1, 0x1.28a9553017c59p+0, 0x1.a53c2f062a948p+0,
-       0x1.47e328894b9cfp-66, 0x1.4p-53, 0, "block", 'n'},
+       0x1.47e328894b9cfp-66, 0x1.4p-53, "block", 'n'},
       {0x1.7cf7f5921dc17p-1, 0x1.17c08eb45a2c6p+0, 0x1.af63a21821a3p+0,
-       0x1.59dfa65ec4d81p-58, 0x1p-53, 0, "block", 'n'},
+       0x1.59dfa65ec4d81p-58, 0x1p-53, "block", 'n'},
       {0x1.afc5b49ccfda4p+1, 0x1.06fce285e1ep+0, 0x1.721d2e63c17e9p+3,
-       0x1.d323a49a47752p-15, 0x1p-52, 0, "block", 'j'},
+       0x1.d323a49a47752p-15, 0x1p-52, "block", 'j'},
       {0x1.aeb09fa55a14ep+1, 0x1.6923691553a11p+1, 0x1.50423e3bc2488p+2,
-       0x1.523258178a26ap-4, 0x1.cp-55, 0, "gth", '-'},
+       0x1.523258178a26ap-4, 0x1.cp-55, "gth", '-'},
       {0x1.5ed3043631165p+1, 0x1.898f81af8e237p+2, 0x1.b6db6917990efp-2,
-       0x1.f3d009514200fp-6, 0x1p-53, 0, "gth", '-'},
+       0x1.f3d009514200fp-6, 0x1p-53, "gth", '-'},
       {0x1.a9131f5b65d2ep+1, 0x1.559ef1e045452p+2, 0x1.50f0011ad03cap+1,
-       0x1.30ca234a4e17ap-6, 0x1.8p-54, 0, "gth", '-'},
+       0x1.30ca234a4e17ap-6, 0x1.8p-54, "gth", '-'},
       {0x1.74b9566d610bfp+1, 0x1.6a0db0208800dp+2, 0x1.54dc77f14b693p+0,
-       0x1.a7a7e9c94c2bbp-6, 0x1p-53, 0, "gth", '-'},
+       0x1.a7a7e9c94c2bbp-6, 0x1p-53, "gth", '-'},
       {0x1.ba6a8a9d63c41p+2, 0x1.1db5414426b0fp+2, 0x1.840b9f4dfdf93p+3,
-       0x1.07d6e9e355f88p-1, 0x1.8p-55, 0, "gth", '-'},
+       0x1.07d6e9e355f88p-1, 0x1.8p-55, "gth", '-'},
       {0x1.4364b6d8f5d6p+2, 0x1.6a4ff1cd06fc3p+1, 0x1.297e78911874fp+3,
-       0x1.d0abbc7e9232cp-7, 0x1.34p-53, 0, "block", 'j'},
+       0x1.d0abbc7e9232cp-7, 0x1.34p-53, "block", 'j'},
       {0x1.e1381608b194p+1, 0x1.130464fde6e3dp+3, 0x1.b6db6db6db6c4p-2,
-       0x1.1eba863eb7376p-10, 0x1.8p-54, 0, "block", 'i'},
+       0x1.1eba863eb7376p-10, 0x1.8p-54, "block", 'i'},
       {0x1.10cf5a76faee6p+2, 0x1.ba3cb406d935fp+2, 0x1.a9037d609ba5fp+1,
-       0x1.70225649b6526p-12, 0x1.ep-55, 0, "block", 'n'},
+       0x1.70225649b6526p-12, 0x1.ep-55, "block", 'n'},
       {0x1.ec100302292adp+1, 0x1.f7b06f34fde98p+2, 0x1.5b24b803345a6p+0,
-       0x1.ed026bd066673p-11, 0x1.8p-54, 0, "block", 'n'},
+       0x1.ed026bd066673p-11, 0x1.8p-54, "block", 'n'},
       {0x1.0fd8e3528348dp+4, 0x1.3f0bb3a2d7ff4p+2, 0x1.1e5600bb75bddp+5,
-       0x1.00d8afa5c0905p-1, 0x1.97fp-54, 0, "block", 'j'},
+       0x1.00d8afa5c0905p-1, 0x1.97fp-54, "block", 'j'},
       {0x1.77834c91fae1fp+2, 0x1.6a4ff2645bd85p+1, 0x1.6809927c7c7f7p+3,
-       0x1.46ae149a110adp-11, 0x1.9p-53, 0, "block", 'j'},
+       0x1.46ae149a110adp-11, 0x1.9p-53, "block", 'j'},
       {0x1.ef16a3deaf238p+1, 0x1.1b56ba17e56d1p+3, 0x1.b6db6db6db6d3p-2,
-       0x1.03027a748e53p-19, 0x1.4p-54, 0, "block", 'i'},
+       0x1.03027a748e53p-19, 0x1.4p-54, "block", 'i'},
       {0x1.14054f1e56981p+2, 0x1.bf9fdfdf5471bp+2, 0x1.ada688d2f6c33p+1,
-       0x1.52145e81c4d2ap-23, 0x1.ap-55, 0, "block", 'n'},
+       0x1.52145e81c4d2ap-23, 0x1.ap-55, "block", 'n'},
       {0x1.f8585c503e30dp+1, 0x1.0330389762e49p+3, 0x1.5b598ff94692ap+0,
-       0x1.bdae7226706e7p-20, 0x1.6p-54, 0, "block", 'n'},
+       0x1.bdae7226706e7p-20, 0x1.6p-54, "block", 'n'},
       {0x1.2e05365ef67fbp+5, 0x1.3f47ff221a543p+2, 0x1.567827b306273p+6,
-       0x1.0000b872da5edp-1, 0x1.98905p-54, 0, "block", 'j'},
+       0x1.0000b872da5edp-1, 0x1.98905p-54, "block", 'j'},
       {0x1.4p+5, 0x1.4p+5, 0x1.4p+5,
-       0x1p+0, 0x0p+0, 10, "sor", '-'},
+       0x1p+0, 0x0p+0, "sor", '-'},
   };
   struct Setting {
     int k;
@@ -838,7 +878,6 @@ TEST(ExactCtmc, BitwisePinned) {
     EXPECT_EQ(r.mean_jobs_e, e.mean_jobs_e) << "case " << c;
     EXPECT_EQ(r.boundary_mass, e.boundary_mass) << "case " << c;
     EXPECT_EQ(r.solve_info.residual, e.residual) << "case " << c;
-    EXPECT_EQ(r.solve_info.iterations, e.iterations) << "case " << c;
     EXPECT_EQ(r.solve_info.method, e.method) << "case " << c;
     EXPECT_EQ(ordering, e.ordering) << "case " << c;
   }

@@ -113,14 +113,13 @@ TEST(DebugCheckMacro, CompilesInBothModesAndFiresOnlyWhenEnabled) {
 }
 
 TEST(SolverWiring, BadGeneratorIsRejectedAtTheSolverBoundaryWhenEnabled) {
-  // gth/sor entry points carry ESCHED_DEBUG_CHECK(check_generator(...)):
+  // The gth entry point carries ESCHED_DEBUG_CHECK(check_generator(...)):
   // a non-conservative split generator must be rejected before the solve
   // in invariant builds (the sanitizer CI jobs run this arm).
   if constexpr (invariants::enabled()) {
     const CsrMatrix rates = two_state_rates();
     const Vector leaky_exits = {2.5, 3.0};
     EXPECT_THROW(gth_stationary(rates, leaky_exits), Error);
-    EXPECT_THROW(sor_stationary(rates, leaky_exits), Error);
   }
 }
 

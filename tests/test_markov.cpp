@@ -69,31 +69,6 @@ TEST(Stationary, GthMatchesMM1GeometricDistribution) {
   }
 }
 
-TEST(Stationary, SorAgreesWithGth) {
-  const SparseCtmc chain = mm1_chain(40, 0.7, 1.0);
-  const Vector exact = gth_stationary(chain.rate_matrix(), chain.exit_rates());
-  StationarySolveInfo info;
-  const Vector iterative = sor_stationary(
-      chain.rate_matrix(), chain.exit_rates(), 1e-13, 100000, 1.0, &info);
-  EXPECT_TRUE(info.converged);
-  for (std::size_t s = 0; s < exact.size(); ++s) {
-    EXPECT_NEAR(iterative[s], exact[s], 1e-9);
-  }
-}
-
-TEST(Stationary, SorReportsTrueIterationCountOnNonConvergence) {
-  // An unreachably tight tolerance forces the iteration budget to run out;
-  // the reported count must equal the sweeps actually performed, not
-  // max_iters + 1 (the loop-exit off-by-one this guards against).
-  const SparseCtmc chain = mm1_chain(40, 0.7, 1.0);
-  const int max_iters = 25;
-  StationarySolveInfo info;
-  sor_stationary(chain.rate_matrix(), chain.exit_rates(), 1e-30, max_iters,
-                 1.0, &info);
-  EXPECT_FALSE(info.converged);
-  EXPECT_EQ(info.iterations, max_iters);
-}
-
 TEST(Stationary, ResidualOfExactSolutionIsTiny) {
   const SparseCtmc chain = mm1_chain(25, 0.4, 1.0);
   const Vector pi = gth_stationary(chain.rate_matrix(), chain.exit_rates());
@@ -112,6 +87,39 @@ TEST(Stationary, ThreeStateCycleKnownAnswer) {
   EXPECT_NEAR(pi[0], 4.0 / 7.0, 1e-12);
   EXPECT_NEAR(pi[1], 2.0 / 7.0, 1e-12);
   EXPECT_NEAR(pi[2], 1.0 / 7.0, 1e-12);
+}
+
+TEST(Stationary, ClosedClassesAreTheComponentsNoEdgeLeaves) {
+  // 0 <-> 1, 1 -> 2 <-> 3, 1 -> 4 <-> 5, and 6 with no edges: {0, 1}
+  // leaks into {2, 3} and {4, 5}, which are closed, as is the lone state 6.
+  // Classes come in the order of their smallest state.
+  SparseCtmc chain(7);
+  chain.add_rate(0, 1, 1.0);
+  chain.add_rate(1, 0, 1.0);
+  chain.add_rate(1, 2, 1.0);
+  chain.add_rate(2, 3, 1.0);
+  chain.add_rate(3, 2, 1.0);
+  chain.add_rate(1, 4, 1.0);
+  chain.add_rate(4, 5, 1.0);
+  chain.add_rate(5, 4, 1.0);
+  chain.freeze();
+  const std::vector<std::vector<std::size_t>> expected = {
+      {2, 3}, {4, 5}, {6}};
+  EXPECT_EQ(closed_classes(chain.rate_matrix()), expected);
+
+  // An irreducible chain is one closed class; a long line exercises the
+  // explicit DFS stack (a recursive walk would nest 100,000 deep).
+  const SparseCtmc line = mm1_chain(100000, 0.5, 1.0);
+  const auto classes = closed_classes(line.rate_matrix());
+  ASSERT_EQ(classes.size(), 1u);
+  EXPECT_EQ(classes[0].size(), 100000u);
+  // Without the down-edges every state is its own component, and only the
+  // top one is closed.
+  SparseCtmc up(100000);
+  for (std::size_t s = 0; s + 1 < 100000; ++s) up.add_rate(s, s + 1, 1.0);
+  up.freeze();
+  const std::vector<std::vector<std::size_t>> top = {{99999}};
+  EXPECT_EQ(closed_classes(up.rate_matrix()), top);
 }
 
 TEST(Absorbing, PureDeathChainOccupancy) {
@@ -190,56 +198,6 @@ TEST(BirthDeath, RejectsBadInput) {
   EXPECT_THROW(birth_death_descent_moments({-1.0}, {1.0}), Error);
 }
 
-// ---------------------------------------------------------------------------
-// Bitwise reference tests: the CSR-backed SOR solver must reproduce the
-// pre-CSR nested-vector algorithm EXACTLY (same floating-point
-// accumulation order), so cached sweep results stay byte-identical. The
-// reference below is the old implementation, verbatim apart from the
-// adjacency container.
-
-Vector reference_sor(const SparseCtmc& chain, double tol, int max_iters,
-                     double omega, StationarySolveInfo* info) {
-  const std::size_t n = chain.num_states();
-  std::vector<std::vector<CtmcTransition>> in(n);
-  for (std::size_t s = 0; s < n; ++s) {
-    for (const auto& t : chain.transitions_from(s)) in[t.to].push_back(t);
-  }
-  const auto residual = [&](const Vector& pi) {
-    Vector flow(n, 0.0);
-    for (std::size_t s = 0; s < n; ++s) {
-      flow[s] -= pi[s] * chain.exit_rate(s);
-      for (const auto& t : chain.transitions_from(s)) {
-        flow[t.to] += pi[s] * t.rate;
-      }
-    }
-    return max_abs(flow);
-  };
-  Vector pi(n, 1.0 / static_cast<double>(n));
-  StationarySolveInfo local;
-  for (local.iterations = 1; local.iterations <= max_iters;
-       ++local.iterations) {
-    for (std::size_t s = 0; s < n; ++s) {
-      const double exit = chain.exit_rate(s);
-      if (exit == 0.0) continue;
-      double inflow = 0.0;
-      for (const auto& t : in[s]) inflow += pi[t.from] * t.rate;
-      const double gs = inflow / exit;
-      pi[s] = (1.0 - omega) * pi[s] + omega * gs;
-    }
-    normalize_probability(pi);
-    if (local.iterations % 10 == 0 || local.iterations == max_iters) {
-      local.residual = residual(pi);
-      if (local.residual < tol) {
-        local.converged = true;
-        break;
-      }
-    }
-  }
-  local.iterations = std::min(local.iterations, max_iters);
-  if (info != nullptr) *info = local;
-  return pi;
-}
-
 /// A 5x3 two-dimensional chain, level-structured along i: up/down rates
 /// between adjacent levels plus within-level hops, all state-dependent so
 /// no accidental symmetry hides accumulation-order differences.
@@ -265,22 +223,6 @@ std::vector<std::uint32_t> grid_levels() {
     level_of[s] = static_cast<std::uint32_t>(s / 3);
   }
   return level_of;
-}
-
-TEST(Stationary, SorCsrBitwiseMatchesNestedVectorReference) {
-  for (const SparseCtmc& chain : {mm1_chain(40, 0.7, 1.0), grid_chain()}) {
-    StationarySolveInfo ref_info, csr_info;
-    const Vector ref = reference_sor(chain, 1e-12, 5000, 1.2, &ref_info);
-    const Vector csr = sor_stationary(chain.rate_matrix(), chain.exit_rates(),
-                                      1e-12, 5000, 1.2, &csr_info);
-    ASSERT_EQ(ref.size(), csr.size());
-    for (std::size_t s = 0; s < ref.size(); ++s) {
-      EXPECT_EQ(ref[s], csr[s]) << "state " << s;  // bitwise, not NEAR
-    }
-    EXPECT_EQ(ref_info.iterations, csr_info.iterations);
-    EXPECT_EQ(ref_info.residual, csr_info.residual);
-    EXPECT_EQ(ref_info.converged, csr_info.converged);
-  }
 }
 
 /// A (imax+1) x (jmax+1) chain laid out like ExactCtmcBatch: state
@@ -312,115 +254,6 @@ SparseCtmc two_class_chain(long imax, long jmax, bool inelastic_first) {
   return chain;
 }
 
-/// A sparse chain with non-local edges, numbered the way the phase-type
-/// builder numbers its states: breadth-first from state 0, so a state's
-/// neighbours can sit far from it in either direction.
-SparseCtmc bfs_numbered_chain(std::size_t n) {
-  std::mt19937 rng(7);
-  std::uniform_int_distribution<std::size_t> pick(0, n - 1);
-  std::uniform_real_distribution<double> rate(0.1, 2.0);
-  // Raw graph: a ring (irreducible) plus two random jumps per node.
-  std::vector<std::vector<std::pair<std::size_t, double>>> out(n);
-  for (std::size_t v = 0; v < n; ++v) {
-    out[v].push_back({(v + 1) % n, rate(rng)});
-    for (int e = 0; e < 2; ++e) {
-      const std::size_t w = pick(rng);
-      if (w != v) out[v].push_back({w, rate(rng)});
-    }
-  }
-  const std::size_t unseen = n;
-  std::vector<std::size_t> index(n, unseen);
-  std::vector<std::size_t> order = {0};
-  index[0] = 0;
-  for (std::size_t head = 0; head < order.size(); ++head) {
-    for (const auto& [w, r] : out[order[head]]) {
-      if (index[w] == unseen) {
-        index[w] = order.size();
-        order.push_back(w);
-      }
-    }
-  }
-  EXPECT_EQ(order.size(), n);
-  SparseCtmc chain(n);
-  for (std::size_t v = 0; v < n; ++v) {
-    for (const auto& [w, r] : out[v]) chain.add_rate(index[v], index[w], r);
-  }
-  chain.freeze();
-  return chain;
-}
-
-/// Eight transient states draining into two absorbing ones (exit rate 0),
-/// placed mid-range and last so the sweep skips them in both positions.
-SparseCtmc absorbing_chain() {
-  SparseCtmc chain(10);
-  for (std::size_t s = 0; s < 10; ++s) {
-    if (s == 4 || s == 9) continue;
-    if (s + 1 < 10) chain.add_rate(s, s + 1, 1.0 + 0.1 * s);
-    if (s > 0) chain.add_rate(s, s - 1, 0.5 + 0.05 * s);
-    chain.add_rate(s, (s * 3 + 2) % 10, 0.25);
-  }
-  chain.freeze();
-  return chain;
-}
-
-/// Runs sor_stationary and reference_sor and expects bitwise-equal pi,
-/// iteration count, residual and convergence flag.
-void expect_sor_matches_reference(const SparseCtmc& chain, double tol,
-                                  int max_iters, double omega,
-                                  StationarySolveInfo* info = nullptr) {
-  StationarySolveInfo ref_info, sor_info;
-  const Vector ref = reference_sor(chain, tol, max_iters, omega, &ref_info);
-  const Vector sor = sor_stationary(chain.rate_matrix(), chain.exit_rates(),
-                                    tol, max_iters, omega, &sor_info);
-  ASSERT_EQ(ref.size(), sor.size());
-  for (std::size_t s = 0; s < ref.size(); ++s) {
-    EXPECT_EQ(ref[s], sor[s]) << "state " << s;  // bitwise, not NEAR
-  }
-  EXPECT_EQ(ref_info.iterations, sor_info.iterations);
-  EXPECT_EQ(ref_info.residual, sor_info.residual);
-  EXPECT_EQ(ref_info.converged, sor_info.converged);
-  if (info != nullptr) *info = sor_info;
-}
-
-TEST(Stationary, SorBitwiseMatchesReferenceOnTwoClassChains) {
-  for (const bool inelastic_first : {true, false}) {
-    const SparseCtmc chain = two_class_chain(39, 39, inelastic_first);
-    for (const double omega : {1.0, 1.2}) {
-      SCOPED_TRACE(::testing::Message() << "IF=" << inelastic_first
-                                        << " omega=" << omega);
-      expect_sor_matches_reference(chain, 1e-12, 20000, omega);
-    }
-  }
-}
-
-TEST(Stationary, SorBitwiseMatchesReferenceOnBfsNumberedChain) {
-  const SparseCtmc chain = bfs_numbered_chain(300);
-  for (const double omega : {1.0, 1.2}) {
-    SCOPED_TRACE(::testing::Message() << "omega=" << omega);
-    expect_sor_matches_reference(chain, 1e-12, 20000, omega);
-  }
-}
-
-TEST(Stationary, SorBitwiseMatchesReferenceWithAbsorbingStates) {
-  const SparseCtmc chain = absorbing_chain();
-  for (const double omega : {1.0, 1.2}) {
-    SCOPED_TRACE(::testing::Message() << "omega=" << omega);
-    expect_sor_matches_reference(chain, 1e-12, 2000, omega);
-  }
-}
-
-TEST(Stationary, SorBitwiseMatchesReferenceWhenStoppedAtMaxIters) {
-  // 37 is not a multiple of the 10-sweep check interval, so the final
-  // residual comes from the forced last-sweep check. Plain Gauss-Seidel:
-  // over-relaxed iterates can dip below zero before they converge, which
-  // the debug invariants reject.
-  StationarySolveInfo info;
-  expect_sor_matches_reference(two_class_chain(39, 39, true), 1e-30, 37, 1.0,
-                               &info);
-  EXPECT_FALSE(info.converged);
-  EXPECT_EQ(info.iterations, 37);
-}
-
 // ---------------------------------------------------------------------------
 // Block-tridiagonal direct solver.
 
@@ -434,8 +267,6 @@ TEST(BlockSolver, MatchesGthOnBirthDeath) {
   StationarySolveInfo info;
   const Vector block = block_tridiagonal_stationary(
       chain.rate_matrix(), chain.exit_rates(), level_of, &info);
-  EXPECT_TRUE(info.converged);
-  EXPECT_EQ(info.iterations, 0);
   EXPECT_LT(info.residual, 1e-12);
   for (std::size_t s = 0; s < 50; ++s) {
     EXPECT_NEAR(block[s], exact[s], 1e-12) << "state " << s;
@@ -929,8 +760,8 @@ TEST(BlockSolver, RejectsNonAdjacentLevelJumps) {
 
 TEST(BlockSolver, RejectsLevelWithNoDownTransitions) {
   // 0 -> 1 only: level 1 cannot descend, so level 0 is transient and the
-  // censored blocks are singular; the solver must refuse loudly (auto
-  // method selection falls back to SOR on this error).
+  // censored blocks are singular; the solver must refuse loudly (the exact
+  // backend then solves the chain's closed class on this error).
   SparseCtmc chain(2);
   chain.add_rate(0, 1, 1.0);
   chain.freeze();
@@ -950,14 +781,6 @@ TEST(BlockSolver, RejectsEmptyLevel) {
                                             chain.exit_rates(), {0, 2},
                                             nullptr),
                Error);
-}
-
-TEST(BlockSolver, WorkspaceEstimateScalesWithBlockSizes) {
-  // 2 levels of 3 states: R is 3x3 plus 3 dense 3x3 scratch blocks.
-  const std::vector<std::uint32_t> level_of = {0, 0, 0, 1, 1, 1};
-  EXPECT_EQ(block_solver_workspace_bytes(level_of),
-            (9 + 3 * 9) * sizeof(double));
-  EXPECT_EQ(block_solver_workspace_bytes({}), 0u);
 }
 
 TEST(BlockSolver, FlopEstimateCountsFoldDensifiedColumns) {
@@ -1017,8 +840,6 @@ TEST(NestedDissection, MatchesGthOnGridsOfEveryShape) {
     StationarySolveInfo info;
     const Vector nd = nested_dissection_stationary(
         chain.rate_matrix(), chain.exit_rates(), ni, nj, &info);
-    EXPECT_TRUE(info.converged);
-    EXPECT_EQ(info.iterations, 0);
     EXPECT_LT(info.residual, 1e-14);
     ASSERT_EQ(nd.size(), exact.size());
     for (std::size_t s = 0; s < exact.size(); ++s) {
@@ -1088,11 +909,6 @@ TEST(NestedDissection, CostCountsTheDenseFronts) {
   // all), and back-substitution reads the 28 packed factor entries.
   const NestedDissectionCost leaf = nested_dissection_cost(2, 4);
   EXPECT_EQ(leaf.flops, 196.0 + 28.0);
-  // 28 factor doubles + the 8 x 8 front, plus the 8-entry state map and
-  // the front's index scratch.
-  EXPECT_EQ(leaf.workspace_bytes,
-            (28 + 64) * sizeof(double) + 8 * sizeof(std::int32_t) +
-                8 * (2 * sizeof(std::uint32_t) + sizeof(std::size_t)));
   // O(n^1.5): quadrupling the states multiplies the work by about 8.
   const double small = nested_dissection_cost(99, 99).flops;
   const double large = nested_dissection_cost(198, 198).flops;
