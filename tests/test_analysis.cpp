@@ -601,7 +601,8 @@ TEST(ExactCtmc, ReducibleChainsSolveTheirClosedClass) {
   ExactCtmcOptions options;
   options.imax = options.jmax = 30;  // 961 states
   const NoInelasticService policy;
-  const std::uint64_t closed_before = counter_total("exact.method.closed_class");
+  const std::uint64_t closed_before =
+      counter_total("exact.method.closed_class");
   char ordering = '?';
   const ExactCtmcResult automatic = solve_auto(p, policy, options, &ordering);
   EXPECT_EQ(automatic.solve_info.method, "gth");
