@@ -144,7 +144,7 @@ std::string RunPoint::cache_key() const {
   // Size distributions are part of every point's identity — also for the
   // solvers that *reject* non-exponential specs: a qbd point with a
   // non-exp size must not collide with its exponential twin, or the sweep
-  // runner's memo/disk cache would hand back the exponential result on a
+  // runner's disk cache would hand back the exponential result on a
   // row labelled otherwise instead of the rejection error. Only
   // non-exponential specs appear, so every pre-refactor key — and the
   // disk-cache entries stored under it — stays byte-identical.

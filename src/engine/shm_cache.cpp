@@ -7,6 +7,7 @@
 #include <cstring>
 #include <filesystem>
 #include <iterator>
+#include <limits>
 #include <thread>
 #include <vector>
 
@@ -126,7 +127,12 @@ bool header_compatible(const unsigned char* h, std::uint64_t file_bytes,
   if (read_u64(h + kHdrSlotBytes) != kSlotBytes) return false;
   if (read_u64(h + kHdrPayloadBytes) != run_result_packed_bytes()) return false;
   if (read_u64(h + kHdrKeyCapacity) != slot_key_capacity()) return false;
-  if (file_bytes < kHeaderBytes + slot_count * kSlotBytes) return false;
+  // Divide rather than multiply: slot_count * kSlotBytes wraps for a
+  // forged slot count of 2^55 or more.
+  if (file_bytes < kHeaderBytes ||
+      slot_count > (file_bytes - kHeaderBytes) / kSlotBytes) {
+    return false;
+  }
   *slot_count_out = slot_count;
   return true;
 }
@@ -156,6 +162,13 @@ ShmMetrics& shm_metrics() {
 }
 
 #if ESCHED_SHM_CACHE_POSIX
+
+static_assert(ShmResultCache::kMaxSlotCount <=
+                  (static_cast<std::uint64_t>(
+                       std::numeric_limits<off_t>::max()) -
+                   kHeaderBytes) /
+                      kSlotBytes,
+              "the largest table must fit off_t");
 
 /// Maps `path` read-write/shared and validates the header. Returns the
 /// base or nullptr; never throws — an unusable table means "no hot tier".
@@ -267,6 +280,10 @@ std::unique_ptr<ShmResultCache> ShmResultCache::open_existing(
 
 std::unique_ptr<ShmResultCache> ShmResultCache::open_or_create(
     const std::string& directory, std::uint64_t slot_count) {
+  ESCHED_CHECK(slot_count <= kMaxSlotCount,
+               "a cache table holds at most " +
+                   std::to_string(kMaxSlotCount) + " slots, not " +
+                   std::to_string(slot_count));
   if (auto existing = open_existing(directory)) return existing;
   slot_count = std::bit_ceil(std::max(slot_count, kMinSlotCount));
   if (!create_table_file(table_path(directory), slot_count)) return nullptr;
@@ -581,15 +598,10 @@ std::size_t ShmResultCache::compact(std::uint64_t keep_newest) {
 
 // ---- TieredResultCache ---------------------------------------------------
 
-TieredResultCache::TieredResultCache(std::string directory)
-    : TieredResultCache(std::move(directory), Options{}) {}
-
-TieredResultCache::TieredResultCache(std::string directory, Options options)
+TieredResultCache::TieredResultCache(std::string directory, bool create_table)
     : files_(std::move(directory)) {
-  table_ = options.create_table
-               ? ShmResultCache::open_or_create(files_.directory(),
-                                                options.create_slots)
-               : ShmResultCache::open_existing(files_.directory());
+  table_ = create_table ? ShmResultCache::open_or_create(files_.directory())
+                        : ShmResultCache::open_existing(files_.directory());
 }
 
 std::optional<RunResult> TieredResultCache::load(const std::string& key) const {

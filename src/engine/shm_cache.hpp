@@ -63,6 +63,9 @@ class ShmResultCache {
 
   static constexpr std::uint64_t kDefaultSlotCount = 32768;  ///< ~16 MiB sparse
   static constexpr std::uint64_t kMinSlotCount = 64;
+  /// The largest power of two whose table file (4 KiB header + 512 B
+  /// slots) fits a signed 64-bit file offset.
+  static constexpr std::uint64_t kMaxSlotCount = std::uint64_t{1} << 53;
 
   /// The table file inside a cache directory.
   static std::string table_path(const std::string& directory);
@@ -76,8 +79,8 @@ class ShmResultCache {
   /// open_existing, creating (atomically — concurrent creators race on a
   /// link(2) publish and exactly one table survives) a fresh table of
   /// `slot_count` slots when none exists. `slot_count` is rounded up to a
-  /// power of two. nullptr only when the platform cannot mmap or the
-  /// directory is unwritable.
+  /// power of two; one over kMaxSlotCount throws. nullptr only when the
+  /// platform cannot mmap or the directory is unwritable.
   static std::unique_ptr<ShmResultCache> open_or_create(
       const std::string& directory,
       std::uint64_t slot_count = kDefaultSlotCount);
@@ -139,13 +142,9 @@ class ShmResultCache {
 /// union of both tiers.
 class TieredResultCache {
  public:
-  struct Options {
-    bool create_table = true;  ///< false: map the table only if it exists
-    std::uint64_t create_slots = ShmResultCache::kDefaultSlotCount;
-  };
-
-  explicit TieredResultCache(std::string directory);
-  TieredResultCache(std::string directory, Options options);
+  /// `create_table` false: map the table only if it exists (inspecting a
+  /// directory must not seed a table file in it).
+  explicit TieredResultCache(std::string directory, bool create_table = true);
 
   std::optional<RunResult> load(const std::string& key) const;
   void store(const std::string& key, const RunResult& result) const;

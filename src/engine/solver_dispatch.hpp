@@ -50,7 +50,8 @@ struct RunResult {
   int solver_iterations = 0;    ///< QBD log-reduction steps, else 0
   double solve_residual = 0.0;  ///< stationary residual / QBD sp(R)
   double solve_seconds = 0.0;   ///< wall time of this point's solve
-  bool from_cache = false;      ///< set by the sweep runner on memo hits
+  bool from_cache = false;      ///< set by the sweep runner on disk hits
+                                ///< and in-call repeats
 
   /// The fields that define a point's *answer* — everything except wall
   /// time (solve_seconds) and cache provenance (from_cache) — for bitwise

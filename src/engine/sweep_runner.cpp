@@ -4,11 +4,12 @@
 #include <atomic>
 #include <chrono>
 #include <exception>
+#include <mutex>
 #include <string_view>
 #include <thread>
+#include <unordered_map>
 
 #include "common/error.hpp"
-#include "common/numeric.hpp"
 #include "engine/shm_cache.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -23,7 +24,6 @@ struct RunnerMetrics {
   Counter& points_total;       ///< sweep.points.total
   Counter& points_solved;      ///< sweep.points.solved (fresh solves)
   Counter& points_failed;      ///< sweep.points.failed
-  Counter& memo_hits;          ///< sweep.memo.hits
   Counter& disk_hits;          ///< sweep.disk.hits
   Counter& dup_points;         ///< sweep.dup.points (intra-call repeats)
   LogHistogram& point_seconds; ///< sweep.point.seconds (all backends)
@@ -38,7 +38,6 @@ RunnerMetrics& runner_metrics() {
     return RunnerMetrics{m.counter("sweep.points.total"),
                          m.counter("sweep.points.solved"),
                          m.counter("sweep.points.failed"),
-                         m.counter("sweep.memo.hits"),
                          m.counter("sweep.disk.hits"),
                          m.counter("sweep.dup.points"),
                          m.histogram("sweep.point.seconds"),
@@ -52,7 +51,7 @@ RunnerMetrics& runner_metrics() {
 /// The copy of a result handed to callers for cache-served points: honest
 /// provenance (from_cache) and ~zero cost (solve_seconds), so ETA and
 /// cache-effectiveness arithmetic downstream never double-counts the
-/// original solve's wall time. The caches themselves keep real timings.
+/// original solve's wall time. The cache directory keeps real timings.
 RunResult cached_copy(const RunResult& result) {
   RunResult copy = result;
   copy.from_cache = true;
@@ -108,40 +107,7 @@ void parallel_for(std::size_t count, int threads, const Body& body) {
   if (error != nullptr) std::rethrow_exception(error);
 }
 
-/// Where the result for a distinct key comes from this call.
-enum class Source : unsigned char { kSolve, kMemo, kDisk };
-
 }  // namespace
-
-ResultCache::Shard& ResultCache::shard_for(const std::string& key) const {
-  // Same hash family as the disk tier's file names and the mmap table's
-  // home slots; the shard index is a pure function of the key, so layout
-  // never depends on insertion (i.e. scheduling) order.
-  return shards_[fnv1a64(key) & (kShardCount - 1)];
-}
-
-std::optional<RunResult> ResultCache::lookup(const std::string& key) const {
-  Shard& shard = shard_for(key);
-  std::lock_guard<std::mutex> lock(shard.mutex);
-  const auto it = shard.results.find(key);
-  if (it == shard.results.end()) return std::nullopt;
-  return it->second;
-}
-
-void ResultCache::insert(const std::string& key, const RunResult& result) {
-  Shard& shard = shard_for(key);
-  std::lock_guard<std::mutex> lock(shard.mutex);
-  shard.results.insert_or_assign(key, result);
-}
-
-std::size_t ResultCache::size() const {
-  std::size_t total = 0;
-  for (const Shard& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard.mutex);
-    total += shard.results.size();
-  }
-  return total;
-}
 
 SweepRunner::SweepRunner(int num_threads) : num_threads_(num_threads) {
   ESCHED_CHECK(num_threads >= 0, "thread count must be >= 0");
@@ -213,53 +179,43 @@ std::vector<RunResult> SweepRunner::run(const std::vector<RunPoint>& points,
     }
   }
 
-  // Phase 3, on the pool: probe the memo, then the disk cache, once per
-  // distinct key. A hit lands in the result slot of the key's first index
-  // (disk hits are memoized too).
-  std::vector<Source> sources(points.size(), Source::kSolve);
-  parallel_for(firsts.size(), num_threads_, [&](std::size_t u) {
-    const std::size_t n = firsts[u];
-    if (auto memoized = cache_.lookup(keys[n])) {
-      results[n] = *memoized;
-      sources[n] = Source::kMemo;
-    } else if (disk_cache_ != nullptr) {
-      if (auto loaded = disk_cache_->load(keys[n])) {
-        cache_.insert(keys[n], *loaded);
-        results[n] = *loaded;
-        sources[n] = Source::kDisk;
+  // Phase 3, on the pool: with a cache directory, load each distinct key
+  // once. A hit lands in the result slot of the key's first index. Bytes,
+  // not vector<bool>: workers set distinct elements concurrently.
+  std::vector<unsigned char> loaded(points.size(), 0);
+  if (disk_cache_ != nullptr) {
+    parallel_for(firsts.size(), num_threads_, [&](std::size_t u) {
+      const std::size_t n = firsts[u];
+      if (auto hit = disk_cache_->load(keys[n])) {
+        results[n] = *hit;
+        loaded[n] = 1;
       }
-    }
-  });
+    });
+  }
 
-  // Phase 4, serial and in input order: points resolvable now (memo/disk
-  // hits) fire on_row immediately — delivered as cached_copy, since their
-  // solve cost was paid earlier; the first index of each unresolved key
-  // becomes a job, and its repeats wait for that one solve to land. A
-  // disk-loaded key counts as a disk hit once, its repeats as memo hits.
+  // Phase 4, serial and in input order: points resolvable now (disk hits
+  // and their repeats) fire on_row immediately — delivered as cached_copy,
+  // since their solve cost was paid earlier; the first index of each
+  // unresolved key becomes a job, and its repeats wait for that one solve
+  // to land. A loaded key counts as a disk hit once; every repeat of a key
+  // counts as a duplicate, whatever its first index's source.
   std::vector<std::size_t> jobs;  // indices into `points` to solve now
   std::size_t disk_hits = 0;
   for (std::size_t n = 0; n < points.size(); ++n) {
     const std::size_t first = first_of[n];
-    const Source source = sources[first];
-    if (source == Source::kSolve) {
-      if (n == first) {
-        jobs.push_back(n);
-      } else {
-        metrics.dup_points.add();
-      }
+    if (n != first) metrics.dup_points.add();
+    if (loaded[first] == 0) {
+      if (n == first) jobs.push_back(n);
       continue;
     }
-    if (source == Source::kDisk && n == first) {
+    if (n == first) {
       ++disk_hits;
       metrics.disk_hits.add();
       if (TraceWriter* t = global_trace()) {
         t->event("disk_hit", {{"index", n}});
       }
-    } else {
-      metrics.memo_hits.add();
-      if (TraceWriter* t = global_trace()) {
-        t->event("cache_hit", {{"index", n}});
-      }
+    } else if (TraceWriter* t = global_trace()) {
+      t->event("cache_hit", {{"index", n}});
     }
     results[n] = cached_copy(results[first]);
     if (on_row != nullptr) on_row(n, points[n], results[n]);
@@ -285,7 +241,6 @@ std::vector<RunResult> SweepRunner::run(const std::vector<RunPoint>& points,
   bool callback_failed = false;  // guarded by callback_mutex
   const auto store = [&](std::size_t n, const RunResult& result) {
     results[n] = result;
-    cache_.insert(keys[n], result);
     if (disk_cache_ != nullptr) disk_cache_->store(keys[n], result);
     metrics.points_solved.add();
     metrics.point_seconds.record(result.solve_seconds);
@@ -302,7 +257,7 @@ std::vector<RunResult> SweepRunner::run(const std::vector<RunPoint>& points,
     // callback can be lock-free. A throwing callback (e.g. a streaming
     // resume mismatch) fails the whole run with its own message — and
     // ends all further delivery, so a consumer that rejected one row is
-    // never handed more — while workers keep solving into the caches.
+    // never handed more — while workers keep solving (and storing).
     // The solving index itself (always the key's first index) sees the
     // fresh result; duplicate indices see a cached_copy, matching the
     // provenance reported on the returned vector.
@@ -378,10 +333,9 @@ std::vector<RunResult> SweepRunner::run(const std::vector<RunPoint>& points,
   if (!first_error.empty()) throw Error(first_error);
 
   // The first solve of a point this call is fresh; its repeats — like
-  // prior-call results and disk loads — are cache hits and report ~zero
-  // solve_seconds: the cached entry's recorded time was paid by the
-  // original solve, and repeating it would inflate cache-effectiveness
-  // numbers and ETAs downstream.
+  // disk loads — are cache hits and report ~zero solve_seconds: the
+  // recorded time was paid by the original solve, and repeating it would
+  // inflate cache-effectiveness numbers and ETAs downstream.
   double solve_seconds_total = 0.0;
   for (const std::size_t n : jobs) {
     solve_seconds_total += results[n].solve_seconds;

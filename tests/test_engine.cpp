@@ -1,5 +1,5 @@
 // Tests for the scenario-sweep engine: grid expansion, solver dispatch
-// consistency against the underlying backends, memoization behavior, and
+// consistency against the underlying backends, dedupe and cache behavior, and
 // thread-count determinism (a multi-thread sweep must be bit-identical to
 // a single-thread sweep).
 #include <gtest/gtest.h>
@@ -169,7 +169,7 @@ TEST(Scenario, CacheKeyIsBackendCanonical) {
 }
 
 TEST(Scenario, CacheKeyBytesArePinned) {
-  // Keys name the memo and disk-cache entries: their bytes change only
+  // Keys name the disk-cache entries: their bytes change only
   // with a deliberate ;rev= bump, never with how doubles are formatted
   // (printf "%.17g" bytes, round-trippable, exponent when it is shorter).
   const RunPoint qbd{SystemParams::from_load(4, 0.35, 1.3, 0.7), "IF",
@@ -297,28 +297,34 @@ TEST(SweepRunner, CacheHitsWithinAndAcrossRuns) {
   auto points = base;
   points.insert(points.end(), base.begin(), base.end());
 
+  const std::string dir = testing::TempDir() + "esched_cache_hits_test";
+  std::filesystem::remove_all(dir);
   SweepRunner runner(2);
+  runner.set_cache_dir(dir);
   SweepStats stats;
   const auto first = runner.run(points, &stats);
   EXPECT_EQ(stats.total_points, 2 * unique);
   EXPECT_EQ(stats.solved_points, unique);
   EXPECT_EQ(stats.cache_hits, unique);
-  EXPECT_EQ(runner.cache().size(), unique);
+  EXPECT_EQ(stats.disk_hits, 0u);
   for (std::size_t n = 0; n < unique; ++n) {
     EXPECT_FALSE(first[n].from_cache);
     EXPECT_TRUE(first[n + unique].from_cache);
     EXPECT_TRUE(numerically_equal(first[n], first[n + unique]));
   }
 
-  // A second run over the same points is all cache hits.
+  // A second run over the same points is all cache hits: each distinct
+  // key loads from the cache directory once, its repeat is a duplicate.
   SweepStats again;
   const auto second = runner.run(points, &again);
   EXPECT_EQ(again.solved_points, 0u);
   EXPECT_EQ(again.cache_hits, 2 * unique);
+  EXPECT_EQ(again.disk_hits, unique);
   for (std::size_t n = 0; n < points.size(); ++n) {
     EXPECT_TRUE(second[n].from_cache);
     EXPECT_TRUE(numerically_equal(first[n], second[n]));
   }
+  std::filesystem::remove_all(dir);
 }
 
 TEST(SweepRunner, MultiThreadSweepIsBitIdenticalToSingleThread) {
@@ -351,10 +357,20 @@ TEST(SweepRunner, PropagatesSolverErrors) {
       {p, "IF", SolverKind::kQbdAnalysis, {}},
       {p, "FairShare", SolverKind::kQbdAnalysis, {}},  // invalid combo
   };
+  const std::string dir = testing::TempDir() + "esched_solver_errors_test";
+  std::filesystem::remove_all(dir);
   SweepRunner runner(2);
+  runner.set_cache_dir(dir);
   EXPECT_THROW(runner.run(points), Error);
-  // The valid point still landed in the cache.
-  EXPECT_EQ(runner.cache().size(), 1u);
+  // The valid point still landed in the cache directory: a fresh runner
+  // loads it instead of solving it.
+  SweepRunner fresh(2);
+  fresh.set_cache_dir(dir);
+  SweepStats stats;
+  fresh.run({points[0]}, &stats);
+  EXPECT_EQ(stats.solved_points, 0u);
+  EXPECT_EQ(stats.disk_hits, 1u);
+  std::filesystem::remove_all(dir);
 }
 
 TEST(Dispatch, TraceDominanceReportsNoViolationsForFamily) {
@@ -491,9 +507,9 @@ TEST(SweepRunner, DiskCachePersistsAcrossRunners) {
 
 TEST(SweepRunner, LargeSweepBookkeepingIsThreadCountInvariant) {
   // Enough distinct points that key building and cache probes leave the
-  // calling thread, plus repeats of every provenance: memo-warmed keys,
-  // keys preloaded into the --cache-dir table, one key held only as a
-  // per-entry file (promoted on load), and keys solved fresh.
+  // calling thread, plus repeats of every provenance: keys preloaded into
+  // the --cache-dir table, one key held only as a per-entry file (promoted
+  // on load), and keys solved fresh.
   Scenario s;
   s.name = "bookkeeping";
   s.k_values = {4};
@@ -506,15 +522,12 @@ TEST(SweepRunner, LargeSweepBookkeepingIsThreadCountInvariant) {
   s.solvers = {SolverKind::kQbdAnalysis};
   const std::vector<RunPoint> base = s.expand();
   ASSERT_EQ(base.size(), 1200u);
-  enum Role { kMemo, kTable, kFile, kFresh };
+  enum Role { kTable, kFile, kFresh };
   const auto role = [](std::size_t id) {
-    if (id < 200) return kMemo;
     if (id < 500) return kTable;
     return id == 500 ? kFile : kFresh;
   };
-  const std::vector<RunPoint> memo_points(base.begin(), base.begin() + 200);
-  const std::vector<RunPoint> table_points(base.begin() + 200,
-                                           base.begin() + 500);
+  const std::vector<RunPoint> table_points(base.begin(), base.begin() + 500);
   // Repeats interleaved through the sweep, some ahead of their key's
   // first solve's completion, some of keys already seen.
   std::vector<RunPoint> points;
@@ -529,21 +542,19 @@ TEST(SweepRunner, LargeSweepBookkeepingIsThreadCountInvariant) {
     }
   }
 
-  // The documented semantics, serially: a key's first index is a memo or
-  // disk hit or a fresh solve; a repeat of a hit is a memo hit, a repeat
-  // of a solved key a duplicate.
+  // The documented semantics, serially: a key's first index is a disk hit
+  // or a fresh solve; every repeat is a duplicate, whatever its key's
+  // source.
   std::vector<bool> first(points.size(), false);
-  std::uint64_t want_memo = 0, want_disk = 0, want_dup = 0, want_solved = 0;
+  std::uint64_t want_disk = 0, want_dup = 0, want_solved = 0;
   {
     std::vector<bool> seen(base.size(), false);
     for (std::size_t n = 0; n < points.size(); ++n) {
-      const Role r = role(ids[n]);
       first[n] = !seen[ids[n]];
       seen[ids[n]] = true;
-      if (r == kMemo || (!first[n] && r != kFresh)) ++want_memo;
-      else if (r != kFresh) ++want_disk;
-      else if (first[n]) ++want_solved;
-      else ++want_dup;
+      if (!first[n]) ++want_dup;
+      else if (role(ids[n]) != kFresh) ++want_disk;
+      else ++want_solved;
     }
   }
   ASSERT_GT(want_dup, 0u);
@@ -559,8 +570,8 @@ TEST(SweepRunner, LargeSweepBookkeepingIsThreadCountInvariant) {
     std::vector<Row> rows;  // delivery order
     std::map<std::string, std::uint64_t> counters;
   };
-  const char* kCounters[] = {"sweep.memo.hits", "sweep.disk.hits",
-                             "sweep.dup.points", "sweep.points.solved"};
+  const char* kCounters[] = {"sweep.disk.hits", "sweep.dup.points",
+                             "sweep.points.solved"};
   const auto sweep = [&](int threads) {
     const std::string dir = testing::TempDir() + "esched_bookkeeping_" +
                             std::to_string(threads);
@@ -572,7 +583,6 @@ TEST(SweepRunner, LargeSweepBookkeepingIsThreadCountInvariant) {
     }
     DiskResultCache(dir).store(base[500].cache_key(), dispatch_run(base[500]));
     SweepRunner runner(threads);
-    runner.run(memo_points);
     runner.set_cache_dir(dir);
 
     Outcome out;
@@ -598,7 +608,6 @@ TEST(SweepRunner, LargeSweepBookkeepingIsThreadCountInvariant) {
   const Outcome parallel = sweep(4);
 
   for (const Outcome* out : {&serial, &parallel}) {
-    EXPECT_EQ(out->counters.at("sweep.memo.hits"), want_memo);
     EXPECT_EQ(out->counters.at("sweep.disk.hits"), want_disk);
     EXPECT_EQ(out->counters.at("sweep.dup.points"), want_dup);
     EXPECT_EQ(out->counters.at("sweep.points.solved"), want_solved);
@@ -622,7 +631,7 @@ TEST(SweepRunner, LargeSweepBookkeepingIsThreadCountInvariant) {
     EXPECT_EQ(out->stats.solve_seconds_total, fresh_seconds);
 
     // on_row: once per index, matching the returned provenance, and every
-    // memo/disk hit before the first fresh row.
+    // disk hit (and its repeats) before the first fresh row.
     ASSERT_EQ(out->rows.size(), points.size());
     std::vector<int> deliveries(points.size(), 0);
     std::size_t first_fresh = out->rows.size();

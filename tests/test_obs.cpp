@@ -267,28 +267,36 @@ TEST(Observability, InstrumentationNeverChangesReportBytes) {
   std::remove(trace_path.c_str());
 }
 
-TEST(Observability, MemoHitsReportZeroSolveSecondsAndHonestStats) {
+TEST(Observability, CacheHitsReportZeroSolveSecondsAndHonestStats) {
   const auto points = obs_scenario().expand();
+  const std::string dir = testing::TempDir() + "esched_obs_cache_hits";
+  std::filesystem::remove_all(dir);
   SweepRunner runner(2);
+  runner.set_cache_dir(dir);
   SweepStats fresh_stats;
   const auto fresh = runner.run(points, &fresh_stats);
   EXPECT_EQ(fresh_stats.cache_hits, 0u);
   EXPECT_GT(fresh_stats.solve_seconds_total, 0.0);
   for (const auto& result : fresh) EXPECT_FALSE(result.from_cache);
 
-  // Same runner, same points: everything memoized. Cached deliveries
-  // must say so — from_cache set, solve_seconds zeroed — so cache
-  // effectiveness and ETA math never double-count the original solve.
-  SweepStats memo_stats;
-  const auto memoized = runner.run(points, &memo_stats);
-  EXPECT_EQ(memo_stats.cache_hits, points.size());
-  EXPECT_DOUBLE_EQ(memo_stats.solve_seconds_total, 0.0);
-  ASSERT_EQ(memoized.size(), fresh.size());
-  for (std::size_t n = 0; n < memoized.size(); ++n) {
-    EXPECT_TRUE(memoized[n].from_cache) << "row " << n;
-    EXPECT_DOUBLE_EQ(memoized[n].solve_seconds, 0.0) << "row " << n;
-    EXPECT_TRUE(numerically_equal(memoized[n], fresh[n])) << "row " << n;
+  // A fresh runner on the same cache directory, same points: everything
+  // loads. Cached deliveries must say so — from_cache set, solve_seconds
+  // zeroed — so cache effectiveness and ETA math never double-count the
+  // original solve.
+  SweepRunner warm(2);
+  warm.set_cache_dir(dir);
+  SweepStats warm_stats;
+  const auto loaded = warm.run(points, &warm_stats);
+  EXPECT_EQ(warm_stats.cache_hits, points.size());
+  EXPECT_EQ(warm_stats.disk_hits, points.size());
+  EXPECT_DOUBLE_EQ(warm_stats.solve_seconds_total, 0.0);
+  ASSERT_EQ(loaded.size(), fresh.size());
+  for (std::size_t n = 0; n < loaded.size(); ++n) {
+    EXPECT_TRUE(loaded[n].from_cache) << "row " << n;
+    EXPECT_DOUBLE_EQ(loaded[n].solve_seconds, 0.0) << "row " << n;
+    EXPECT_TRUE(numerically_equal(loaded[n], fresh[n])) << "row " << n;
   }
+  std::filesystem::remove_all(dir);
 }
 
 }  // namespace

@@ -17,6 +17,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/error.hpp"
 #include "engine/scenario.hpp"
 #include "engine/shm_cache.hpp"
 #include "engine/solver_dispatch.hpp"
@@ -166,9 +167,11 @@ TEST(ShmCache, OversizedKeySpillsToFileTier) {
 
 TEST(ShmCache, FullTableSpillsAndEveryKeyStaysServable) {
   const std::string dir = fresh_dir("esched_shm_spill_full");
-  TieredResultCache::Options options;
-  options.create_slots = 64;  // kMinSlotCount: tiny on purpose
-  const TieredResultCache cache(dir, options);
+  fs::create_directories(dir);
+  // kMinSlotCount: tiny on purpose, pre-created as `cache init --slots`
+  // does.
+  ASSERT_NE(ShmResultCache::open_or_create(dir, 64), nullptr);
+  const TieredResultCache cache(dir);
   ASSERT_NE(cache.table(), nullptr);
   constexpr std::size_t kKeys = 100;  // > slot count: some must spill
   for (std::size_t i = 0; i < kKeys; ++i) cache.store(key_for(i), result_for(i));
@@ -222,6 +225,44 @@ TEST(ShmCache, ChecksumCorruptionReadsAsMissNeverWrongResult) {
   fs::remove_all(dir);
 }
 
+TEST(ShmCache, HeaderClaimingMoreSlotsThanTheFileHoldsIsRejected) {
+  const std::string dir = fresh_dir("esched_shm_forged_slots");
+  fs::create_directories(dir);
+  ASSERT_NE(ShmResultCache::open_or_create(dir, 64), nullptr);
+  // A header-only (4 KiB) file, otherwise valid, that claims 2^55 slots:
+  // 2^55 slots of 512 B wrap a 64-bit byte count to zero.
+  const std::string path = ShmResultCache::table_path(dir);
+  fs::resize_file(path, 4096);
+  {
+    constexpr std::uint64_t kHdrSlotCount = 24;  // the header's slot count
+    std::fstream f(path, std::ios::in | std::ios::out | std::ios::binary);
+    ASSERT_TRUE(f.good());
+    ASSERT_EQ(read_u64_at(f, kHdrSlotCount), 64u);
+    write_u64_at(f, kHdrSlotCount, std::uint64_t{1} << 55);
+  }
+  EXPECT_EQ(ShmResultCache::open_existing(dir), nullptr);
+
+  // The directory still works through the file tier.
+  const TieredResultCache cache(dir);
+  EXPECT_EQ(cache.table(), nullptr);
+  cache.store(key_for(9), result_for(9));
+  EXPECT_TRUE(fs::exists(cache.files().entry_path(key_for(9))));
+  const auto hit = cache.load(key_for(9));
+  ASSERT_TRUE(hit.has_value());
+  EXPECT_TRUE(packed_identical(*hit, result_for(9)));
+  fs::remove_all(dir);
+}
+
+TEST(ShmCache, SlotCountWhoseTableWouldNotFitAFileIsRefused) {
+  const std::string dir = fresh_dir("esched_shm_too_many_slots");
+  fs::create_directories(dir);
+  EXPECT_THROW(ShmResultCache::open_or_create(
+                   dir, ShmResultCache::kMaxSlotCount + 1),
+               Error);
+  EXPECT_FALSE(fs::exists(ShmResultCache::table_path(dir)));
+  fs::remove_all(dir);
+}
+
 TEST(ShmCache, FileOnlyDirectoryUpgradesViaPromotion) {
   const std::string dir = fresh_dir("esched_shm_promote");
   {
@@ -253,9 +294,9 @@ TEST(ShmCache, FileOnlyDirectoryUpgradesViaPromotion) {
 
 TEST(ShmCache, GcCompactsWedgedSlotsAndAppliesByteBudget) {
   const std::string dir = fresh_dir("esched_shm_gc");
-  TieredResultCache::Options options;
-  options.create_slots = 64;
-  const TieredResultCache cache(dir, options);
+  fs::create_directories(dir);
+  ASSERT_NE(ShmResultCache::open_or_create(dir, 64), nullptr);
+  const TieredResultCache cache(dir);
   ASSERT_NE(cache.table(), nullptr);
   for (std::size_t i = 0; i < 10; ++i) cache.store(key_for(i), result_for(i));
 
@@ -429,9 +470,7 @@ TEST(ShmCacheHammer, ThreadsTimesProcessesSurviveAMidStoreKill) {
   const ShmTableInfo info = table->info();
   EXPECT_EQ(info.valid_slots, kKeys);
   EXPECT_LE(info.wedged_slots, 1u);
-  TieredResultCache::Options options;
-  options.create_table = false;
-  const TieredResultCache cache(dir, options);
+  const TieredResultCache cache(dir, /*create_table=*/false);
   ASSERT_NE(cache.table(), nullptr);
   cache.gc(1e9, std::nullopt);
   EXPECT_EQ(cache.table()->info().wedged_slots, 0u);

@@ -188,8 +188,8 @@ TEST(SizeDist, NonExponentialSpecsExtendCacheKeyAndCsvSchema) {
 TEST(SizeDist, NonExpSpecsNeverCollideWithExpCacheKeysOnAnySolver) {
   // The rejecting solvers must also key on the size dists: a qbd point
   // with a non-exp size colliding with its exponential twin would make the
-  // sweep runner's memo cache hand back the exponential result on a row
-  // labelled otherwise, instead of the rejection error.
+  // sweep runner's dedupe or disk cache hand back the exponential result on
+  // a row labelled otherwise, instead of the rejection error.
   for (const SolverKind solver :
        {SolverKind::kQbdAnalysis, SolverKind::kExactCtmc,
         SolverKind::kSimulation, SolverKind::kMmkBaseline,

@@ -8,7 +8,7 @@
 //   esched show fig5                     # print a built-in as spec JSON
 //   esched run fig6 --threads 4
 //   esched run my_sweep.json --view table
-//   esched run fig4 fig5 --json out.json # shared memo cache across both
+//   esched run fig4 fig5 --json out.json # one combined report
 //   esched run fig5 --shard 0/2 --out s0.csv   # order-independent shards
 //   esched run fig5 --cache-dir .esched-cache  # skip already-solved points
 //   esched run fig5 --stream --out f5.csv      # tailable; resumes after a kill
@@ -26,9 +26,9 @@
 //
 // (`esched <scenario>` without the `run` keyword still works.)
 //
-// Scenarios named in one invocation share the memoization cache, so
-// overlapping grids (e.g. fig5 is a slice of fig4) solve once; --cache-dir
-// extends that across invocations and processes.
+// Each scenario's repeated points solve once. --cache-dir is the only
+// reuse across scenarios, invocations and processes: with it, overlapping
+// grids (e.g. fig5 is a slice of fig4) solve once.
 #include <algorithm>
 #include <cerrno>
 #include <chrono>
@@ -334,6 +334,12 @@ int run_cache(const std::vector<std::string>& args) {
     } else if (args[n] == "--slots" && action == "init") {
       slots = static_cast<std::uint64_t>(
           parse_long("--slots", next_value(args, &n, "--slots")));
+      if (slots > esched::ShmResultCache::kMaxSlotCount) {
+        throw esched::Error(
+            "--slots must be at most " +
+            std::to_string(esched::ShmResultCache::kMaxSlotCount) +
+            " (the table file would not fit a 64-bit file offset)");
+      }
     } else {
       throw esched::Error("unknown cache " + action + " option '" + args[n] +
                           "'");
@@ -365,9 +371,7 @@ int run_cache(const std::vector<std::string>& args) {
   // ls/gc/info never create the table: inspecting (or shrinking) a cache
   // directory must not seed a 16 MiB table file in it. Sweeps and `cache
   // init` create tables.
-  esched::TieredResultCache::Options options;
-  options.create_table = false;
-  const esched::TieredResultCache cache(cache_dir, options);
+  const esched::TieredResultCache cache(cache_dir, /*create_table=*/false);
 
   if (action == "info") {
     if (const esched::ShmResultCache* table = cache.table()) {
