@@ -169,9 +169,9 @@ TEST(Scenario, CacheKeyIsBackendCanonical) {
 }
 
 TEST(Scenario, CacheKeyBytesArePinned) {
-  // Keys name the disk-cache entries: their bytes change only
-  // with a deliberate ;rev= bump, never with how doubles are formatted
-  // (printf "%.17g" bytes, round-trippable, exponent when it is shorter).
+  // Keys name the disk-cache entries: their bytes change only with a
+  // deliberate ;rev= bump, never with how doubles are formatted (printf
+  // "%.17g" bytes, round-trippable, exponent when it is shorter).
   const RunPoint qbd{SystemParams::from_load(4, 0.35, 1.3, 0.7), "IF",
                      SolverKind::kQbdAnalysis, {}};
   EXPECT_EQ(qbd.cache_key(),
