@@ -10,7 +10,6 @@
 
 #include "common/error.hpp"
 #include "markov/block_solver.hpp"
-#include "markov/ctmc.hpp"
 #include "markov/nested_dissection.hpp"
 #include "markov/stationary.hpp"
 #include "obs/metrics.hpp"
@@ -75,8 +74,8 @@ BlockOrdering cheapest_ordering(const ChainLayout& chain) {
       flops_j < flops_i ||
       (flops_j == flops_i &&
        top_level(chain.level_by_j) > top_level(chain.level_by_i));
-  if (chain.ni > 0 && nested_dissection_cost(chain.ni, chain.nj).flops <
-                          std::min(flops_i, flops_j)) {
+  if (chain.ni > 0 &&
+      nested_dissection_cost(chain.ni, chain.nj) < std::min(flops_i, flops_j)) {
     return {nullptr, "exact.method.block.nd", "nd"};
   }
   return by_j ? BlockOrdering{&chain.level_by_j, "exact.method.block.axis.j",
@@ -210,114 +209,105 @@ std::pair<Vector, StationarySolveInfo> solve_stationary(
   return {std::move(pi), std::move(solve_info)};
 }
 
-}  // namespace
-
-ExactCtmcBatch::ExactCtmcBatch(const SystemParams& params,
-                               const ExactCtmcOptions& options)
-    : params_(params), options_(options) {
-  params_.validate();
-  ESCHED_CHECK(params_.stable(), "exact solve requires rho < 1");
-  ESCHED_CHECK(options_.imax >= 1 && options_.jmax >= 1,
+/// The input checks both chain builders share.
+void check_exact_inputs(const SystemParams& params,
+                        const ExactCtmcOptions& options) {
+  params.validate();
+  ESCHED_CHECK(params.stable(), "exact solve requires rho < 1");
+  ESCHED_CHECK(options.imax >= 1 && options.jmax >= 1,
                "truncation levels must be >= 1");
-  ESCHED_CHECK(params_.lambda_i + params_.lambda_e > 0.0,
+  ESCHED_CHECK(params.lambda_i + params.lambda_e > 0.0,
                "exact solve requires some arrivals");
-
-  const long ni = options_.imax + 1;
-  const long nj = options_.jmax + 1;
-  const auto num_states = static_cast<std::size_t>(ni * nj);
-  level_by_i_.resize(num_states);
-  level_by_j_.resize(num_states);
-  for (long i = 0; i < ni; ++i) {
-    for (long j = 0; j < nj; ++j) {
-      const std::size_t s = state_index(i, j, nj);
-      level_by_i_[s] = static_cast<std::uint32_t>(i);
-      level_by_j_[s] = static_cast<std::uint32_t>(j);
-    }
-  }
 }
 
-ExactCtmcResult ExactCtmcBatch::solve(const AllocationPolicy& policy) {
-  const long ni = options_.imax + 1;
-  const long nj = options_.jmax + 1;
+/// Reads the means off a stationary law, state by state in index order:
+/// state s holds level_by_i[s] inelastic and level_by_j[s] elastic jobs,
+/// and it is on the truncation boundary when either count is at its limit.
+ExactCtmcResult read_result(const SystemParams& params,
+                            const ExactCtmcOptions& options, const Vector& pi,
+                            const std::vector<std::uint32_t>& level_by_i,
+                            const std::vector<std::uint32_t>& level_by_j,
+                            StationarySolveInfo solve_info) {
+  ExactCtmcResult result;
+  result.num_states = pi.size();
+  result.solve_info = std::move(solve_info);
+  for (std::size_t s = 0; s < pi.size(); ++s) {
+    const long i = level_by_i[s];
+    const long j = level_by_j[s];
+    const double p = pi[s];
+    result.mean_jobs_i += static_cast<double>(i) * p;
+    result.mean_jobs_e += static_cast<double>(j) * p;
+    if (i == options.imax || j == options.jmax) result.boundary_mass += p;
+  }
+  const double total_lambda = params.lambda_i + params.lambda_e;
+  result.mean_response_time =
+      (result.mean_jobs_i + result.mean_jobs_e) / total_lambda;
+  result.mean_response_time_i =
+      params.lambda_i > 0.0 ? result.mean_jobs_i / params.lambda_i : 0.0;
+  result.mean_response_time_e =
+      params.lambda_e > 0.0 ? result.mean_jobs_e / params.lambda_e : 0.0;
+  return result;
+}
+
+}  // namespace
+
+ExactCtmcResult solve_exact_ctmc(const SystemParams& params,
+                                 const AllocationPolicy& policy,
+                                 const ExactCtmcOptions& options) {
+  check_exact_inputs(params, options);
+  const long ni = options.imax + 1;
+  const long nj = options.jmax + 1;
   const auto num_states = static_cast<std::size_t>(ni * nj);
 
-  // Build the generator row by row, reusing the scratch matrix's capacity
-  // across solves. Per state the (sorted) destinations are s-nj
-  // (service_i), s-1 (service_e), s+1 (arrival_e), s+nj (arrival_i);
-  // arrivals are dropped at the truncation boundary (reflecting wall). The
-  // exit rate sums arrival_i, arrival_e, service_i, service_e in that order,
-  // the order the solver's results are pinned in.
+  // Build the generator row by row. Per state the (sorted) destinations
+  // are s-nj (service_i), s-1 (service_e), s+1 (arrival_e), s+nj
+  // (arrival_i); arrivals are dropped at the truncation boundary
+  // (reflecting wall). The exit rate sums arrival_i, arrival_e, service_i,
+  // service_e in that order, the order the solver's results are pinned in.
+  CsrMatrix rates;
+  Vector exit_rates(num_states, 0.0);
+  std::vector<std::uint32_t> level_by_i(num_states);
+  std::vector<std::uint32_t> level_by_j(num_states);
   {
     const TraceSpan build_span("exact.build", {{"states", num_states}});
-    scratch_rates_.begin_rows(num_states, num_states);
-    scratch_exit_.assign(num_states, 0.0);
+    rates.begin_rows(num_states, num_states);
     for (long i = 0; i < ni; ++i) {
       for (long j = 0; j < nj; ++j) {
         const State state{i, j};
-        policy.check_feasible(state, params_);
-        const Allocation a = policy.allocate(state, params_);
+        policy.check_feasible(state, params);
+        const Allocation a = policy.allocate(state, params);
         const std::size_t s = state_index(i, j, nj);
         double svc_i = 0.0;
-        if (i > 0 && a.inelastic > 0.0) svc_i = a.inelastic * params_.mu_i;
+        if (i > 0 && a.inelastic > 0.0) svc_i = a.inelastic * params.mu_i;
         // Bounded elasticity: only cap * j servers of the class allocation
         // can actually be used by elastic jobs.
-        const double usable = params_.usable_elastic(a.elastic, j);
+        const double usable = params.usable_elastic(a.elastic, j);
         double svc_e = 0.0;
-        if (j > 0 && usable > 0.0) svc_e = usable * params_.mu_e;
-        const bool arrival_i = i + 1 < ni && params_.lambda_i > 0.0;
-        const bool arrival_e = j + 1 < nj && params_.lambda_e > 0.0;
-        if (svc_i > 0.0) {
-          scratch_rates_.push(state_index(i - 1, j, nj), svc_i);
-        }
-        if (svc_e > 0.0) {
-          scratch_rates_.push(state_index(i, j - 1, nj), svc_e);
-        }
-        if (arrival_e) {
-          scratch_rates_.push(state_index(i, j + 1, nj), params_.lambda_e);
-        }
-        if (arrival_i) {
-          scratch_rates_.push(state_index(i + 1, j, nj), params_.lambda_i);
-        }
-        scratch_rates_.next_row();
+        if (j > 0 && usable > 0.0) svc_e = usable * params.mu_e;
+        const bool arrival_i = i + 1 < ni && params.lambda_i > 0.0;
+        const bool arrival_e = j + 1 < nj && params.lambda_e > 0.0;
+        if (svc_i > 0.0) rates.push(state_index(i - 1, j, nj), svc_i);
+        if (svc_e > 0.0) rates.push(state_index(i, j - 1, nj), svc_e);
+        if (arrival_e) rates.push(state_index(i, j + 1, nj), params.lambda_e);
+        if (arrival_i) rates.push(state_index(i + 1, j, nj), params.lambda_i);
+        rates.next_row();
         double exit = 0.0;
-        if (arrival_i) exit += params_.lambda_i;
-        if (arrival_e) exit += params_.lambda_e;
+        if (arrival_i) exit += params.lambda_i;
+        if (arrival_e) exit += params.lambda_e;
         if (svc_i > 0.0) exit += svc_i;
         if (svc_e > 0.0) exit += svc_e;
-        scratch_exit_[s] = exit;
+        exit_rates[s] = exit;
+        level_by_i[s] = static_cast<std::uint32_t>(i);
+        level_by_j[s] = static_cast<std::uint32_t>(j);
       }
     }
   }
 
   auto [pi, solve_info] = solve_stationary(
-      {scratch_rates_, scratch_exit_, level_by_i_, level_by_j_,
-       static_cast<std::size_t>(ni), static_cast<std::size_t>(nj)});
-
-  ExactCtmcResult result;
-  result.num_states = num_states;
-  result.solve_info = solve_info;
-  for (long i = 0; i < ni; ++i) {
-    for (long j = 0; j < nj; ++j) {
-      const double p = pi[state_index(i, j, nj)];
-      result.mean_jobs_i += static_cast<double>(i) * p;
-      result.mean_jobs_e += static_cast<double>(j) * p;
-      if (i == options_.imax || j == options_.jmax) result.boundary_mass += p;
-    }
-  }
-  const double total_lambda = params_.lambda_i + params_.lambda_e;
-  result.mean_response_time =
-      (result.mean_jobs_i + result.mean_jobs_e) / total_lambda;
-  result.mean_response_time_i =
-      params_.lambda_i > 0.0 ? result.mean_jobs_i / params_.lambda_i : 0.0;
-  result.mean_response_time_e =
-      params_.lambda_e > 0.0 ? result.mean_jobs_e / params_.lambda_e : 0.0;
-  return result;
-}
-
-ExactCtmcResult solve_exact_ctmc(const SystemParams& params,
-                                 const AllocationPolicy& policy,
-                                 const ExactCtmcOptions& options) {
-  return ExactCtmcBatch(params, options).solve(policy);
+      {rates, exit_rates, level_by_i, level_by_j, static_cast<std::size_t>(ni),
+       static_cast<std::size_t>(nj)});
+  return read_result(params, options, pi, level_by_i, level_by_j,
+                     std::move(solve_info));
 }
 
 // ---------------------------------------------------------------------------
@@ -485,52 +475,36 @@ class PhChainBuilder {
   }
 
   ExactCtmcResult solve() {
-    const SparseCtmc chain = [&] {
+    CsrMatrix rates;
+    Vector exit_rates;
+    {
       const TraceSpan build_span("exact.build");
       build();
-      SparseCtmc built(states_.size());
-      for (const CtmcTransition& tr : transitions_) {
-        built.add_rate(tr.from, tr.to, tr.rate);
-      }
-      built.freeze();
-      return built;
-    }();
+      // Each state's exit rate sums its transitions in insertion order.
+      exit_rates.assign(states_.size(), 0.0);
+      for (const CsrTriplet& t : triplets_) exit_rates[t.row] += t.value;
+      rates = CsrMatrix::from_triplets(states_.size(), states_.size(),
+                                       std::move(triplets_));
+    }
+    const std::size_t n = states_.size();
 
     // The augmented chain is level-structured both in i = sum(c) + w
     // (phase progression and admissions keep i, arrivals and completions
     // move it by one) and in j, so the block method folds along either.
-    std::vector<std::uint32_t> level_by_i(states_.size());
-    std::vector<std::uint32_t> level_by_j(states_.size());
-    for (std::size_t n = 0; n < states_.size(); ++n) {
-      const PhState& st = states_[n];
+    std::vector<std::uint32_t> level_by_i(n);
+    std::vector<std::uint32_t> level_by_j(n);
+    for (std::size_t s = 0; s < n; ++s) {
+      const PhState& st = states_[s];
       const long started =
           std::accumulate(st.c.begin(), st.c.end(), 0L,
                           [](long acc, int v) { return acc + v; });
-      level_by_i[n] = static_cast<std::uint32_t>(started + st.w);
-      level_by_j[n] = static_cast<std::uint32_t>(st.j);
+      level_by_i[s] = static_cast<std::uint32_t>(started + st.w);
+      level_by_j[s] = static_cast<std::uint32_t>(st.j);
     }
-    auto [pi, solve_info] = solve_stationary(
-        {chain.rate_matrix(), chain.exit_rates(), level_by_i, level_by_j});
-
-    ExactCtmcResult result;
-    result.num_states = states_.size();
-    result.solve_info = solve_info;
-    for (std::size_t n = 0; n < states_.size(); ++n) {
-      const long i = level_by_i[n];
-      const long j = level_by_j[n];
-      const double p = pi[n];
-      result.mean_jobs_i += static_cast<double>(i) * p;
-      result.mean_jobs_e += static_cast<double>(j) * p;
-      if (i == options_.imax || j == options_.jmax) result.boundary_mass += p;
-    }
-    const double total_lambda = params_.lambda_i + params_.lambda_e;
-    result.mean_response_time =
-        (result.mean_jobs_i + result.mean_jobs_e) / total_lambda;
-    result.mean_response_time_i =
-        params_.lambda_i > 0.0 ? result.mean_jobs_i / params_.lambda_i : 0.0;
-    result.mean_response_time_e =
-        params_.lambda_e > 0.0 ? result.mean_jobs_e / params_.lambda_e : 0.0;
-    return result;
+    auto [pi, solve_info] =
+        solve_stationary({rates, exit_rates, level_by_i, level_by_j});
+    return read_result(params_, options_, pi, level_by_i, level_by_j,
+                       std::move(solve_info));
   }
 
  private:
@@ -547,8 +521,12 @@ class PhChainBuilder {
     return key;
   }
 
+  /// Records one off-diagonal transition; a zero rate is dropped, and
+  /// duplicate (from, to) pairs are summed by from_triplets in this order.
   void add(std::size_t from, std::size_t to, double rate) {
-    transitions_.push_back({from, to, rate});
+    ESCHED_CHECK(from != to, "self-loops are not allowed in a CTMC generator");
+    ESCHED_CHECK(rate >= 0.0, "transition rate must be non-negative");
+    if (rate > 0.0) triplets_.push_back({from, to, rate});
   }
 
   /// Distributes `admit` fresh jobs over the initial-phase distribution:
@@ -604,7 +582,7 @@ class PhChainBuilder {
   std::vector<SeatCell> seat_cells_;
   std::unordered_map<std::uint64_t, std::size_t> index_;
   std::vector<PhState> states_;
-  std::vector<CtmcTransition> transitions_;
+  std::vector<CsrTriplet> triplets_;
 };
 
 }  // namespace
@@ -613,12 +591,7 @@ ExactCtmcResult solve_exact_ctmc_ph(const SystemParams& params,
                                     const AllocationPolicy& policy,
                                     const PhaseType& size_dist_i,
                                     const ExactCtmcOptions& options) {
-  params.validate();
-  ESCHED_CHECK(params.stable(), "exact solve requires rho < 1");
-  ESCHED_CHECK(options.imax >= 1 && options.jmax >= 1,
-               "truncation levels must be >= 1");
-  ESCHED_CHECK(params.lambda_i + params.lambda_e > 0.0,
-               "exact solve requires some arrivals");
+  check_exact_inputs(params, options);
   ESCHED_CHECK(size_dist_i.num_phases() <= kMaxPhPhases,
                "phase-type inelastic size has " +
                    std::to_string(size_dist_i.num_phases()) +

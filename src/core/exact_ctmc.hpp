@@ -9,12 +9,9 @@
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
-#include <vector>
 
 #include "core/params.hpp"
 #include "core/policy.hpp"
-#include "linalg/csr.hpp"
 #include "markov/stationary.hpp"
 #include "phase/phase_type.hpp"
 
@@ -24,15 +21,16 @@ namespace esched {
 /// option, and every route is direct: chains of up to 500 states take
 /// dense GTH and larger ones the block method, in the cheapest ordering
 /// the chain offers. Both chains offer levels along N_I and along N_E; the
-/// exponential (N_I, N_E) chain also offers nested dissection of its grid
-/// (see ExactCtmcBatch). An elimination throws only on a reducible chain
-/// (a policy that idles with jobs present); the solve then puts all mass
-/// on the chain's one closed class and solves that class by dense GTH. A
-/// chain with several closed classes has no unique stationary law and
-/// throws esched::Error, as does a closed class of over 500 states. Tests
-/// that compare solvers call the reference solvers
-/// (markov/stationary.hpp, markov/block_solver.hpp,
-/// markov/nested_dissection.hpp) on the chain directly.
+/// exponential (N_I, N_E) chain also offers nested dissection of its grid.
+/// An elimination throws only on a reducible chain (a policy that idles
+/// with jobs present); the solve then puts all mass on the chain's one
+/// closed class and solves that class's own chain by the same route (GTH
+/// up to 500 states, else the cheaper level axis; the class is not a full
+/// grid, so no nested dissection). A chain with several closed classes has
+/// no unique stationary law and throws esched::Error. Tests that compare
+/// solvers call the reference solvers (markov/stationary.hpp,
+/// markov/block_solver.hpp, markov/nested_dissection.hpp) on the chain
+/// directly.
 struct ExactCtmcOptions {
   long imax = 120;  ///< inelastic truncation level
   long jmax = 120;  ///< elastic truncation level
@@ -54,52 +52,27 @@ struct ExactCtmcResult {
   StationarySolveInfo solve_info;
 };
 
-/// Solves the truncated chain for `policy` at `params`. Requires rho < 1
-/// (otherwise the truncated result is meaningless and this throws).
-/// Equivalent to ExactCtmcBatch(params, options).solve(policy).
+/// Solves the truncated chain for `policy` at `params`: builds the
+/// policy's generator in one pass and solves it. Requires rho < 1
+/// (otherwise the truncated result is meaningless and this throws),
+/// truncation levels >= 1 and some arrivals.
+///
+/// The block method's level assignments are by N_I (level = i) and by N_E
+/// (level = j). The solve compares the flop estimate of each axis's fold
+/// under the policy's rates (block_solver_flop_estimate) with the exact
+/// count of nested dissection (nested_dissection_cost) and runs the
+/// cheapest. Under IF an elastic completion leaves at most k states of an
+/// N_E level, while every state of an N_I level has an inelastic
+/// completion, so IF-type chains fold along N_E and EF along N_I. The fold
+/// holds each level as its sparse rows plus the columns of those few
+/// down-targets, so such a fold costs about b * m^2 per level of b states
+/// with m down-targets, not b^3 (see markov/block_solver.hpp). FairShare
+/// and Cap2 move both i and j in every state, fill both folds, and take
+/// nested dissection. Ties between the axes keep the longer axis (more,
+/// smaller blocks).
 ExactCtmcResult solve_exact_ctmc(const SystemParams& params,
                                  const AllocationPolicy& policy,
                                  const ExactCtmcOptions& options = {});
-
-/// The exponential chain's solver for one (params, options): the
-/// constructor validates the inputs and lays out the block method's level
-/// assignments, and each solve() builds the policy's generator in one pass
-/// into reusable scratch storage and solves it. solve_exact_ctmc is one
-/// construction and one solve; solving several policies on one instance
-/// gives bitwise the same results (the tests compare both).
-///
-/// solve() mutates the scratch buffers, so an instance is NOT safe for
-/// concurrent solves.
-class ExactCtmcBatch {
- public:
-  ExactCtmcBatch(const SystemParams& params, const ExactCtmcOptions& options);
-
-  ExactCtmcResult solve(const AllocationPolicy& policy);
-
- private:
-  SystemParams params_;
-  ExactCtmcOptions options_;
-  /// Block-solver level assignments along each truncation axis: by N_I
-  /// (level = i) and by N_E (level = j). Both are policy-independent;
-  /// solve() compares the flop estimate of each axis's fold under the
-  /// policy's rates (block_solver_flop_estimate) with the exact count of
-  /// nested dissection (nested_dissection_cost) and runs the cheapest.
-  /// Under IF an elastic completion leaves at most k states of an N_E
-  /// level, while every state of an N_I level has an inelastic completion,
-  /// so IF-type chains fold along N_E and EF along N_I. The fold holds each
-  /// level as its sparse rows plus the columns of those few down-targets,
-  /// so such a fold costs about b * m^2 per level of b states with m
-  /// down-targets, not b^3 (see markov/block_solver.hpp). FairShare and Cap2
-  /// move both i and j in every state, fill both folds, and take nested
-  /// dissection. Ties between the axes keep the longer axis (more, smaller
-  /// blocks).
-  std::vector<std::uint32_t> level_by_i_;
-  std::vector<std::uint32_t> level_by_j_;
-  /// Reusable per-solve scratch: the generator and its exit rates, rebuilt
-  /// in place each solve.
-  CsrMatrix scratch_rates_;
-  Vector scratch_exit_;
-};
 
 /// Exact truncated solve with phase-type *inelastic* job sizes (elastic
 /// sizes stay Exp(mu_E)), by state augmentation: the chain tracks
@@ -122,7 +95,8 @@ class ExactCtmcBatch {
 /// drops strictly between 0 and the number of jobs already in service
 /// (jobs pause holding their phase and all resume together — EF's shape;
 /// IF never preempts). Violations throw esched::Error naming the policy;
-/// use the simulation backend for such policies.
+/// use the simulation backend for such policies. The inputs are checked as
+/// in solve_exact_ctmc, and `size_dist_i` may have at most 16 phases.
 ExactCtmcResult solve_exact_ctmc_ph(const SystemParams& params,
                                     const AllocationPolicy& policy,
                                     const PhaseType& size_dist_i,

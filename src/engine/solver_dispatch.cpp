@@ -301,10 +301,11 @@ std::string exact_topology_key(const RunPoint& point) {
   return keyed.cache_key();
 }
 
-ExactGroupSolver::ExactGroupSolver(const RunPoint& representative)
-    : batch_(representative.params, resolve_exact_options(representative)) {
+ExactGroupSolver::ExactGroupSolver(const RunPoint& representative) {
   ESCHED_CHECK(!exact_topology_key(representative).empty(),
                "exact group requires exact-CTMC points");
+  representative.params.validate();
+  (void)resolve_exact_options(representative);
 }
 
 }  // namespace esched

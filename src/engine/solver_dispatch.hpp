@@ -89,15 +89,13 @@ RunResult dispatch_run(const RunPoint& point);
 /// oracles on it.
 std::string exact_topology_key(const RunPoint& point);
 
-/// Builds the ExactCtmcBatch of an exact-CTMC point (validation and level
-/// layout, no solve). Nothing in the engine uses it; it stays for the
-/// benchmark harness's chain-build probe.
+/// Checks an exact-CTMC point without solving it: its topology key, its
+/// parameters and its resolved truncation. Nothing in the engine uses it;
+/// it stays for the benchmark harness's chain-build probe until the
+/// ROADMAP's perfbench item deletes it.
 class ExactGroupSolver {
  public:
   explicit ExactGroupSolver(const RunPoint& representative);
-
- private:
-  ExactCtmcBatch batch_;
 };
 
 }  // namespace esched

@@ -55,10 +55,10 @@ class CsrMatrix {
   Matrix to_dense() const;
 
   // -- Streaming (re)build --------------------------------------------------
-  // For callers that build a matrix row by row, possibly many times into
-  // the same storage (ExactCtmcBatch, once per policy): begin_rows() resets
-  // the matrix but keeps the allocated capacity, push() appends an entry to
-  // the open row (columns strictly ascending), next_row() closes it.
+  // For callers that build a matrix row by row (solve_exact_ctmc's grid
+  // chain, a closed class's own chain): begin_rows() resets the matrix but
+  // keeps the allocated capacity, push() appends an entry to the open row
+  // (columns strictly ascending), next_row() closes it.
   // Exactly `rows` next_row() calls complete the build; queries before
   // completion throw.
 

@@ -401,12 +401,9 @@ Walk<false> plan(std::size_t ni, std::size_t nj) {
 
 }  // namespace
 
-NestedDissectionCost nested_dissection_cost(std::size_t ni, std::size_t nj) {
+double nested_dissection_cost(std::size_t ni, std::size_t nj) {
   ESCHED_CHECK(ni >= 1 && nj >= 1, "grid must be non-empty");
-  const Walk<false> walk = plan(ni, nj);
-  NestedDissectionCost cost;
-  cost.flops = walk.flops;
-  return cost;
+  return plan(ni, nj).flops;
 }
 
 Vector nested_dissection_stationary(const CsrMatrix& rates,

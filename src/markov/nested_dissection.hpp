@@ -35,16 +35,11 @@
 
 namespace esched {
 
-/// Cost of nested_dissection_stationary on an ni x nj grid. It depends on
-/// the grid shape only, and comes from an allocation-free walk of the same
-/// dissection the solve runs.
-struct NestedDissectionCost {
-  /// Multiply-adds of the factor pass, the subtree refactors and the
-  /// back-substitution (dense fronts, so independent of the rates).
-  double flops = 0.0;
-};
-
-NestedDissectionCost nested_dissection_cost(std::size_t ni, std::size_t nj);
+/// Multiply-adds of nested_dissection_stationary on an ni x nj grid: the
+/// factor pass, the subtree refactors and the back-substitution. The fronts
+/// are dense, so the count depends on the grid shape only; it comes from an
+/// allocation-free walk of the same dissection the solve runs.
+double nested_dissection_cost(std::size_t ni, std::size_t nj);
 
 /// Stationary distribution of an irreducible CTMC whose states are the
 /// cells of an ni x nj grid (state i * nj + j) and whose transitions only

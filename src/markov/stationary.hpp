@@ -11,10 +11,11 @@
 // The exact-CTMC backend (core/exact_ctmc.hpp) picks among them by chain
 // size and structure; there is no option to force one. A reducible chain
 // makes every elimination throw; the backend then solves its closed class
-// (closed_classes below) by GTH. These functions are also the references
-// tests compare the backend's results against. Each takes the generator as
-// an off-diagonal rate matrix plus exit rates (SparseCtmc::rate_matrix()
-// and exit_rates() of a frozen chain).
+// (closed_classes below) by the same route: GTH up to 500 states, else the
+// block method. These functions are also the references tests compare the
+// backend's results against. Each takes the generator as an off-diagonal
+// rate matrix plus exit rates (SparseCtmc::rate_matrix() and exit_rates()
+// of a frozen chain).
 #pragma once
 
 #include <cstddef>

@@ -251,7 +251,7 @@ ExactCtmcResult solve_auto(const SystemParams& p,
 
 /// The exponential (N_I, N_E) chain of `policy` on the (imax + 1) x
 /// (jmax + 1) grid, state i * (jmax + 1) + j, with the same rates
-/// ExactCtmcBatch builds.
+/// solve_exact_ctmc builds.
 SparseCtmc policy_chain(const SystemParams& p, const AllocationPolicy& policy,
                         long imax, long jmax) {
   const long nj = jmax + 1;
@@ -437,14 +437,6 @@ TEST(ExactCtmc, AutoBlockLevelsIfAlongElasticAxisAndEfAlongInelastic) {
                            options.jmax)
                     .mean_response_time,
                 1e-10);
-    // The batch and the one-shot entry point share the axis pick.
-    ExactCtmcBatch batch(p, options);
-    const ExactCtmcResult batched = batch.solve(c.policy);
-    EXPECT_EQ(batched.mean_response_time, automatic.mean_response_time);
-    EXPECT_EQ(batched.mean_jobs_i, automatic.mean_jobs_i);
-    EXPECT_EQ(batched.mean_jobs_e, automatic.mean_jobs_e);
-    EXPECT_EQ(batched.boundary_mass, automatic.boundary_mass);
-    EXPECT_EQ(batched.solve_info.residual, automatic.solve_info.residual);
   }
 }
 
@@ -543,7 +535,6 @@ TEST(ExactCtmc, AutoRoutesEachPolicyToItsCheapestOrdering) {
   };
   const Case cases[] = {{fair_share, 'n'}, {cap2, 'n'}, {inelastic_first, 'j'},
                         {elastic_first, 'i'}};
-  ExactCtmcBatch batch(p, options);
   for (const Case& c : cases) {
     SCOPED_TRACE(c.policy.name());
     char ordering = '?';
@@ -551,14 +542,6 @@ TEST(ExactCtmc, AutoRoutesEachPolicyToItsCheapestOrdering) {
         solve_auto(p, c.policy, options, &ordering);
     EXPECT_EQ(automatic.solve_info.method, "block");
     EXPECT_EQ(ordering, c.ordering);
-    // The batch (which has solved the other policies first) matches the
-    // one-shot entry point bitwise.
-    const ExactCtmcResult batched = batch.solve(c.policy);
-    EXPECT_EQ(batched.mean_response_time, automatic.mean_response_time);
-    EXPECT_EQ(batched.mean_jobs_i, automatic.mean_jobs_i);
-    EXPECT_EQ(batched.mean_jobs_e, automatic.mean_jobs_e);
-    EXPECT_EQ(batched.boundary_mass, automatic.boundary_mass);
-    EXPECT_EQ(batched.solve_info.residual, automatic.solve_info.residual);
   }
 }
 
@@ -700,6 +683,51 @@ TEST(ExactCtmc, SeveralClosedClassesThrow) {
     const std::string what = e.what();
     EXPECT_NE(what.find("11 closed classes"), std::string::npos) << what;
     EXPECT_NE(what.find("not unique"), std::string::npos) << what;
+  }
+}
+
+TEST(ExactCtmc, BothChainBuildersRejectTheSameInputsByName) {
+  // An unstable load, a zero truncation level and a system without
+  // arrivals are refused before any chain is built, with the same message
+  // from the exponential and the phase-type entry point.
+  const InelasticFirst policy;
+  const PhaseType erlang = PhaseType::erlang(2, 2.0);
+  const SystemParams stable = SystemParams::from_load(4, 1.0, 1.0, 0.5);
+  SystemParams overloaded = stable;
+  overloaded.lambda_i *= 2.0;
+  overloaded.lambda_e *= 2.0;
+  SystemParams idle = stable;
+  idle.lambda_i = idle.lambda_e = 0.0;
+  ExactCtmcOptions options;
+  options.imax = options.jmax = 10;
+  ExactCtmcOptions no_levels = options;
+  no_levels.imax = 0;
+  struct Case {
+    const SystemParams& params;
+    const ExactCtmcOptions& options;
+    const char* message;
+  };
+  for (const Case& c : {Case{overloaded, options, "requires rho < 1"},
+                        Case{stable, no_levels, "truncation levels must be"},
+                        Case{idle, options, "requires some arrivals"}}) {
+    SCOPED_TRACE(c.message);
+    std::string exponential_what;
+    std::string ph_what;
+    try {
+      (void)solve_exact_ctmc(c.params, policy, c.options);
+      ADD_FAILURE() << "solve_exact_ctmc: expected esched::Error";
+    } catch (const Error& e) {
+      exponential_what = e.what();
+    }
+    try {
+      (void)solve_exact_ctmc_ph(c.params, policy, erlang, c.options);
+      ADD_FAILURE() << "solve_exact_ctmc_ph: expected esched::Error";
+    } catch (const Error& e) {
+      ph_what = e.what();
+    }
+    EXPECT_NE(exponential_what.find(c.message), std::string::npos)
+        << exponential_what;
+    EXPECT_EQ(ph_what, exponential_what);
   }
 }
 

@@ -428,24 +428,6 @@ TEST(Dispatch, SimTailsFillPercentiles) {
             bare.elastic.response_time.mean);
 }
 
-TEST(ExactBatch, MatchesUnbatchedSolveBitwise) {
-  const SystemParams p = SystemParams::from_load(4, 2.0, 1.0, 0.8);
-  ExactCtmcOptions options;
-  options.imax = options.jmax = 30;
-  ExactCtmcBatch batch(p, options);
-  for (const auto& policy :
-       {make_inelastic_first(), make_elastic_first(), make_fair_share(),
-        make_inelastic_cap(2)}) {
-    const ExactCtmcResult batched = batch.solve(*policy);
-    const ExactCtmcResult direct = solve_exact_ctmc(p, *policy, options);
-    EXPECT_EQ(batched.mean_response_time, direct.mean_response_time);
-    EXPECT_EQ(batched.mean_jobs_i, direct.mean_jobs_i);
-    EXPECT_EQ(batched.boundary_mass, direct.boundary_mass);
-    EXPECT_EQ(batched.solve_info.method, direct.solve_info.method);
-    EXPECT_EQ(batched.solve_info.residual, direct.solve_info.residual);
-  }
-}
-
 TEST(SweepRunner, ExactGroupBatchingMatchesPerPointDispatch) {
   // Five policies per chain topology: the runner solves every point as its
   // own job, so results equal per-point dispatch bitwise and a single
