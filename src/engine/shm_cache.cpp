@@ -199,28 +199,46 @@ unsigned char* map_table_file(const std::string& path, std::uint64_t* bytes,
 /// unique temp sibling and published with link(2), so concurrent creators
 /// race cleanly — exactly one table survives and every loser maps it.
 /// The slot region is ftruncate-extended (sparse), so a fresh default
-/// table costs pages only as slots are touched.
-bool create_table_file(const std::string& path, std::uint64_t slot_count) {
+/// table costs pages only as slots are touched. The temp file is mapped
+/// once before it is published, so a table too large to map is never left
+/// behind. On failure `error` (if given) names the step that failed, the
+/// table's byte size and the OS error.
+bool create_table_file(const std::string& path, std::uint64_t slot_count,
+                       std::string* error) {
+  const std::uint64_t total = kHeaderBytes + slot_count * kSlotBytes;
+  const auto report = [&](const char* step) {
+    if (error != nullptr) {
+      *error = std::string(step) + " of the " + std::to_string(total) +
+               "-byte table file failed: " + std::strerror(errno);
+    }
+    return false;
+  };
   const std::string tmp = unique_tmp_path(path);
   const int fd = ::open(tmp.c_str(), O_RDWR | O_CREAT | O_EXCL, 0644);
-  if (fd < 0) return false;
-  const auto fail = [&] {
+  if (fd < 0) return report("open");
+  const auto fail = [&](const char* step) {
+    report(step);
     ::close(fd);
     ::unlink(tmp.c_str());
     return false;
   };
-  const off_t total =
-      static_cast<off_t>(kHeaderBytes + slot_count * kSlotBytes);
-  if (::ftruncate(fd, total) != 0) return fail();
+  if (::ftruncate(fd, static_cast<off_t>(total)) != 0) {
+    return fail("ftruncate");
+  }
   unsigned char header[kHeaderBytes];
   fill_header(header, slot_count, 0);
   if (::pwrite(fd, header, sizeof(header), 0) !=
       static_cast<ssize_t>(sizeof(header))) {
-    return fail();
+    return fail("pwrite");
   }
+  void* probe =
+      ::mmap(nullptr, total, PROT_READ | PROT_WRITE, MAP_SHARED, fd, 0);
+  if (probe == MAP_FAILED) return fail("mmap");
+  ::munmap(probe, total);
   ::close(fd);
   if (::link(tmp.c_str(), path.c_str()) != 0) {
     const bool lost_race = errno == EEXIST;
+    if (!lost_race) report("link");
     ::unlink(tmp.c_str());
     return lost_race;  // someone else published a table: map theirs
   }
@@ -279,15 +297,21 @@ std::unique_ptr<ShmResultCache> ShmResultCache::open_existing(
 }
 
 std::unique_ptr<ShmResultCache> ShmResultCache::open_or_create(
-    const std::string& directory, std::uint64_t slot_count) {
+    const std::string& directory, std::uint64_t slot_count,
+    std::string* error) {
   ESCHED_CHECK(slot_count <= kMaxSlotCount,
                "a cache table holds at most " +
                    std::to_string(kMaxSlotCount) + " slots, not " +
                    std::to_string(slot_count));
   if (auto existing = open_existing(directory)) return existing;
   slot_count = std::bit_ceil(std::max(slot_count, kMinSlotCount));
-  if (!create_table_file(table_path(directory), slot_count)) return nullptr;
-  return open_existing(directory);
+  const std::string path = table_path(directory);
+  if (!create_table_file(path, slot_count, error)) return nullptr;
+  auto table = open_existing(directory);
+  if (table == nullptr && error != nullptr) {
+    *error = path + " exists but cannot be mapped as a table of this build";
+  }
+  return table;
 }
 
 #else  // !ESCHED_SHM_CACHE_POSIX
@@ -300,7 +324,8 @@ std::unique_ptr<ShmResultCache> ShmResultCache::open_existing(
 }
 
 std::unique_ptr<ShmResultCache> ShmResultCache::open_or_create(
-    const std::string&, std::uint64_t) {
+    const std::string&, std::uint64_t, std::string* error) {
+  if (error != nullptr) *error = "this platform has no mmap support";
   return nullptr;
 }
 

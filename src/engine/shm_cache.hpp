@@ -79,11 +79,14 @@ class ShmResultCache {
   /// open_existing, creating (atomically — concurrent creators race on a
   /// link(2) publish and exactly one table survives) a fresh table of
   /// `slot_count` slots when none exists. `slot_count` is rounded up to a
-  /// power of two; one over kMaxSlotCount throws. nullptr only when the
-  /// platform cannot mmap or the directory is unwritable.
+  /// power of two; one over kMaxSlotCount throws. nullptr when the table
+  /// cannot be created or mapped (no mmap, an unwritable directory, a size
+  /// the filesystem or the address space refuses); `error` (if given) then
+  /// says which step failed, with the table's byte size and the OS error.
   static std::unique_ptr<ShmResultCache> open_or_create(
       const std::string& directory,
-      std::uint64_t slot_count = kDefaultSlotCount);
+      std::uint64_t slot_count = kDefaultSlotCount,
+      std::string* error = nullptr);
 
   ~ShmResultCache();
   ShmResultCache(const ShmResultCache&) = delete;

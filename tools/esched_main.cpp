@@ -351,10 +351,12 @@ int run_cache(const std::vector<std::string>& args) {
 
   if (action == "init") {
     const esched::DiskResultCache dir(cache_dir);  // creates the directory
-    const auto table = esched::ShmResultCache::open_or_create(cache_dir, slots);
+    std::string error;
+    const auto table =
+        esched::ShmResultCache::open_or_create(cache_dir, slots, &error);
     if (table == nullptr) {
       throw esched::Error("cannot create a cache table in '" + cache_dir +
-                          "' (unwritable directory, or no mmap support)");
+                          "': " + error);
     }
     const esched::ShmTableInfo info = table->info();
     std::printf(
