@@ -22,13 +22,6 @@ std::size_t shard_index() {
   return slot;
 }
 
-void atomic_add(std::atomic<double>& value, double delta) {
-  double expected = value.load(std::memory_order_relaxed);
-  while (!value.compare_exchange_weak(expected, expected + delta,
-                                      std::memory_order_relaxed)) {
-  }
-}
-
 void atomic_min(std::atomic<double>& value, double candidate) {
   double expected = value.load(std::memory_order_relaxed);
   while (candidate < expected &&
@@ -55,12 +48,6 @@ std::uint64_t Counter::total() const {
   return sum;
 }
 
-void Counter::reset() {
-  for (Shard& shard : shards_) {
-    shard.value.store(0, std::memory_order_relaxed);
-  }
-}
-
 std::size_t histogram_bucket(double value) {
   // ilogb(v) is the unbiased binary exponent: 2^e <= v < 2^(e+1). Shift by
   // -kHistMinExp so the first representable bucket lands at index 0, then
@@ -85,28 +72,10 @@ void LogHistogram::record(double value) {
   Shard& shard = shards_[obs_detail::shard_index()];
   shard.buckets[histogram_bucket(value)].fetch_add(1,
                                                    std::memory_order_relaxed);
-  obs_detail::atomic_add(shard.sum, value);
-  // First sample of a shard seeds min/max; count orders the check, which
-  // is safe because one thread always maps to one shard.
-  if (shard.count.fetch_add(1, std::memory_order_relaxed) == 0) {
-    shard.min.store(value, std::memory_order_relaxed);
-    shard.max.store(value, std::memory_order_relaxed);
-  } else {
-    obs_detail::atomic_min(shard.min, value);
-    obs_detail::atomic_max(shard.max, value);
-  }
-}
-
-void LogHistogram::reset() {
-  for (Shard& shard : shards_) {
-    for (auto& bucket : shard.buckets) {
-      bucket.store(0, std::memory_order_relaxed);
-    }
-    shard.sum.store(0.0, std::memory_order_relaxed);
-    shard.min.store(0.0, std::memory_order_relaxed);
-    shard.max.store(0.0, std::memory_order_relaxed);
-    shard.count.store(0, std::memory_order_relaxed);
-  }
+  shard.sum.fetch_add(value, std::memory_order_relaxed);
+  obs_detail::atomic_min(shard.min, value);
+  obs_detail::atomic_max(shard.max, value);
+  shard.count.fetch_add(1, std::memory_order_relaxed);
 }
 
 double LogHistogram::Snapshot::quantile(double q) const {
@@ -135,26 +104,23 @@ double LogHistogram::Snapshot::quantile(double q) const {
 
 LogHistogram::Snapshot LogHistogram::snapshot() const {
   Snapshot out;
-  bool seeded = false;
+  double lo = std::numeric_limits<double>::infinity();
+  double hi = -std::numeric_limits<double>::infinity();
   for (const Shard& shard : shards_) {
     const std::uint64_t n = shard.count.load(std::memory_order_relaxed);
     if (n == 0) continue;
     out.count += n;
     out.sum += shard.sum.load(std::memory_order_relaxed);
-    const double lo = shard.min.load(std::memory_order_relaxed);
-    const double hi = shard.max.load(std::memory_order_relaxed);
-    if (!seeded) {
-      out.min = lo;
-      out.max = hi;
-      seeded = true;
-    } else {
-      out.min = std::min(out.min, lo);
-      out.max = std::max(out.max, hi);
-    }
+    lo = std::min(lo, shard.min.load(std::memory_order_relaxed));
+    hi = std::max(hi, shard.max.load(std::memory_order_relaxed));
     for (std::size_t b = 0; b < kHistBuckets; ++b) {
       out.buckets[b] += shard.buckets[b].load(std::memory_order_relaxed);
     }
   }
+  // A snapshot racing a shard's first sample can still see its +inf/-inf
+  // seeds; keep the 0 default then, since JSON cannot carry an infinity.
+  if (std::isfinite(lo)) out.min = lo;
+  if (std::isfinite(hi)) out.max = hi;
   return out;
 }
 
@@ -167,11 +133,6 @@ JsonValue MetricsSnapshot::to_json() const {
     counters_obj.set(name, JsonValue::make_number(static_cast<double>(value)));
   }
   root.set("counters", std::move(counters_obj));
-  JsonValue gauges_obj = JsonValue::make_object();
-  for (const auto& [name, value] : gauges) {
-    gauges_obj.set(name, JsonValue::make_number(value));
-  }
-  root.set("gauges", std::move(gauges_obj));
   JsonValue hists_obj = JsonValue::make_object();
   for (const auto& [name, snap] : histograms) {
     JsonValue h = JsonValue::make_object();
@@ -207,13 +168,6 @@ std::uint64_t MetricsSnapshot::counter_value(const std::string& name) const {
   return 0;
 }
 
-double MetricsSnapshot::gauge_value(const std::string& name) const {
-  for (const auto& [n, value] : gauges) {
-    if (n == name) return value;
-  }
-  return 0.0;
-}
-
 const LogHistogram::Snapshot* MetricsSnapshot::find_histogram(
     const std::string& name) const {
   for (const auto& [n, snap] : histograms) {
@@ -240,12 +194,6 @@ MetricsSnapshot metrics_snapshot_from_json(const JsonValue& doc,
           name, static_cast<std::uint64_t>(value.as_integer(
                     where + ".counters." + name, 0,
                     std::numeric_limits<long long>::max())));
-    }
-  }
-  if (const JsonValue* gauges = doc.find("gauges")) {
-    for (const auto& [name, value] : gauges->as_object(where + ".gauges")) {
-      out.gauges.emplace_back(name,
-                              value.as_number(where + ".gauges." + name));
     }
   }
   if (const JsonValue* hists = doc.find("histograms")) {
@@ -305,11 +253,9 @@ void merge_histogram_snapshots(LogHistogram::Snapshot& into,
 MetricsSnapshot merge_metrics_snapshots(
     const std::vector<MetricsSnapshot>& snapshots) {
   std::map<std::string, std::uint64_t> counters;
-  std::map<std::string, double> gauges;
   std::map<std::string, LogHistogram::Snapshot> histograms;
   for (const MetricsSnapshot& snap : snapshots) {
     for (const auto& [name, value] : snap.counters) counters[name] += value;
-    for (const auto& [name, value] : snap.gauges) gauges[name] += value;
     for (const auto& [name, hist] : snap.histograms) {
       merge_histogram_snapshots(histograms[name], hist);
     }
@@ -319,7 +265,6 @@ MetricsSnapshot merge_metrics_snapshots(
   for (const auto& [name, value] : counters) {
     out.counters.emplace_back(name, value);
   }
-  for (const auto& [name, value] : gauges) out.gauges.emplace_back(name, value);
   for (const auto& [name, hist] : histograms) {
     out.histograms.emplace_back(name, hist);
   }
@@ -330,13 +275,6 @@ Counter& MetricsRegistry::counter(const std::string& name) {
   std::lock_guard<std::mutex> lock(mutex_);
   auto& slot = counters_[name];
   if (slot == nullptr) slot = std::make_unique<Counter>();
-  return *slot;
-}
-
-Gauge& MetricsRegistry::gauge(const std::string& name) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  auto& slot = gauges_[name];
-  if (slot == nullptr) slot = std::make_unique<Gauge>();
   return *slot;
 }
 
@@ -355,20 +293,10 @@ MetricsSnapshot MetricsRegistry::snapshot() const {
   for (const auto& [name, counter] : counters_) {
     out.counters.emplace_back(name, counter->total());
   }
-  for (const auto& [name, gauge] : gauges_) {
-    out.gauges.emplace_back(name, gauge->value());
-  }
   for (const auto& [name, hist] : histograms_) {
     out.histograms.emplace_back(name, hist->snapshot());
   }
   return out;
-}
-
-void MetricsRegistry::reset() {
-  std::lock_guard<std::mutex> lock(mutex_);
-  for (auto& entry : counters_) entry.second->reset();
-  for (auto& entry : gauges_) entry.second->reset();
-  for (auto& entry : histograms_) entry.second->reset();
 }
 
 MetricsRegistry& global_metrics() {
@@ -384,14 +312,10 @@ void write_metrics_json(const MetricsRegistry& registry,
 ScopedTimer::ScopedTimer(LogHistogram& hist, Counter* count)
     : hist_(hist), count_(count), start_(std::chrono::steady_clock::now()) {}
 
-double ScopedTimer::elapsed_seconds() const {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                       start_)
-      .count();
-}
-
 ScopedTimer::~ScopedTimer() {
-  hist_.record(elapsed_seconds());
+  hist_.record(std::chrono::duration<double>(
+                   std::chrono::steady_clock::now() - start_)
+                   .count());
   if (count_ != nullptr) count_->add();
 }
 

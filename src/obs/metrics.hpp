@@ -1,5 +1,5 @@
-// Dependency-free process metrics: a registry of named counters, gauges,
-// and log-bucketed histograms designed so the hot path never takes a
+// Dependency-free process metrics: a registry of named counters and
+// log-bucketed histograms designed so the hot path never takes a
 // lock. Counters and histograms stripe their state across a fixed set of
 // cache-line-padded shards; each thread hashes to a shard on first touch
 // and from then on updates it with relaxed atomics, so concurrent solver
@@ -19,6 +19,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -31,7 +32,8 @@ namespace esched {
 
 /// Version of the JSON layout emitted by MetricsSnapshot::to_json /
 /// write_metrics_json. Bump when renaming or restructuring fields.
-inline constexpr int kMetricsSchemaVersion = 1;
+/// v2: the always-empty "gauges" object is gone.
+inline constexpr int kMetricsSchemaVersion = 2;
 
 /// Shards per striped metric. A power of two (shard choice masks the low
 /// bits of a thread counter) sized to make same-shard collisions rare at
@@ -49,12 +51,8 @@ inline constexpr std::size_t kCacheLine = 64;
 /// updates always land on the same stripe.
 std::size_t shard_index();
 
-/// value += delta on an atomic double via compare-exchange (portable to
-/// C++17; fetch_add on atomic<double> is C++20). Relaxed ordering: shards
-/// are merged only after threads quiesce or for approximate snapshots.
-void atomic_add(std::atomic<double>& value, double delta);
-
-/// min/max folding with the same CAS loop.
+/// min/max folding by compare-exchange. Relaxed ordering: shards are
+/// merged only after threads quiesce or for approximate snapshots.
 void atomic_min(std::atomic<double>& value, double candidate);
 void atomic_max(std::atomic<double>& value, double candidate);
 
@@ -78,32 +76,11 @@ class Counter {
   /// quiesce.
   std::uint64_t total() const;
 
-  /// Zeroes every shard (for tests and between-run resets). Not atomic
-  /// with respect to concurrent add().
-  void reset();
-
  private:
   struct alignas(obs_detail::kCacheLine) Shard {
     std::atomic<std::uint64_t> value{0};
   };
   std::array<Shard, kMetricShards> shards_;
-};
-
-/// Last-writer-wins instantaneous value (queue depth, thread count, ...).
-/// Gauges are low-rate, so a single atomic slot suffices.
-class Gauge {
- public:
-  Gauge() = default;
-  Gauge(const Gauge&) = delete;
-  Gauge& operator=(const Gauge&) = delete;
-
-  void set(double value) { value_.store(value, std::memory_order_relaxed); }
-  void add(double delta) { obs_detail::atomic_add(value_, delta); }
-  double value() const { return value_.load(std::memory_order_relaxed); }
-  void reset() { value_.store(0.0, std::memory_order_relaxed); }
-
- private:
-  std::atomic<double> value_{0.0};
 };
 
 /// Fixed description of the log-bucketed histogram layout: bucket b spans
@@ -124,8 +101,10 @@ double histogram_bucket_lo(std::size_t b);
 double histogram_bucket_hi(std::size_t b);
 
 /// Log-bucketed distribution of a nonnegative quantity (seconds, states).
-/// record() is lock-free: one relaxed fetch_add into this thread's shard's
-/// bucket plus CAS updates of the shard's sum/min/max.
+/// record() is lock-free: relaxed fetch_adds into this thread's shard's
+/// bucket and sum plus CAS folds of its min/max. A shard may have several
+/// writers (threads beyond kMetricShards share one), so min/max start at
+/// +inf/-inf and every sample folds into them.
 class LogHistogram {
  public:
   LogHistogram() = default;
@@ -133,7 +112,6 @@ class LogHistogram {
   LogHistogram& operator=(const LogHistogram&) = delete;
 
   void record(double value);
-  void reset();
 
   struct Snapshot {
     std::uint64_t count = 0;
@@ -153,8 +131,8 @@ class LogHistogram {
   struct alignas(obs_detail::kCacheLine) Shard {
     std::array<std::atomic<std::uint64_t>, kHistBuckets> buckets{};
     std::atomic<double> sum{0.0};
-    std::atomic<double> min{0.0};  // valid only when count > 0
-    std::atomic<double> max{0.0};
+    std::atomic<double> min{std::numeric_limits<double>::infinity()};
+    std::atomic<double> max{-std::numeric_limits<double>::infinity()};
     std::atomic<std::uint64_t> count{0};
   };
   std::array<Shard, kMetricShards> shards_;
@@ -163,7 +141,6 @@ class LogHistogram {
 /// Merged, order-stable view of a registry at one instant.
 struct MetricsSnapshot {
   std::vector<std::pair<std::string, std::uint64_t>> counters;
-  std::vector<std::pair<std::string, double>> gauges;
   std::vector<std::pair<std::string, LogHistogram::Snapshot>> histograms;
 
   /// Stable schema (kMetricsSchemaVersion): top-level schema_version plus
@@ -173,11 +150,10 @@ struct MetricsSnapshot {
   /// sequences serialize to identical bytes.
   JsonValue to_json() const;
 
-  /// Looks up a counter/gauge/histogram by name (the vectors are sorted,
-  /// but a linear scan is fine at snapshot cardinality). Returns 0 / 0.0 /
-  /// nullptr when the metric was never registered.
+  /// Looks up a counter/histogram by name (the vectors are sorted, but a
+  /// linear scan is fine at snapshot cardinality). Returns 0 / nullptr
+  /// when the metric was never registered.
   std::uint64_t counter_value(const std::string& name) const;
-  double gauge_value(const std::string& name) const;
   const LogHistogram::Snapshot* find_histogram(const std::string& name) const;
 };
 
@@ -189,8 +165,8 @@ struct MetricsSnapshot {
 MetricsSnapshot metrics_snapshot_from_json(const JsonValue& doc,
                                            const std::string& where);
 
-/// Merges per-process snapshots into one fleet-wide snapshot: counters and
-/// gauges sum by name, histograms merge BUCKET-WISE (counts added, sums
+/// Merges per-process snapshots into one fleet-wide snapshot: counters
+/// sum by name, histograms merge BUCKET-WISE (counts added, sums
 /// added, min/max folded) so quantiles of the result are re-derived from
 /// the combined distribution — never averaged across processes, which
 /// would be wrong for any skewed distribution.
@@ -200,8 +176,7 @@ MetricsSnapshot merge_metrics_snapshots(
 /// Named-metric registry. Lookup/creation takes a mutex, so call sites on
 /// hot paths should resolve their handles once (function-local static or
 /// member reference) and then update lock-free; returned references stay
-/// valid and stable for the registry's lifetime (reset() zeroes values in
-/// place rather than destroying metrics).
+/// valid and stable for the registry's lifetime.
 class MetricsRegistry {
  public:
   MetricsRegistry() = default;
@@ -209,17 +184,13 @@ class MetricsRegistry {
   MetricsRegistry& operator=(const MetricsRegistry&) = delete;
 
   Counter& counter(const std::string& name);
-  Gauge& gauge(const std::string& name);
   LogHistogram& histogram(const std::string& name);
 
   MetricsSnapshot snapshot() const;
-  /// Zeroes every registered metric, keeping handles valid.
-  void reset();
 
  private:
   mutable std::mutex mutex_;
   std::map<std::string, std::unique_ptr<Counter>> counters_;
-  std::map<std::string, std::unique_ptr<Gauge>> gauges_;
   std::map<std::string, std::unique_ptr<LogHistogram>> histograms_;
 };
 
@@ -240,9 +211,6 @@ class ScopedTimer {
   ScopedTimer(const ScopedTimer&) = delete;
   ScopedTimer& operator=(const ScopedTimer&) = delete;
   ~ScopedTimer();
-
-  /// Seconds since construction, without stopping the timer.
-  double elapsed_seconds() const;
 
  private:
   LogHistogram& hist_;

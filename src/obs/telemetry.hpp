@@ -94,7 +94,7 @@ struct WorkerTelemetry {
 /// The merged fleet view `esched status` renders.
 struct FleetSnapshot {
   std::vector<WorkerTelemetry> workers;  ///< sorted by owner (stable frames)
-  MetricsSnapshot merged;  ///< counters/gauges summed, histograms
+  MetricsSnapshot merged;  ///< counters summed, histograms
                            ///< bucket-merged (quantiles re-derived)
   std::size_t skipped_files = 0;  ///< unparsable or foreign files ignored
 };

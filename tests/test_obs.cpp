@@ -5,6 +5,7 @@
 // numerical results.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cmath>
 #include <cstdio>
 #include <filesystem>
@@ -14,6 +15,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/error.hpp"
 #include "common/json.hpp"
 #include "engine/report.hpp"
 #include "engine/scenario.hpp"
@@ -43,18 +45,6 @@ TEST(Counter, MergesShardsAcrossEightThreads) {
   }
   for (auto& thread : threads) thread.join();
   EXPECT_EQ(counter.total(), kThreads * kPerThread);
-  counter.reset();
-  EXPECT_EQ(counter.total(), 0u);
-}
-
-TEST(Gauge, SetAddReset) {
-  Gauge gauge;
-  gauge.set(3.5);
-  EXPECT_DOUBLE_EQ(gauge.value(), 3.5);
-  gauge.add(-1.25);
-  EXPECT_DOUBLE_EQ(gauge.value(), 2.25);
-  gauge.reset();
-  EXPECT_DOUBLE_EQ(gauge.value(), 0.0);
 }
 
 TEST(LogHistogram, BucketBoundariesAreExactPowersOfTwo) {
@@ -103,6 +93,64 @@ TEST(LogHistogram, ConcurrentRecordsMerge) {
   EXPECT_EQ(bucketed, snap.count);
 }
 
+TEST(LogHistogram, SharedShardsKeepExactBoundsAndParseableSnapshots) {
+  // Shards are handed out round-robin, so 4 * kMetricShards live threads
+  // put four writers on every shard, racing on its first sample, while a
+  // reader serializes snapshots. An infinity leaking out of a shard's
+  // min/max seeds would make the dump unparseable.
+  constexpr int kWriters = 4 * static_cast<int>(kMetricShards);
+  constexpr int kPerWriter = 2000;
+  MetricsRegistry registry;
+  Counter& counter = registry.counter("x.count");
+  LogHistogram& hist = registry.histogram("x.seconds");
+  const double lowest = 0.25;
+  const double highest = 0.25 * kWriters;
+  std::atomic<bool> go{false};
+  std::atomic<int> running{kWriters};
+  std::vector<std::thread> writers;
+  for (int t = 0; t < kWriters; ++t) {
+    writers.emplace_back([&, t] {
+      while (!go.load()) std::this_thread::yield();
+      const double value = 0.25 * (t + 1);  // dyadic, so sums are exact
+      for (int n = 0; n < kPerWriter; ++n) {
+        hist.record(value);
+        counter.add();
+      }
+      running.fetch_sub(1);
+    });
+  }
+  std::string reader_error;
+  int snapshots = 0;
+  std::thread reader([&] {
+    while (!go.load()) std::this_thread::yield();
+    while (reader_error.empty() && (running.load() > 0 || snapshots == 0)) {
+      try {
+        const std::string text = registry.snapshot().to_json().dump();
+        const MetricsSnapshot back =
+            metrics_snapshot_from_json(parse_json(text, "mid-run"), "mid-run");
+        const LogHistogram::Snapshot* h = back.find_histogram("x.seconds");
+        if (h == nullptr || h->min < 0.0 || h->max > highest) {
+          reader_error = "histogram out of range: " + text;
+        }
+      } catch (const Error& e) {
+        reader_error = e.what();
+      }
+      ++snapshots;
+    }
+  });
+  go.store(true);
+  for (auto& thread : writers) thread.join();
+  reader.join();
+  EXPECT_EQ(reader_error, "");
+  EXPECT_GT(snapshots, 0);
+  const LogHistogram::Snapshot snap = hist.snapshot();
+  EXPECT_EQ(snap.count, static_cast<std::uint64_t>(kWriters) * kPerWriter);
+  EXPECT_EQ(snap.min, lowest);
+  EXPECT_EQ(snap.max, highest);
+  EXPECT_EQ(snap.sum, 0.25 * kPerWriter * kWriters * (kWriters + 1) / 2);
+  EXPECT_EQ(counter.total(), static_cast<std::uint64_t>(kWriters) * kPerWriter);
+}
+
 TEST(LogHistogram, QuantilesInterpolateAndClamp) {
   LogHistogram hist;
   hist.record(1.0);
@@ -129,6 +177,8 @@ TEST(LogHistogram, QuantilesInterpolateAndClamp) {
   EXPECT_NEAR(p50, 0.5, 0.5);  // within one bucket of the true median
   const LogHistogram::Snapshot empty = LogHistogram().snapshot();
   EXPECT_DOUBLE_EQ(empty.quantile(0.5), 0.0);
+  EXPECT_EQ(empty.min, 0.0);
+  EXPECT_EQ(empty.max, 0.0);
 }
 
 TEST(ScopedTimer, RecordsOneSampleAndBumpsCounter) {
@@ -136,7 +186,6 @@ TEST(ScopedTimer, RecordsOneSampleAndBumpsCounter) {
   Counter count;
   {
     ScopedTimer timer(hist, &count);
-    EXPECT_GE(timer.elapsed_seconds(), 0.0);
   }
   const LogHistogram::Snapshot snap = hist.snapshot();
   EXPECT_EQ(snap.count, 1u);
@@ -144,20 +193,16 @@ TEST(ScopedTimer, RecordsOneSampleAndBumpsCounter) {
   EXPECT_EQ(count.total(), 1u);
 }
 
-TEST(MetricsRegistry, HandlesAreStableAndResetKeepsThemValid) {
+TEST(MetricsRegistry, HandlesAreStable) {
   MetricsRegistry registry;
   Counter& a = registry.counter("x.count");
   Counter& b = registry.counter("x.count");
   EXPECT_EQ(&a, &b);  // one metric per name
   a.add(5);
-  registry.histogram("x.seconds").record(0.25);
-  registry.gauge("x.gauge").set(2.0);
-  registry.reset();
-  EXPECT_EQ(b.total(), 0u);  // zeroed in place, reference still valid
   b.add(3);
-  EXPECT_EQ(registry.counter("x.count").total(), 3u);
-  EXPECT_EQ(registry.histogram("x.seconds").snapshot().count, 0u);
-  EXPECT_DOUBLE_EQ(registry.gauge("x.gauge").value(), 0.0);
+  EXPECT_EQ(registry.counter("x.count").total(), 8u);
+  LogHistogram& h = registry.histogram("x.seconds");
+  EXPECT_EQ(&h, &registry.histogram("x.seconds"));
 }
 
 TEST(MetricsRegistry, SnapshotJsonIsDeterministic) {
@@ -166,7 +211,6 @@ TEST(MetricsRegistry, SnapshotJsonIsDeterministic) {
     registry.histogram("z.seconds").record(0.125);
     registry.counter("b.count").add(7);
     registry.counter("a.count").add(2);
-    registry.gauge("m.gauge").set(4.0);
     registry.histogram("z.seconds").record(0.25);
   };
   MetricsRegistry first;
@@ -180,6 +224,7 @@ TEST(MetricsRegistry, SnapshotJsonIsDeterministic) {
   const JsonValue parsed = parse_json(a, "metrics");
   EXPECT_EQ(parsed.find("schema_version")->as_number("v"),
             kMetricsSchemaVersion);
+  EXPECT_EQ(parsed.find("gauges"), nullptr);
   EXPECT_EQ(parsed.find("counters")->find("a.count")->as_number("a"), 2.0);
   EXPECT_EQ(
       parsed.find("histograms")->find("z.seconds")->find("count")->as_number(

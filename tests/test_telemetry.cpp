@@ -45,10 +45,9 @@ void write_file(const std::string& path, const std::string& content) {
 
 // --- snapshot JSON round-trip and merging ---------------------------------
 
-TEST(MetricsSnapshotJson, RoundTripsCountersGaugesAndHistograms) {
+TEST(MetricsSnapshotJson, RoundTripsCountersAndHistograms) {
   MetricsRegistry registry;
   registry.counter("sweep.points.solved").add(42);
-  registry.gauge("queue.depth").set(7.5);
   LogHistogram& hist = registry.histogram("solver.qbd.seconds");
   hist.record(0.5);
   hist.record(1.5);
@@ -57,7 +56,6 @@ TEST(MetricsSnapshotJson, RoundTripsCountersGaugesAndHistograms) {
   const MetricsSnapshot back =
       metrics_snapshot_from_json(snap.to_json(), "round-trip");
   EXPECT_EQ(back.counter_value("sweep.points.solved"), 42u);
-  EXPECT_DOUBLE_EQ(back.gauge_value("queue.depth"), 7.5);
   const LogHistogram::Snapshot* h = back.find_histogram("solver.qbd.seconds");
   ASSERT_NE(h, nullptr);
   EXPECT_EQ(h->count, 3u);
@@ -74,24 +72,24 @@ TEST(MetricsSnapshotJson, RoundTripsCountersGaugesAndHistograms) {
 }
 
 TEST(MetricsSnapshotJson, RejectsWrongSchemaVersion) {
-  JsonValue doc = JsonValue::make_object();
-  doc.set("schema_version", JsonValue::make_number(999));
-  EXPECT_THROW(metrics_snapshot_from_json(doc, "bad"), Error);
+  // Version 1 (with its "gauges" object) is as foreign as a future one.
+  for (const double version : {1.0, 999.0}) {
+    JsonValue doc = JsonValue::make_object();
+    doc.set("schema_version", JsonValue::make_number(version));
+    EXPECT_THROW(metrics_snapshot_from_json(doc, "bad"), Error);
+  }
 }
 
-TEST(MergeMetricsSnapshots, SumsCountersAndGauges) {
+TEST(MergeMetricsSnapshots, SumsCounters) {
   MetricsRegistry a;
   a.counter("sweep.points.solved").add(10);
-  a.gauge("queue.depth").set(2.0);
   MetricsRegistry b;
   b.counter("sweep.points.solved").add(32);
   b.counter("cache.shm.hits").add(5);
-  b.gauge("queue.depth").set(3.0);
   const MetricsSnapshot merged =
       merge_metrics_snapshots({a.snapshot(), b.snapshot()});
   EXPECT_EQ(merged.counter_value("sweep.points.solved"), 42u);
   EXPECT_EQ(merged.counter_value("cache.shm.hits"), 5u);
-  EXPECT_DOUBLE_EQ(merged.gauge_value("queue.depth"), 5.0);
 }
 
 TEST(MergeMetricsSnapshots, RederivesQuantilesFromCombinedBuckets) {
@@ -242,8 +240,8 @@ TEST(Telemetry, TornAndForeignFilesReadAsAbsent) {
   write_file(dir + "/alive.metrics.json",
              "{\"telemetry_schema_version\":1,\"owner\":\"alive\",\"pid\":1,"
              "\"final\":false,\"uptime_seconds\":1.0,\"metrics\":"
-             "{\"schema_version\":1,\"counters\":{\"sweep.points.solved\":3},"
-             "\"gauges\":{},\"histograms\":{}}}\n");
+             "{\"schema_version\":2,\"counters\":{\"sweep.points.solved\":3},"
+             "\"histograms\":{}}}\n");
   write_file(dir + "/torn.metrics.json",
              "{\"telemetry_schema_version\":1,\"owner\":\"torn\",\"met");
   write_file(dir + "/.tmp.1234.worker.metrics.json", "half-written");
