@@ -85,9 +85,6 @@ void RunOptions::validate() const {
   ESCHED_CHECK(sim_jobs >= 40,
                "options.sim_jobs must be >= 40 (two observations per "
                "batch-means batch)");
-  ESCHED_CHECK(sim_tail_span > 0.0, "options.sim_tail_span must be > 0");
-  ESCHED_CHECK(sim_tail_bins > 0, "options.sim_tail_bins must be > 0");
-  ESCHED_CHECK(trace_horizon > 0.0, "options.trace_horizon must be > 0");
   const int fit = static_cast<int>(fit_order);
   ESCHED_CHECK(fit >= 1 && fit <= 3, "options.fit_order must be 1, 2, or 3");
 }
@@ -131,14 +128,14 @@ std::string RunPoint::cache_key() const {
       key += ";seed=" + std::to_string(options.base_seed);
       if (options.sim_tails) {
         key += ";tails=1";
-        append_key_double(key, ";span=", options.sim_tail_span);
-        key += ";bins=" + std::to_string(options.sim_tail_bins);
+        append_key_double(key, ";span=", kSimTailSpan);
+        key += ";bins=" + std::to_string(kSimTailBins);
       }
       break;
     case SolverKind::kMmkBaseline: break;
     case SolverKind::kTraceDominance:
-      append_key_double(key, ";horizon=", options.trace_horizon);
-      key += ";tseed=" + std::to_string(options.trace_seed);
+      append_key_double(key, ";horizon=", kTraceHorizon);
+      key += ";tseed=" + std::to_string(kTraceSeed);
       break;
   }
   // Size distributions are part of every point's identity — also for the

@@ -44,6 +44,16 @@ SolverKind parse_solver(const std::string& name);
 /// number of deliberately idled servers). Throws on an unknown spec.
 PolicyPtr make_policy(const std::string& spec);
 
+/// Tail histogram shape of a sim_tails point: per class c the range is
+/// [0, kSimTailSpan / mu_c) with kSimTailBins uniform bins (quantiles
+/// interpolate within bins, so the span is generous and the bins fine).
+inline constexpr double kSimTailSpan = 400.0;
+inline constexpr long kSimTailBins = 20000;
+/// Thm. 3 trace replay (kTraceDominance): the fixed arrival sequence is
+/// generated on [0, kTraceHorizon] from kTraceSeed.
+inline constexpr double kTraceHorizon = 1500.0;
+inline constexpr std::uint64_t kTraceSeed = 2026;
+
 /// Per-run knobs shared by every point of a scenario. Only the fields the
 /// point's solver reads take part in its cache key (see cache_key()), so
 /// e.g. an exact-CTMC point is shared across fit-order axis values.
@@ -61,17 +71,8 @@ struct RunOptions {
   /// and its cache key, so results are independent of thread count.
   std::uint64_t base_seed = 1;
   /// Collect response-time histograms and fill the RunResult tail
-  /// percentiles (P50/P95/P99 per class).
+  /// percentiles (P50/P95/P99 per class); see kSimTailSpan.
   bool sim_tails = false;
-  /// Tail histogram shape: per class c the range is [0, sim_tail_span /
-  /// mu_c) with sim_tail_bins uniform bins (quantiles interpolate within
-  /// bins, so the span is generous and the bins fine).
-  double sim_tail_span = 400.0;
-  long sim_tail_bins = 20000;
-  /// Trace-dominance controls (kTraceDominance only): the fixed arrival
-  /// sequence is generated on [0, trace_horizon] from trace_seed.
-  double trace_horizon = 1500.0;
-  std::uint64_t trace_seed = 2026;
   /// Job-size distributions per class (default: the paper's Exp(mu_c)).
   /// Shapes only — each compiles to a PhaseType scaled to the class mean
   /// 1/mu_c, so variability changes at fixed load. The sim backend accepts
@@ -84,8 +85,8 @@ struct RunOptions {
   SizeDistSpec size_dist_e;
 
   /// Throws esched::Error when a numeric knob is degenerate (sim_jobs not
-  /// exceeding sim_warmup or below 40, non-positive trace_horizon / tail
-  /// histogram shape, truncation_epsilon outside (0,1), ...).
+  /// exceeding sim_warmup or below 40, truncation_epsilon outside (0,1),
+  /// ...).
   /// Scenario::validate() calls this, so bad options fail loudly before a
   /// sweep runs.
   void validate() const;

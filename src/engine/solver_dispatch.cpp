@@ -169,10 +169,9 @@ RunResult run_simulation(const RunPoint& point) {
   std::optional<Histogram> hist_i;
   std::optional<Histogram> hist_e;
   if (point.options.sim_tails) {
-    const auto bins = static_cast<std::size_t>(point.options.sim_tail_bins);
-    // Generous range; quantiles interpolate within bins.
-    hist_i.emplace(0.0, point.options.sim_tail_span / point.params.mu_i, bins);
-    hist_e.emplace(0.0, point.options.sim_tail_span / point.params.mu_e, bins);
+    const auto bins = static_cast<std::size_t>(kSimTailBins);
+    hist_i.emplace(0.0, kSimTailSpan / point.params.mu_i, bins);
+    hist_e.emplace(0.0, kSimTailSpan / point.params.mu_e, bins);
     options.response_hist_i = &*hist_i;
     options.response_hist_e = &*hist_e;
   }
@@ -226,15 +225,13 @@ RunResult run_mmk_baseline(const RunPoint& point) {
 /// Theorem 3 check: replay one fixed trace under IF and under this point's
 /// policy, compare the exact piecewise-linear work paths pointwise, and
 /// average the work gap over the horizon. The trace derives only from
-/// (params, trace_horizon, trace_seed), so every policy of a sweep is
+/// (params, kTraceHorizon, kTraceSeed), so every policy of a sweep is
 /// coupled to the same arrival sequence — the theorem's setting.
 RunResult run_trace_dominance(const RunPoint& point) {
   require_exponential_sizes(point, "trace");
   // Uniform sampling grid for the average gap W_pi(t) - W_IF(t).
   constexpr int kGapSamples = 4000;
-  const Trace trace = generate_trace(point.params,
-                                     point.options.trace_horizon,
-                                     point.options.trace_seed);
+  const Trace trace = generate_trace(point.params, kTraceHorizon, kTraceSeed);
   const WorkPath if_path = run_on_trace(trace, point.params, InelasticFirst{});
   const auto policy = make_policy(point.policy);
   const WorkPath other = run_on_trace(trace, point.params, *policy);
@@ -246,8 +243,7 @@ RunResult run_trace_dominance(const RunPoint& point) {
   result.dom_checkpoints = static_cast<long>(report.num_checkpoints);
   double gap = 0.0;
   for (int n = 0; n < kGapSamples; ++n) {
-    const double t =
-        point.options.trace_horizon * (n + 0.5) / kGapSamples;
+    const double t = kTraceHorizon * (n + 0.5) / kGapSamples;
     gap += other.total_work_at(t) - if_path.total_work_at(t);
   }
   result.dom_avg_gap = gap / kGapSamples;

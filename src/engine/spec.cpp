@@ -199,8 +199,7 @@ void parse_options(const JsonValue& json_options, RunOptions& options) {
   check_known_keys(json_options, where,
                    {"fit_order", "truncation_epsilon", "imax", "jmax",
                     "sim_jobs", "sim_warmup", "base_seed", "sim_tails",
-                    "sim_tail_span", "sim_tail_bins", "trace_horizon",
-                    "trace_seed", "size_dist_i", "size_dist_e"});
+                    "size_dist_i", "size_dist_e"});
   if (const JsonValue* v = json_options.find("fit_order")) {
     options.fit_order = static_cast<BusyFitOrder>(
         v->as_integer("options.fit_order", 1, 3));
@@ -231,24 +230,6 @@ void parse_options(const JsonValue& json_options, RunOptions& options) {
   }
   if (const JsonValue* v = json_options.find("sim_tails")) {
     options.sim_tails = v->as_bool("options.sim_tails");
-  }
-  if (const JsonValue* v = json_options.find("sim_tail_span")) {
-    options.sim_tail_span = v->as_number("options.sim_tail_span");
-    ESCHED_CHECK(options.sim_tail_span > 0.0,
-                 "options.sim_tail_span: must be > 0");
-  }
-  if (const JsonValue* v = json_options.find("sim_tail_bins")) {
-    options.sim_tail_bins =
-        v->as_integer("options.sim_tail_bins", 1, 100000000);
-  }
-  if (const JsonValue* v = json_options.find("trace_horizon")) {
-    options.trace_horizon = v->as_number("options.trace_horizon");
-    ESCHED_CHECK(options.trace_horizon > 0.0,
-                 "options.trace_horizon: must be > 0");
-  }
-  if (const JsonValue* v = json_options.find("trace_seed")) {
-    options.trace_seed = static_cast<std::uint64_t>(
-        v->as_integer("options.trace_seed", 0, 4000000000LL));
   }
   const auto parse_size_dist = [&](const char* key, SizeDistSpec* out) {
     const JsonValue* v = json_options.find(key);
@@ -409,12 +390,6 @@ JsonValue scenario_to_json(const Scenario& scenario) {
   options.set("base_seed",
               JsonValue::make_number(static_cast<double>(o.base_seed)));
   options.set("sim_tails", JsonValue::make_bool(o.sim_tails));
-  options.set("sim_tail_span", JsonValue::make_number(o.sim_tail_span));
-  options.set("sim_tail_bins",
-              JsonValue::make_number(static_cast<double>(o.sim_tail_bins)));
-  options.set("trace_horizon", JsonValue::make_number(o.trace_horizon));
-  options.set("trace_seed",
-              JsonValue::make_number(static_cast<double>(o.trace_seed)));
   // Canonical forms, emitted only when non-default so pre-refactor specs
   // print byte-identically.
   if (!o.size_dist_i.is_exponential()) {
@@ -620,8 +595,7 @@ constexpr BuiltinSpec kBuiltinSpecs[] = {
       "axes": {
         "policy": ["EF", "FairShare", "Cap1", "Cap2", "Cap3"],
         "solver": ["trace"]
-      },
-      "options": {"trace_horizon": 1500, "trace_seed": 2026}
+      }
     })json"},
 };
 

@@ -367,12 +367,6 @@ TEST(RunOptionsValidation, DegenerateNumericOptionsAreRejected) {
   options.sim_jobs = 40;
   options.validate();
   options = RunOptions{};
-  options.trace_horizon = 0.0;
-  EXPECT_THROWS_NAMING(options.validate(), "trace_horizon");
-  options = RunOptions{};
-  options.sim_tail_bins = 0;
-  EXPECT_THROWS_NAMING(options.validate(), "sim_tail_bins");
-  options = RunOptions{};
   options.truncation_epsilon = 1.5;
   EXPECT_THROWS_NAMING(options.validate(), "truncation_epsilon");
 

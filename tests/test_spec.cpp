@@ -164,6 +164,13 @@ TEST(Spec, UnknownKeysAreNamed) {
   EXPECT_THROWS_NAMING(
       parse_scenario_text(R"({"options": {"method": "sor"}})", "t"),
       "options.method");
+  for (const char* key :
+       {"sim_tail_span", "sim_tail_bins", "trace_horizon", "trace_seed"}) {
+    EXPECT_THROWS_NAMING(
+        parse_scenario_text(
+            std::string(R"({"options": {")") + key + R"(": 1}})", "t"),
+        std::string("options.") + key + ": unknown key");
+  }
   EXPECT_THROWS_NAMING(
       parse_scenario_text(R"({"cases": [{"mu_i": 1, "mu_e": 1, "rho": 0.5,
                              "kk": 4}]})", "t"),
