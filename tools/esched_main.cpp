@@ -578,6 +578,12 @@ int run_trace(const std::vector<std::string>& args) {
   } else {
     esched::print_trace_report(forest, out, rows);
   }
+  // Written in place, not via atomic_write_file: --out may name a device
+  // node, which a temp file renamed over it would replace.
+  if (!out_path.empty()) {
+    out_file.close();
+    if (!out_file) throw esched::Error("error writing '" + out_path + "'");
+  }
   return 0;
 }
 
