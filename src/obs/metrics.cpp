@@ -22,6 +22,12 @@ std::size_t shard_index() {
   return slot;
 }
 
+}  // namespace obs_detail
+
+namespace {
+
+/// min/max folding by compare-exchange. Relaxed ordering: shards are
+/// merged only after threads quiesce or for approximate snapshots.
 void atomic_min(std::atomic<double>& value, double candidate) {
   double expected = value.load(std::memory_order_relaxed);
   while (candidate < expected &&
@@ -38,7 +44,7 @@ void atomic_max(std::atomic<double>& value, double candidate) {
   }
 }
 
-}  // namespace obs_detail
+}  // namespace
 
 std::uint64_t Counter::total() const {
   std::uint64_t sum = 0;
@@ -73,8 +79,8 @@ void LogHistogram::record(double value) {
   shard.buckets[histogram_bucket(value)].fetch_add(1,
                                                    std::memory_order_relaxed);
   shard.sum.fetch_add(value, std::memory_order_relaxed);
-  obs_detail::atomic_min(shard.min, value);
-  obs_detail::atomic_max(shard.max, value);
+  atomic_min(shard.min, value);
+  atomic_max(shard.max, value);
   shard.count.fetch_add(1, std::memory_order_relaxed);
 }
 

@@ -51,11 +51,6 @@ inline constexpr std::size_t kCacheLine = 64;
 /// updates always land on the same stripe.
 std::size_t shard_index();
 
-/// min/max folding by compare-exchange. Relaxed ordering: shards are
-/// merged only after threads quiesce or for approximate snapshots.
-void atomic_min(std::atomic<double>& value, double candidate);
-void atomic_max(std::atomic<double>& value, double candidate);
-
 }  // namespace obs_detail
 
 /// Monotonically increasing event count. add() is lock-free and
