@@ -48,7 +48,7 @@ PolicyPtr make_policy(const std::string& spec);
 /// [0, kSimTailSpan / mu_c) with kSimTailBins uniform bins (quantiles
 /// interpolate within bins, so the span is generous and the bins fine).
 inline constexpr double kSimTailSpan = 400.0;
-inline constexpr long kSimTailBins = 20000;
+inline constexpr std::size_t kSimTailBins = 20000;
 /// Thm. 3 trace replay (kTraceDominance): the fixed arrival sequence is
 /// generated on [0, kTraceHorizon] from kTraceSeed.
 inline constexpr double kTraceHorizon = 1500.0;

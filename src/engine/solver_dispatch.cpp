@@ -169,9 +169,8 @@ RunResult run_simulation(const RunPoint& point) {
   std::optional<Histogram> hist_i;
   std::optional<Histogram> hist_e;
   if (point.options.sim_tails) {
-    const auto bins = static_cast<std::size_t>(kSimTailBins);
-    hist_i.emplace(0.0, kSimTailSpan / point.params.mu_i, bins);
-    hist_e.emplace(0.0, kSimTailSpan / point.params.mu_e, bins);
+    hist_i.emplace(0.0, kSimTailSpan / point.params.mu_i, kSimTailBins);
+    hist_e.emplace(0.0, kSimTailSpan / point.params.mu_e, kSimTailBins);
     options.response_hist_i = &*hist_i;
     options.response_hist_e = &*hist_e;
   }
