@@ -13,7 +13,7 @@
 #include "common/table.hpp"
 #include "core/exact_ctmc.hpp"
 #include "core/policies.hpp"
-#include "multiclass/multiclass.hpp"
+#include "studies/multiclass.hpp"
 
 namespace {
 

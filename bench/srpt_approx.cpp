@@ -8,15 +8,17 @@
 #include <cmath>
 #include <cstdio>
 #include <iostream>
+#include <string>
 #include <vector>
 
+#include "common/atomic_file.hpp"
 #include "common/csv.hpp"
 #include "common/table.hpp"
 #include "rng/distributions.hpp"
 #include "rng/xoshiro.hpp"
-#include "srpt/lp_bound.hpp"
-#include "srpt/srpt.hpp"
 #include "stats/accumulator.hpp"
+#include "studies/lp_bound.hpp"
+#include "studies/srpt.hpp"
 
 namespace {
 
@@ -43,8 +45,10 @@ int main() {
   using namespace esched;
   std::printf("=== Appendix A reproduction: SRPT-k vs LP lower bound "
               "(Theorem 9: ratio <= 4) ===\n");
-  CsvWriter csv("srpt_approx.csv",
-                {"n", "k", "elastic_fraction", "mean_ratio", "max_ratio"});
+  std::string csv = csv_encode_row({"n", "k", "elastic_fraction",
+                                    "mean_ratio", "max_ratio"}) +
+                    '\n';
+  std::size_t csv_rows = 0;
   Table table({"n", "k", "elastic frac", "mean ALG/LP", "max ALG/LP",
                "<= 4?"});
   Xoshiro256 rng(515151);
@@ -66,16 +70,20 @@ int main() {
                        format_double(frac, 2), format_double(ratios.mean(), 4),
                        format_double(ratios.max(), 4),
                        ratios.max() <= 4.0 ? "yes" : "NO"});
-        csv.add_row({std::to_string(n), std::to_string(k),
-                     format_double(frac, 2), format_double(ratios.mean()),
-                     format_double(ratios.max())});
+        csv += csv_encode_row({std::to_string(n), std::to_string(k),
+                               format_double(frac, 2),
+                               format_double(ratios.mean()),
+                               format_double(ratios.max())}) +
+               '\n';
+        ++csv_rows;
       }
     }
   }
   table.print(std::cout);
+  atomic_write_file("srpt_approx.csv", csv);
   std::printf("\nworst observed ratio: %.4f (Theorem 9 bound: 4; typical "
               "values near 1 show the worst case is loose)\n",
               global_max);
-  std::printf("wrote srpt_approx.csv (%zu rows)\n", csv.num_rows());
+  std::printf("wrote srpt_approx.csv (%zu rows)\n", csv_rows);
   return 0;
 }

@@ -14,8 +14,8 @@
 #include "common/table.hpp"
 #include "rng/distributions.hpp"
 #include "rng/xoshiro.hpp"
-#include "srpt/srpt_online.hpp"
 #include "stats/accumulator.hpp"
+#include "studies/srpt_online.hpp"
 
 int main() {
   using namespace esched;

@@ -1,4 +1,4 @@
-#include "srpt/lp_bound.hpp"
+#include "studies/lp_bound.hpp"
 
 #include <algorithm>
 #include <numeric>

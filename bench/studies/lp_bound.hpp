@@ -16,7 +16,7 @@
 
 #include <vector>
 
-#include "srpt/srpt.hpp"
+#include "studies/srpt.hpp"
 
 namespace esched {
 

@@ -1,4 +1,4 @@
-#include "multiclass/multiclass.hpp"
+#include "studies/multiclass.hpp"
 
 #include <algorithm>
 #include <cmath>
@@ -14,14 +14,11 @@
 
 namespace esched {
 
-double MultiClassParams::rho_of(std::size_t n) const {
-  ESCHED_CHECK(n < classes.size(), "class index out of range");
-  return classes[n].lambda / (static_cast<double>(k) * classes[n].mu);
-}
-
 double MultiClassParams::rho() const {
   double total = 0.0;
-  for (std::size_t n = 0; n < classes.size(); ++n) total += rho_of(n);
+  for (const JobClass& c : classes) {
+    total += c.lambda / (static_cast<double>(k) * c.mu);
+  }
   return total;
 }
 

@@ -10,6 +10,9 @@
 // is validated against the two-class engine in the tests. The paper
 // leaves the optimal multi-class policy open — this module provides the
 // experimental apparatus for that question.
+//
+// A study: only bench_extension_future_work and test_multiclass use it, so
+// it lives beside them, outside libesched.
 #pragma once
 
 #include <cstdint>
@@ -33,9 +36,7 @@ struct MultiClassParams {
   int k = 1;
   std::vector<JobClass> classes;
 
-  /// Load contribution of class n: lambda_n / (k mu_n).
-  double rho_of(std::size_t n) const;
-  /// Total load; stability requires < 1.
+  /// Total load sum_n lambda_n / (k mu_n); stability requires < 1.
   double rho() const;
   void validate() const;
 };

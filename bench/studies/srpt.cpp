@@ -1,4 +1,4 @@
-#include "srpt/srpt.hpp"
+#include "studies/srpt.hpp"
 
 #include <algorithm>
 #include <cmath>

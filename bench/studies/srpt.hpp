@@ -7,6 +7,9 @@
 // that priority list, each job taking up to its cap. Theorem 9 shows this
 // is a 4-approximation for total (equivalently mean) response time; we
 // verify it against the LP lower bound of lp_bound.hpp.
+//
+// A study: only bench_srpt_approx, bench_srpt_online_ratio and their tests
+// use it, so it lives beside them, outside libesched.
 #pragma once
 
 #include <vector>

@@ -1,4 +1,4 @@
-#include "srpt/srpt_online.hpp"
+#include "studies/srpt_online.hpp"
 
 #include <algorithm>
 #include <limits>

@@ -12,7 +12,7 @@
 
 #include <vector>
 
-#include "srpt/srpt.hpp"
+#include "studies/srpt.hpp"
 
 namespace esched {
 

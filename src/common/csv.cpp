@@ -1,7 +1,5 @@
 #include "common/csv.hpp"
 
-#include "common/error.hpp"
-
 namespace esched {
 
 std::string csv_encode_field(const std::string& field) {
@@ -88,20 +86,6 @@ bool csv_parse_record(const std::string& text, std::size_t* offset,
   finish_cell();
   *offset = i;
   return true;
-}
-
-CsvWriter::CsvWriter(const std::string& path,
-                     const std::vector<std::string>& header)
-    : out_(path), arity_(header.size()) {
-  ESCHED_CHECK(out_.good(), "failed to open CSV file: " + path);
-  ESCHED_CHECK(arity_ > 0, "CSV header must be non-empty");
-  out_ << csv_encode_row(header) << '\n';
-}
-
-void CsvWriter::add_row(const std::vector<std::string>& cells) {
-  ESCHED_CHECK(cells.size() == arity_, "CSV row arity must match header");
-  out_ << csv_encode_row(cells) << '\n';
-  ++num_rows_;
 }
 
 }  // namespace esched

@@ -1,12 +1,11 @@
-// CSV writing and reading with RFC-4180 quoting, shared by the report
-// layer (engine/report), the `esched merge` subcommand, and the per-figure
-// bench harnesses. Fields containing a comma, double quote, or newline are
+// CSV encoding and parsing with RFC-4180 quoting, shared by the report
+// layer (engine/report), the `esched merge` subcommand, and the bench
+// studies. Fields containing a comma, double quote, or newline are
 // quoted on write and unquoted on read, so a scenario or policy label can
 // hold any text without corrupting row structure.
 #pragma once
 
 #include <cstddef>
-#include <fstream>
 #include <string>
 #include <vector>
 
@@ -32,23 +31,5 @@ std::string csv_encode_row(const std::vector<std::string>& cells);
 /// "\r\n" terminator is accepted and stripped.
 bool csv_parse_record(const std::string& text, std::size_t* offset,
                       std::vector<std::string>* cells, bool* complete);
-
-/// Writes rows of cells to a CSV file with RFC-4180 quoting.
-class CsvWriter {
- public:
-  /// Opens `path` for writing and emits the header row. Throws on failure.
-  CsvWriter(const std::string& path, const std::vector<std::string>& header);
-
-  /// Appends one data row; must match the header arity.
-  void add_row(const std::vector<std::string>& cells);
-
-  /// Number of data rows written so far.
-  std::size_t num_rows() const { return num_rows_; }
-
- private:
-  std::ofstream out_;
-  std::size_t arity_;
-  std::size_t num_rows_ = 0;
-};
 
 }  // namespace esched

@@ -254,16 +254,6 @@ std::string ShmResultCache::table_path(const std::string& directory) {
   return directory + "/table.esched";
 }
 
-std::uint64_t ShmResultCache::slot_bytes() const { return kSlotBytes; }
-
-std::uint64_t ShmResultCache::key_capacity() const {
-  return slot_key_capacity();
-}
-
-bool ShmResultCache::representable(const std::string& key) const {
-  return key.size() <= slot_key_capacity();
-}
-
 ShmResultCache::ShmResultCache(std::string path, unsigned char* base,
                                std::uint64_t bytes, std::uint64_t slot_count)
     : path_(std::move(path)),

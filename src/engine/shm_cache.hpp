@@ -102,9 +102,6 @@ class ShmResultCache {
   /// tier). Returns true without writing when the key is already present.
   bool store(const std::string& key, const RunResult& result);
 
-  /// True when `key` fits a slot's inline key area.
-  bool representable(const std::string& key) const;
-
   ShmTableInfo info() const;
 
   /// Every published entry as a manifest row (tier = "table",
@@ -122,8 +119,6 @@ class ShmResultCache {
 
   const std::string& path() const { return path_; }
   std::uint64_t slot_count() const { return slot_count_; }
-  std::uint64_t slot_bytes() const;
-  std::uint64_t key_capacity() const;
 
  private:
   ShmResultCache(std::string path, unsigned char* base, std::uint64_t bytes,

@@ -87,12 +87,6 @@ Vector LuFactorization::solve(const Vector& b) const {
   return x;
 }
 
-Matrix LuFactorization::solve(const Matrix& b) const {
-  Matrix x(dim(), b.cols());
-  solve_into(b, x);
-  return x;
-}
-
 void LuFactorization::solve_into(const Matrix& b, Matrix& x) const {
   ESCHED_CHECK(b.rows() == dim(), "rhs dimension mismatch in LU solve");
   ESCHED_CHECK(x.rows() == dim() && x.cols() == b.cols(),

@@ -26,9 +26,6 @@ class LuFactorization {
   /// Solves A x = b.
   Vector solve(const Vector& b) const;
 
-  /// Solves A X = B for every column of B at once.
-  Matrix solve(const Matrix& b) const;
-
   /// Solves A X = B into `x` (dim() x b.cols()). Each column gets exactly
   /// the floating-point operations, in order, of solve(Vector) on it.
   void solve_into(const Matrix& b, Matrix& x) const;

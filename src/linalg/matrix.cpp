@@ -61,12 +61,6 @@ void matmul_into(const Matrix& a, const Matrix& b, Matrix& out) {
   }
 }
 
-Matrix matmul(const Matrix& a, const Matrix& b) {
-  Matrix out(a.rows(), b.cols());
-  matmul_into(a, b, out);
-  return out;
-}
-
 void transpose_into(const Matrix& a, Matrix& out) {
   ESCHED_CHECK(out.rows() == a.cols() && out.cols() == a.rows(),
                "output shape mismatch in transpose_into");
@@ -98,12 +92,6 @@ void matvec_into(const Matrix& a, const Vector& x, Vector& out) {
   }
 }
 
-Vector matvec(const Matrix& a, const Vector& x) {
-  Vector out(a.rows());
-  matvec_into(a, x, out);
-  return out;
-}
-
 double dot(const Vector& a, const Vector& b) {
   ESCHED_CHECK(a.size() == b.size(), "shape mismatch in dot");
   double acc = 0.0;
@@ -130,18 +118,6 @@ double max_abs(const Matrix& a) {
 double max_abs(const Vector& x) {
   double best = 0.0;
   for (double v : x) best = std::max(best, std::abs(v));
-  return best;
-}
-
-double max_abs_diff(const Matrix& a, const Matrix& b) {
-  ESCHED_CHECK(a.rows() == b.rows() && a.cols() == b.cols(),
-               "matrix shape mismatch in max_abs_diff");
-  double best = 0.0;
-  for (std::size_t r = 0; r < a.rows(); ++r) {
-    for (std::size_t c = 0; c < a.cols(); ++c) {
-      best = std::max(best, std::abs(a(r, c) - b(r, c)));
-    }
-  }
   return best;
 }
 

@@ -7,8 +7,7 @@
 // Each product has one kernel, the *_into form: it writes a caller-owned
 // output that already has the result's shape (checked, never resized), so
 // a loop that reuses its buffers allocates nothing. The output must not
-// alias an input (checked). The value-returning forms allocate the output
-// and call the kernel, so both give the same bits.
+// alias an input (checked).
 #pragma once
 
 #include <cstddef>
@@ -60,9 +59,6 @@ class Matrix {
 /// Matrix product a * b into `out` (a.rows() x b.cols()).
 void matmul_into(const Matrix& a, const Matrix& b, Matrix& out);
 
-/// Matrix product a * b.
-Matrix matmul(const Matrix& a, const Matrix& b);
-
 /// a^T into `out` (a.cols() x a.rows()).
 void transpose_into(const Matrix& a, Matrix& out);
 
@@ -71,9 +67,6 @@ Vector vecmat(const Vector& x, const Matrix& a);
 
 /// Matrix times column vector A x into `out` (a.rows() entries).
 void matvec_into(const Matrix& a, const Vector& x, Vector& out);
-
-/// Matrix times column vector: A x.
-Vector matvec(const Matrix& a, const Vector& x);
 
 /// Dot product.
 double dot(const Vector& a, const Vector& b);
@@ -86,9 +79,6 @@ double max_abs(const Matrix& a);
 
 /// Max-absolute-entry norm of a vector.
 double max_abs(const Vector& x);
-
-/// Max-absolute elementwise difference.
-double max_abs_diff(const Matrix& a, const Matrix& b);
 
 /// Scales a vector in place so its entries sum to 1; requires positive sum.
 void normalize_probability(Vector& x);

@@ -55,13 +55,4 @@ double expected_accumulated_reward(const SparseCtmc& chain,
   return dot(occupancy, reward_rate);
 }
 
-double expected_time_to_absorption(const SparseCtmc& chain,
-                                   const Vector& initial) {
-  Vector ones(chain.num_states(), 0.0);
-  for (std::size_t s = 0; s < chain.num_states(); ++s) {
-    if (chain.exit_rate(s) > 0.0) ones[s] = 1.0;
-  }
-  return expected_accumulated_reward(chain, initial, ones);
-}
-
 }  // namespace esched

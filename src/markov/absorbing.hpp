@@ -26,8 +26,4 @@ double expected_accumulated_reward(const SparseCtmc& chain,
                                    const Vector& initial,
                                    const Vector& reward_rate);
 
-/// Expected time to absorption (reward rate 1 on transient states).
-double expected_time_to_absorption(const SparseCtmc& chain,
-                                   const Vector& initial);
-
 }  // namespace esched

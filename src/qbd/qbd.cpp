@@ -258,18 +258,6 @@ QbdSolution solve_qbd(const QbdProcess& process) {
   return sol;
 }
 
-Vector QbdSolution::level_distribution(std::size_t level) const {
-  ESCHED_CHECK(!boundary.empty(), "unsolved QBD solution");
-  if (level <= first_repeating) return boundary[level];
-  Vector v = boundary[first_repeating];
-  for (std::size_t l = first_repeating; l < level; ++l) v = vecmat(v, r);
-  return v;
-}
-
-double QbdSolution::level_probability(std::size_t level) const {
-  return sum(level_distribution(level));
-}
-
 double QbdSolution::mean_level() const {
   ESCHED_CHECK(!boundary.empty(), "unsolved QBD solution");
   const std::size_t big_l = first_repeating;
@@ -288,21 +276,6 @@ double QbdSolution::mean_level() const {
   mean += static_cast<double>(big_l) * dot(pi_l, w1);
   mean += dot(vecmat(pi_l, r), w2);
   return mean;
-}
-
-Vector QbdSolution::phase_marginal() const {
-  ESCHED_CHECK(!boundary.empty(), "unsolved QBD solution");
-  const std::size_t m = num_phases;
-  Vector marginal(m, 0.0);
-  for (std::size_t l = 0; l < first_repeating; ++l) {
-    for (std::size_t s = 0; s < m; ++s) marginal[s] += boundary[l][s];
-  }
-  // Tail: pi_L (I - R)^{-1}, computed by solving x (I-R) = pi_L.
-  const Matrix i_minus_r = Matrix::identity(m) - r;
-  const Vector tail = LuFactorization(i_minus_r.transpose())
-                          .solve(boundary[first_repeating]);
-  for (std::size_t s = 0; s < m; ++s) marginal[s] += tail[s];
-  return marginal;
 }
 
 }  // namespace esched

@@ -63,17 +63,8 @@ struct QbdSolution {
   double r_residual = 0.0;       // max-abs of A0 + R A1 + R^2 A2
   double spectral_radius = 0.0;  // sp(R); < 1 iff positive recurrent
 
-  /// Stationary probability vector of level l (any l >= 0).
-  Vector level_distribution(std::size_t level) const;
-
-  /// P(level == l).
-  double level_probability(std::size_t level) const;
-
   /// E[level] — the stationary mean queue length of the level class.
   double mean_level() const;
-
-  /// Marginal phase distribution aggregated over all levels.
-  Vector phase_marginal() const;
 };
 
 /// Solves the QBD: computes R by logarithmic reduction, then solves the

@@ -21,8 +21,6 @@ double MM1::mean_jobs() const {
   return rho / (1.0 - rho);
 }
 
-double MM1::mean_wait() const { return mean_response_time() - 1.0 / mu; }
-
 Moments3 MM1::busy_period_moments() const {
   ESCHED_CHECK(stable(), "busy period moments require lambda < mu");
   const double gap = mu - lambda;

@@ -26,9 +26,6 @@ struct MM1 {
   /// Mean number in system E[N] = rho/(1-rho).
   double mean_jobs() const;
 
-  /// Mean waiting (queueing) time E[W] = E[T] - 1/mu.
-  double mean_wait() const;
-
   /// First three raw moments of the busy period (the time from an arrival
   /// into an empty system until the system next empties):
   ///   m1 = 1/(mu-lambda), m2 = 2 mu/(mu-lambda)^3,

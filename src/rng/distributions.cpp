@@ -28,31 +28,4 @@ bool bernoulli(Xoshiro256& rng, double p) {
   return uniform_open01(rng) <= p;
 }
 
-std::size_t discrete(Xoshiro256& rng, const std::vector<double>& weights) {
-  ESCHED_CHECK(!weights.empty(), "discrete weights must be non-empty");
-  double total = 0.0;
-  for (double w : weights) {
-    ESCHED_CHECK(w >= 0.0, "discrete weights must be non-negative");
-    total += w;
-  }
-  ESCHED_CHECK(total > 0.0, "discrete weights must have positive sum");
-  double target = uniform_open01(rng) * total;
-  for (std::size_t i = 0; i + 1 < weights.size(); ++i) {
-    target -= weights[i];
-    if (target <= 0.0) return i;
-  }
-  return weights.size() - 1;
-}
-
-std::uint64_t uniform_index(Xoshiro256& rng, std::uint64_t n) {
-  ESCHED_CHECK(n > 0, "uniform_index requires n > 0");
-  // Rejection sampling to avoid modulo bias.
-  const std::uint64_t limit = ~std::uint64_t{0} - (~std::uint64_t{0} % n);
-  std::uint64_t draw;
-  do {
-    draw = rng();
-  } while (draw >= limit);
-  return draw % n;
-}
-
 }  // namespace esched

@@ -6,8 +6,6 @@
 // experiments rely on.
 #pragma once
 
-#include <cstdint>
-#include <vector>
 
 #include "rng/xoshiro.hpp"
 
@@ -24,12 +22,5 @@ double exponential(Xoshiro256& rng, double rate);
 
 /// Bernoulli trial with success probability p in [0, 1].
 bool bernoulli(Xoshiro256& rng, double p);
-
-/// Samples an index in [0, weights.size()) with probability proportional to
-/// weights[i]. Weights must be non-negative with a positive sum.
-std::size_t discrete(Xoshiro256& rng, const std::vector<double>& weights);
-
-/// Uniform integer in [0, n).
-std::uint64_t uniform_index(Xoshiro256& rng, std::uint64_t n);
 
 }  // namespace esched

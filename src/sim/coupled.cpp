@@ -39,8 +39,6 @@ double WorkPath::inelastic_work_at(double t) const {
   return std::max(0.0, s.inelastic_work - s.inelastic_rate * dt);
 }
 
-double WorkPath::end_time() const { return samples_.back().time; }
-
 WorkPath run_on_trace(const Trace& trace, const SystemParams& params,
                       const AllocationPolicy& policy) {
   params.validate();

@@ -36,7 +36,6 @@ class WorkPath {
   /// W_I(t).
   double inelastic_work_at(double t) const;
 
-  double end_time() const;
   const std::vector<WorkSample>& samples() const { return samples_; }
 
  private:

@@ -8,12 +8,6 @@
 
 namespace esched {
 
-double Trace::total_work() const {
-  double total = 0.0;
-  for (const auto& a : arrivals) total += a.size;
-  return total;
-}
-
 Trace generate_trace(const SystemParams& params, double horizon,
                      std::uint64_t seed) {
   params.validate();

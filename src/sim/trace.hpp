@@ -25,7 +25,6 @@ struct Trace {
   double horizon = 0.0;
 
   std::size_t num_jobs() const { return arrivals.size(); }
-  double total_work() const;
 };
 
 /// Samples a trace from the model: Poisson arrivals of both classes on

@@ -20,23 +20,6 @@ void Accumulator::add(double x) {
   m2_ += delta * (x - mean_);
 }
 
-void Accumulator::merge(const Accumulator& other) {
-  if (other.count_ == 0) return;
-  if (count_ == 0) {
-    *this = other;
-    return;
-  }
-  const double na = static_cast<double>(count_);
-  const double nb = static_cast<double>(other.count_);
-  const double delta = other.mean_ - mean_;
-  const double n = na + nb;
-  mean_ += delta * nb / n;
-  m2_ += other.m2_ + delta * delta * na * nb / n;
-  count_ += other.count_;
-  min_ = std::min(min_, other.min_);
-  max_ = std::max(max_, other.max_);
-}
-
 double Accumulator::mean() const {
   ESCHED_CHECK(count_ > 0, "mean of empty accumulator");
   return mean_;
@@ -57,24 +40,6 @@ double Accumulator::min() const {
 double Accumulator::max() const {
   ESCHED_CHECK(count_ > 0, "max of empty accumulator");
   return max_;
-}
-
-void MomentAccumulator::add(double x) {
-  ++count_;
-  sum1_ += x;
-  sum2_ += x * x;
-  sum3_ += x * x * x;
-}
-
-double MomentAccumulator::raw_moment(int n) const {
-  ESCHED_CHECK(count_ > 0, "raw moment of empty accumulator");
-  ESCHED_CHECK(n >= 1 && n <= 3, "raw_moment supports n in {1,2,3}");
-  const double denom = static_cast<double>(count_);
-  switch (n) {
-    case 1: return sum1_ / denom;
-    case 2: return sum2_ / denom;
-    default: return sum3_ / denom;
-  }
 }
 
 }  // namespace esched

@@ -1,4 +1,4 @@
-// Streaming moment accumulators.
+// Streaming mean/variance accumulator.
 #pragma once
 
 #include <cstdint>
@@ -6,14 +6,10 @@
 namespace esched {
 
 /// Numerically stable (Welford) accumulator for mean/variance/min/max of a
-/// stream of observations. Supports merging partial accumulators, which the
-/// batch-means machinery uses.
+/// stream of observations.
 class Accumulator {
  public:
   void add(double x);
-
-  /// Merges another accumulator into this one (Chan et al. pairwise update).
-  void merge(const Accumulator& other);
 
   std::uint64_t count() const { return count_; }
   double mean() const;
@@ -30,23 +26,6 @@ class Accumulator {
   double m2_ = 0.0;
   double min_ = 0.0;
   double max_ = 0.0;
-};
-
-/// Accumulates raw moments E[X], E[X^2], E[X^3] of a stream — used to
-/// validate busy-period moment formulas and phase-type fits by simulation.
-class MomentAccumulator {
- public:
-  void add(double x);
-
-  std::uint64_t count() const { return count_; }
-  /// n-th raw moment estimate, n in {1, 2, 3}.
-  double raw_moment(int n) const;
-
- private:
-  std::uint64_t count_ = 0;
-  double sum1_ = 0.0;
-  double sum2_ = 0.0;
-  double sum3_ = 0.0;
 };
 
 }  // namespace esched

@@ -13,16 +13,6 @@ Histogram::Histogram(double lo, double hi, std::size_t num_bins)
   ESCHED_CHECK(num_bins > 0, "histogram needs at least one bin");
 }
 
-std::uint64_t Histogram::bin_count(std::size_t bin) const {
-  ESCHED_CHECK(bin < counts_.size(), "bin index out of range");
-  return counts_[bin];
-}
-
-double Histogram::bin_center(std::size_t bin) const {
-  ESCHED_CHECK(bin < counts_.size(), "bin index out of range");
-  return lo_ + (static_cast<double>(bin) + 0.5) * width_;
-}
-
 double Histogram::quantile(double q) const {
   ESCHED_CHECK(q > 0.0 && q < 1.0, "quantile must be in (0,1)");
   ESCHED_CHECK(total_ > 0, "quantile of empty histogram");

@@ -26,13 +26,9 @@ class Histogram {
   }
 
   std::size_t num_bins() const { return counts_.size(); }
-  std::uint64_t bin_count(std::size_t bin) const;
   std::uint64_t underflow() const { return underflow_; }
   std::uint64_t overflow() const { return overflow_; }
   std::uint64_t total() const { return total_; }
-
-  /// Midpoint of bin `bin`.
-  double bin_center(std::size_t bin) const;
 
   /// Empirical quantile (linear interpolation within the bin); q in (0,1).
   double quantile(double q) const;

@@ -1,4 +1,4 @@
-#include "sim/ctmc_sim.hpp"
+#include "support/ctmc_sim.hpp"
 
 #include <array>
 

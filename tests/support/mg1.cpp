@@ -1,4 +1,4 @@
-#include "queueing/mg1.hpp"
+#include "support/mg1.hpp"
 
 #include "common/error.hpp"
 

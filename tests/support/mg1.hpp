@@ -5,6 +5,9 @@
 // distribution, so with phase-type elastic sizes its mean response time is
 // exactly M/G/1. This module provides the PK formulas for arbitrary first
 // two service moments and a PhaseType convenience overload.
+//
+// A test oracle: the only closed-form check of phase-type elastic sizes
+// (test_mg1). No shipped binary calls it.
 #pragma once
 
 #include "phase/phase_type.hpp"

@@ -10,7 +10,7 @@
 #include "core/if_analysis.hpp"
 #include "core/policies.hpp"
 #include "sim/cluster_sim.hpp"
-#include "sim/ctmc_sim.hpp"
+#include "support/ctmc_sim.hpp"
 
 namespace esched {
 namespace {

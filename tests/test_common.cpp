@@ -1,6 +1,6 @@
 // Unit tests for common utilities: error macros, numeric helpers, the
-// table printer, the CSV writer, JSON number formatting, and the file
-// module (atomic publication, the stale-temp reaper, whole-file reads).
+// table printer, CSV encoding and parsing, JSON number formatting, and the
+// file module (atomic publication, the stale-temp reaper, whole-file reads).
 #include <gtest/gtest.h>
 #include <sys/resource.h>
 
@@ -11,7 +11,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
-#include <fstream>
 #include <iomanip>
 #include <iterator>
 #include <limits>
@@ -127,30 +126,6 @@ TEST(Table, FormatDoubleMatchesOstreamAtEverySetPrecision) {
   }
 }
 
-TEST(Csv, WritesHeaderAndRows) {
-  const std::string path = testing::TempDir() + "esched_test.csv";
-  {
-    CsvWriter csv(path, {"x", "y"});
-    csv.add_row({"1", "2"});
-    csv.add_row({"3", "4"});
-    EXPECT_EQ(csv.num_rows(), 2u);
-  }
-  std::ifstream in(path);
-  std::string line;
-  std::getline(in, line);
-  EXPECT_EQ(line, "x,y");
-  std::getline(in, line);
-  EXPECT_EQ(line, "1,2");
-  std::remove(path.c_str());
-}
-
-TEST(Csv, RejectsBadArity) {
-  const std::string path = testing::TempDir() + "esched_test2.csv";
-  CsvWriter csv(path, {"x", "y"});
-  EXPECT_THROW(csv.add_row({"1"}), Error);
-  std::remove(path.c_str());
-}
-
 TEST(Csv, Rfc4180QuotingRoundTrips) {
   // Plain fields stay unquoted (canonical form)...
   EXPECT_EQ(csv_encode_field("1.25"), "1.25");
@@ -171,27 +146,6 @@ TEST(Csv, Rfc4180QuotingRoundTrips) {
   EXPECT_TRUE(complete);
   EXPECT_EQ(offset, record.size());
   EXPECT_EQ(decoded, cells);
-}
-
-TEST(Csv, WriterQuotesFieldsThatNeedIt) {
-  const std::string path = testing::TempDir() + "esched_test3.csv";
-  {
-    CsvWriter csv(path, {"label", "value"});
-    csv.add_row({"policy, with comma", "1"});
-  }
-  std::ifstream in(path);
-  std::string line;
-  std::getline(in, line);
-  EXPECT_EQ(line, "label,value");
-  std::getline(in, line);
-  EXPECT_EQ(line, "\"policy, with comma\",1");
-  std::size_t offset = 0;
-  std::vector<std::string> cells;
-  bool complete = false;
-  ASSERT_TRUE(csv_parse_record(line + "\n", &offset, &cells, &complete));
-  EXPECT_TRUE(complete);
-  EXPECT_EQ(cells, (std::vector<std::string>{"policy, with comma", "1"}));
-  std::remove(path.c_str());
 }
 
 TEST(Csv, ParseRecordReportsTornLines) {

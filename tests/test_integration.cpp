@@ -24,8 +24,8 @@
 #include "core/policies.hpp"
 #include "sim/cluster_sim.hpp"
 #include "sim/coupled.hpp"
-#include "sim/ctmc_sim.hpp"
 #include "sim/trace.hpp"
+#include "support/ctmc_sim.hpp"
 
 namespace esched {
 namespace {

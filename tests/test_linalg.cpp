@@ -48,7 +48,8 @@ TEST(Matrix, MatmulKnownProduct) {
     for (std::size_t c = 0; c < 2; ++c) b(r, c) = v++;
   }
   // a = [1 2 3; 4 5 6], b = [7 8; 9 10; 11 12].
-  const Matrix p = matmul(a, b);
+  Matrix p(2, 2);
+  matmul_into(a, b, p);
   EXPECT_DOUBLE_EQ(p(0, 0), 58.0);
   EXPECT_DOUBLE_EQ(p(0, 1), 64.0);
   EXPECT_DOUBLE_EQ(p(1, 0), 139.0);
@@ -64,7 +65,8 @@ TEST(Matrix, VectorProducts) {
   const Vector xm = vecmat({1.0, 1.0}, a);  // [4, 6]
   EXPECT_DOUBLE_EQ(xm[0], 4.0);
   EXPECT_DOUBLE_EQ(xm[1], 6.0);
-  const Vector mx = matvec(a, {1.0, 1.0});  // [3, 7]
+  Vector mx(2);
+  matvec_into(a, {1.0, 1.0}, mx);  // [3, 7]
   EXPECT_DOUBLE_EQ(mx[0], 3.0);
   EXPECT_DOUBLE_EQ(mx[1], 7.0);
   EXPECT_DOUBLE_EQ(dot({1.0, 2.0}, {3.0, 4.0}), 11.0);
@@ -78,7 +80,6 @@ TEST(Matrix, TransposeAndNorms) {
   EXPECT_EQ(t.rows(), 3u);
   EXPECT_DOUBLE_EQ(t(2, 0), -5.0);
   EXPECT_DOUBLE_EQ(max_abs(a), 5.0);
-  EXPECT_DOUBLE_EQ(max_abs_diff(a, Matrix(2, 3)), 5.0);
 }
 
 TEST(Matrix, NormalizeProbability) {
@@ -112,9 +113,11 @@ TEST(Lu, InverseTimesMatrixIsIdentity) {
   for (std::size_t r = 0; r < 4; ++r) {
     for (std::size_t c = 0; c < 4; ++c) a(r, c) = vals[r][c];
   }
-  const Matrix inv = LuFactorization(a).solve(Matrix::identity(4));
-  const Matrix prod = matmul(a, inv);
-  EXPECT_LT(max_abs_diff(prod, Matrix::identity(4)), 1e-12);
+  Matrix inv(4, 4);
+  LuFactorization(a).solve_into(Matrix::identity(4), inv);
+  Matrix prod(4, 4);
+  matmul_into(a, inv, prod);
+  EXPECT_LT(max_abs(prod - Matrix::identity(4)), 1e-12);
 }
 
 TEST(Lu, MatrixSolveMatchesColumnSolvesBitwise) {
@@ -139,9 +142,8 @@ TEST(Lu, MatrixSolveMatchesColumnSolvesBitwise) {
         for (std::size_t c = 0; c < cols; ++c) b(r, c) = uniform();
       }
       const LuFactorization lu(a);
-      const Matrix x = lu.solve(b);
-      ASSERT_EQ(x.rows(), n);
-      ASSERT_EQ(x.cols(), cols);
+      Matrix x(n, cols);
+      lu.solve_into(b, x);
       for (std::size_t c = 0; c < cols; ++c) {
         Vector column(n);
         for (std::size_t r = 0; r < n; ++r) column[r] = b(r, c);

@@ -172,6 +172,15 @@ TEST(LintIncludeHygiene, ResolutionCheckUsesTheRealSrcRoot) {
   const std::string bad = "#include \"common/no_such_header.hpp\"\n";
   const auto findings = lint::lint_file("src/core/a.cpp", bad, ctx);
   EXPECT_EQ(count_rule(findings, "include-hygiene"), 1u);
+  // The studies (bench/studies/) are outside the product: a src/ file may
+  // not include one, by a src/-style path or by its "studies/" path.
+  for (const char* study : {"srpt/srpt.hpp", "studies/srpt.hpp"}) {
+    const std::string include = "#include \"" + std::string(study) + "\"\n";
+    EXPECT_EQ(count_rule(lint::lint_file("src/core/a.cpp", include, ctx),
+                         "include-hygiene"),
+              1u)
+        << study;
+  }
 }
 
 // --- header-guard ----------------------------------------------------------

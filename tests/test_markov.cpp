@@ -136,7 +136,10 @@ TEST(Absorbing, PureDeathChainOccupancy) {
   EXPECT_NEAR(occ[2], 0.5, 1e-12);
   EXPECT_NEAR(occ[1], 0.5, 1e-12);
   EXPECT_DOUBLE_EQ(occ[0], 0.0);  // absorbing
-  EXPECT_NEAR(expected_time_to_absorption(chain, initial), 1.5, 1e-12);
+  // Reward 1 on the transient states: the expected time to absorption.
+  EXPECT_NEAR(
+      expected_accumulated_reward(chain, initial, {0.0, 1.0, 1.0, 1.0}), 1.5,
+      1e-12);
 }
 
 TEST(Absorbing, AccumulatedRewardWeightsOccupancy) {

@@ -8,7 +8,7 @@
 #include "common/numeric.hpp"
 #include "core/ef_analysis.hpp"
 #include "core/if_analysis.hpp"
-#include "multiclass/multiclass.hpp"
+#include "studies/multiclass.hpp"
 
 namespace esched {
 namespace {

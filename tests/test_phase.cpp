@@ -11,6 +11,7 @@
 #include "queueing/mm1.hpp"
 #include "rng/xoshiro.hpp"
 #include "stats/accumulator.hpp"
+#include "support/sampling.hpp"
 
 namespace esched {
 namespace {

@@ -17,6 +17,7 @@
 #include "qbd/qbd.hpp"
 #include "queueing/mm1.hpp"
 #include "queueing/mmk.hpp"
+#include "support/qbd_levels.hpp"
 
 namespace esched {
 namespace {
@@ -71,8 +72,8 @@ TEST(Qbd, MM1GeometricSolution) {
   // R is scalar rho; levels are geometric; mean level is rho/(1-rho).
   EXPECT_NEAR(sol.r(0, 0), rho, 1e-12);
   EXPECT_NEAR(sol.spectral_radius, rho, 1e-10);
-  EXPECT_NEAR(sol.level_probability(0), 1.0 - rho, 1e-12);
-  EXPECT_NEAR(sol.level_probability(5), (1.0 - rho) * std::pow(rho, 5),
+  EXPECT_NEAR(qbd_level_probability(sol, 0), 1.0 - rho, 1e-12);
+  EXPECT_NEAR(qbd_level_probability(sol, 5), (1.0 - rho) * std::pow(rho, 5),
               1e-12);
   EXPECT_NEAR(sol.mean_level(), MM1(lambda, mu).mean_jobs(), 1e-10);
 }
@@ -148,13 +149,14 @@ TEST(Qbd, TwoPhaseAgreesWithTruncatedGth) {
     const double mass = pi[idx(l, 0)] + pi[idx(l, 1)];
     mean += static_cast<double>(l) * mass;
     if (l <= 10) {
-      EXPECT_NEAR(sol.level_probability(l), mass, 1e-8) << "level " << l;
+      EXPECT_NEAR(qbd_level_probability(sol, l), mass, 1e-8)
+          << "level " << l;
     }
   }
   EXPECT_NEAR(sol.mean_level(), mean, 1e-6);
 
   // Phase marginal must also agree.
-  const Vector marginal = sol.phase_marginal();
+  const Vector marginal = qbd_phase_marginal(sol);
   double phase0 = 0.0;
   for (std::size_t l = 0; l < levels; ++l) phase0 += pi[idx(l, 0)];
   EXPECT_NEAR(marginal[0], phase0, 1e-8);
@@ -177,14 +179,17 @@ TEST(Qbd, BoundaryLevelsWithDifferentRates) {
   chain.freeze();
   const Vector pi = gth_stationary(chain.rate_matrix(), chain.exit_rates());
   for (std::size_t l = 0; l <= 8; ++l) {
-    EXPECT_NEAR(sol.level_probability(l), pi[l], 1e-9) << "level " << l;
+    EXPECT_NEAR(qbd_level_probability(sol, l), pi[l], 1e-9)
+        << "level " << l;
   }
 }
 
 TEST(Qbd, ProbabilitiesSumToOne) {
   const QbdSolution sol = solve_qbd(two_phase_qbd());
   double total = 0.0;
-  for (std::size_t l = 0; l < 2000; ++l) total += sol.level_probability(l);
+  for (std::size_t l = 0; l < 2000; ++l) {
+    total += qbd_level_probability(sol, l);
+  }
   EXPECT_NEAR(total, 1.0, 1e-9);
 }
 

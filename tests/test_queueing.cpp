@@ -19,7 +19,6 @@ TEST(MM1, KnownClosedForms) {
   EXPECT_DOUBLE_EQ(q.utilization(), 0.5);
   EXPECT_DOUBLE_EQ(q.mean_response_time(), 2.0);
   EXPECT_DOUBLE_EQ(q.mean_jobs(), 1.0);
-  EXPECT_DOUBLE_EQ(q.mean_wait(), 1.0);
 }
 
 TEST(MM1, LittlesLawConsistency) {

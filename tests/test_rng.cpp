@@ -8,6 +8,7 @@
 #include "rng/distributions.hpp"
 #include "rng/xoshiro.hpp"
 #include "stats/accumulator.hpp"
+#include "support/sampling.hpp"
 
 namespace esched {
 namespace {
@@ -86,24 +87,6 @@ TEST(Distributions, BernoulliFrequency) {
     if (bernoulli(rng, 0.3)) ++hits;
   }
   EXPECT_NEAR(static_cast<double>(hits) / trials, 0.3, 5e-3);
-}
-
-TEST(Distributions, DiscreteRespectsWeights) {
-  Xoshiro256 rng(8);
-  const std::vector<double> weights = {1.0, 2.0, 7.0};
-  std::vector<int> counts(3, 0);
-  const int trials = 300000;
-  for (int n = 0; n < trials; ++n) ++counts[discrete(rng, weights)];
-  EXPECT_NEAR(counts[0] / static_cast<double>(trials), 0.1, 5e-3);
-  EXPECT_NEAR(counts[1] / static_cast<double>(trials), 0.2, 5e-3);
-  EXPECT_NEAR(counts[2] / static_cast<double>(trials), 0.7, 5e-3);
-}
-
-TEST(Distributions, DiscreteRejectsDegenerateWeights) {
-  Xoshiro256 rng(9);
-  EXPECT_THROW(discrete(rng, {}), Error);
-  EXPECT_THROW(discrete(rng, {0.0, 0.0}), Error);
-  EXPECT_THROW(discrete(rng, {-1.0, 2.0}), Error);
 }
 
 TEST(Distributions, UniformIndexIsUnbiased) {

@@ -150,8 +150,7 @@ TEST(ShmCache, OversizedKeySpillsToFileTier) {
   const std::string dir = fresh_dir("esched_shm_spill_key");
   const TieredResultCache cache(dir);
   ASSERT_NE(cache.table(), nullptr);
-  const std::string long_key(cache.table()->key_capacity() + 1, 'k');
-  EXPECT_FALSE(cache.table()->representable(long_key));
+  const std::string long_key(cache.table()->info().key_capacity + 1, 'k');
 
   cache.store(long_key, result_for(7));
   // The entry must live in the file tier and still round-trip.
@@ -324,7 +323,7 @@ TEST(ShmCache, GcCompactsWedgedSlotsAndAppliesByteBudget) {
   }
 
   // A byte budget for half the entries keeps the newest-stored half.
-  const std::uint64_t slot_bytes = cache.table()->slot_bytes();
+  const std::uint64_t slot_bytes = cache.table()->info().slot_bytes;
   const CacheGcResult half = cache.gc(std::nullopt, 5 * slot_bytes);
   EXPECT_EQ(half.removed, 5u);
   EXPECT_EQ(half.bytes_kept, 5 * slot_bytes);

@@ -17,9 +17,9 @@
 #include "queueing/mm1.hpp"
 #include "queueing/mmk.hpp"
 #include "sim/cluster_sim.hpp"
-#include "sim/ctmc_sim.hpp"
 #include "sim/fcfs.hpp"
 #include "stats/histogram.hpp"
+#include "support/ctmc_sim.hpp"
 
 namespace esched {
 namespace {

@@ -9,8 +9,8 @@
 #include "common/error.hpp"
 #include "rng/distributions.hpp"
 #include "rng/xoshiro.hpp"
-#include "srpt/lp_bound.hpp"
-#include "srpt/srpt.hpp"
+#include "studies/lp_bound.hpp"
+#include "studies/srpt.hpp"
 
 namespace esched {
 namespace {

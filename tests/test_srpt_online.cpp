@@ -6,8 +6,9 @@
 #include "common/error.hpp"
 #include "rng/distributions.hpp"
 #include "rng/xoshiro.hpp"
-#include "srpt/lp_bound.hpp"
-#include "srpt/srpt_online.hpp"
+#include "studies/lp_bound.hpp"
+#include "studies/srpt_online.hpp"
+#include "support/sampling.hpp"
 
 namespace esched {
 namespace {

@@ -660,10 +660,19 @@ int run_work(const std::vector<std::string>& args) {
 void appendf(std::string* out, const char* fmt, ...) {
   va_list ap;
   va_start(ap, fmt);
-  char buf[1024];
-  std::vsnprintf(buf, sizeof(buf), fmt, ap);
+  va_list sizing;
+  va_copy(sizing, ap);
+  const int len = std::vsnprintf(nullptr, 0, fmt, sizing);
+  va_end(sizing);
+  if (len > 0) {
+    // vsnprintf writes a terminating NUL; C++17 lets it land on the
+    // string's own terminator, so size the string to the text alone.
+    const std::size_t at = out->size();
+    out->resize(at + static_cast<std::size_t>(len));
+    std::vsnprintf(out->data() + at, static_cast<std::size_t>(len) + 1, fmt,
+                   ap);
+  }
   va_end(ap);
-  *out += buf;
 }
 
 /// One `esched status` frame. The one-shot sections are byte-identical
