@@ -1,6 +1,7 @@
 #include "core/ef_analysis.hpp"
 
 #include <algorithm>
+#include <utility>
 
 #include "common/error.hpp"
 #include "qbd/qbd.hpp"
@@ -62,20 +63,23 @@ ResponseTimeAnalysis analyze_elastic_first(const SystemParams& params,
     return down;
   };
 
+  process.up.reserve(process.first_repeating);
+  process.local.reserve(process.first_repeating);
+  process.down.reserve(process.first_repeating);
   for (std::size_t l = 0; l < process.first_repeating; ++l) {
     process.up.push_back(up);
     process.local.push_back(local);
     process.down.push_back(down_at(l));
   }
-  process.rep_up = up;
-  process.rep_local = local;
+  process.rep_up = std::move(up);
+  process.rep_local = std::move(local);
   process.rep_down = down_at(static_cast<std::size_t>(params.k));
 
   const QbdSolution sol = solve_qbd(process);
   out.qbd_iterations = sol.r_iterations;
   out.qbd_spectral_radius = sol.spectral_radius;
 
-  out.mean_jobs_i = sol.mean_level();
+  out.mean_jobs_i = sol.mean_level;
   out.mean_response_time_i =
       params.lambda_i > 0.0 ? out.mean_jobs_i / params.lambda_i : 0.0;
 

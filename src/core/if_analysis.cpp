@@ -1,5 +1,7 @@
 #include "core/if_analysis.hpp"
 
+#include <utility>
+
 #include "common/error.hpp"
 #include "qbd/qbd.hpp"
 #include "queueing/mm1.hpp"
@@ -72,15 +74,15 @@ ResponseTimeAnalysis analyze_inelastic_first(const SystemParams& params,
   process.up.push_back(up);
   process.local.push_back(local);
   process.down.emplace_back(phases, phases);  // no level below 0
-  process.rep_up = up;
-  process.rep_local = local;
-  process.rep_down = rep_down;
+  process.rep_up = std::move(up);
+  process.rep_local = std::move(local);
+  process.rep_down = std::move(rep_down);
 
   const QbdSolution sol = solve_qbd(process);
   out.qbd_iterations = sol.r_iterations;
   out.qbd_spectral_radius = sol.spectral_radius;
 
-  out.mean_jobs_e = sol.mean_level();
+  out.mean_jobs_e = sol.mean_level;
   out.mean_response_time_e =
       params.lambda_e > 0.0 ? out.mean_jobs_e / params.lambda_e : 0.0;
 

@@ -41,6 +41,27 @@ Matrix Matrix::transpose() const {
   return t;
 }
 
+namespace {
+
+/// Columns [j0, j0 + W) of one output row: out[j] = sum over l, in order,
+/// of a_row[l] * b(l, j), starting from +0.0 and skipping zero a_row[l].
+/// The W sums stay in registers across the whole inner loop instead of
+/// going through memory on every rank-1 step.
+template <std::size_t W>
+void matmul_row_block(const double* a_row, const double* b, std::size_t inner,
+                      std::size_t width, std::size_t j0, double* out_row) {
+  double acc[W] = {};
+  for (std::size_t l = 0; l < inner; ++l) {
+    const double ail = a_row[l];
+    if (ail == 0.0) continue;
+    const double* b_row = b + l * width + j0;
+    for (std::size_t j = 0; j < W; ++j) acc[j] += ail * b_row[j];
+  }
+  for (std::size_t j = 0; j < W; ++j) out_row[j0 + j] = acc[j];
+}
+
+}  // namespace
+
 void matmul_into(const Matrix& a, const Matrix& b, Matrix& out) {
   ESCHED_CHECK(a.cols() == b.rows(), "matrix shape mismatch in matmul");
   ESCHED_CHECK(out.rows() == a.rows() && out.cols() == b.cols(),
@@ -49,14 +70,26 @@ void matmul_into(const Matrix& a, const Matrix& b, Matrix& out) {
                "matmul_into output must not alias an input");
   const std::size_t inner = a.cols();
   const std::size_t width = b.cols();
-  std::fill(out.data(), out.data() + out.rows() * width, 0.0);
+  const double* b_data = b.data();
   for (std::size_t i = 0; i < a.rows(); ++i) {
+    const double* a_row = a.data() + i * inner;
     double* out_row = out.data() + i * width;
-    for (std::size_t l = 0; l < inner; ++l) {
-      const double ail = a(i, l);
-      if (ail == 0.0) continue;
-      const double* b_row = b.data() + l * width;
-      for (std::size_t j = 0; j < width; ++j) out_row[j] += ail * b_row[j];
+    std::size_t j0 = 0;
+    for (; j0 + 4 <= width; j0 += 4) {
+      matmul_row_block<4>(a_row, b_data, inner, width, j0, out_row);
+    }
+    switch (width - j0) {  // the 3/2/1-column tail
+      case 3:
+        matmul_row_block<3>(a_row, b_data, inner, width, j0, out_row);
+        break;
+      case 2:
+        matmul_row_block<2>(a_row, b_data, inner, width, j0, out_row);
+        break;
+      case 1:
+        matmul_row_block<1>(a_row, b_data, inner, width, j0, out_row);
+        break;
+      default:
+        break;
     }
   }
 }

@@ -199,15 +199,15 @@ QbdSolution solve_qbd(const QbdProcess& process) {
     return l < big_l ? process.down[l] : process.rep_down;
   };
 
-  // Columns of `system` are equations; rows index unknowns, so that
-  // x * system = rhs. Equation block for level l lives in columns [l*m,
-  // (l+1)*m).
+  // Rows of `system` are equations and columns index unknowns, so that
+  // system x^T = rhs: the transpose of x * S = rhs, assembled directly.
+  // Equation block for level l lives in rows [l*m, (l+1)*m).
   Matrix system(n, n, 0.0);
   auto add_block = [&](std::size_t unknown_level, std::size_t eq_level,
                        const Matrix& block) {
     for (std::size_t r_ = 0; r_ < m; ++r_) {
       for (std::size_t c = 0; c < m; ++c) {
-        system(unknown_level * m + r_, eq_level * m + c) += block(r_, c);
+        system(eq_level * m + c, unknown_level * m + r_) += block(r_, c);
       }
     }
   };
@@ -233,49 +233,37 @@ QbdSolution solve_qbd(const QbdProcess& process) {
   lu.refactor(u);
   const Vector tail_weight = lu.solve(Vector(m, 1.0));
 
-  // Replace equation column 0 by normalization (the generator's balance
+  // Replace equation 0 by normalization (the generator's balance
   // equations are linearly dependent, so dropping one loses nothing).
   for (std::size_t l = 0; l <= big_l; ++l) {
     for (std::size_t r_ = 0; r_ < m; ++r_) {
-      system(l * m + r_, 0) = (l < big_l) ? 1.0 : tail_weight[r_];
+      system(0, l * m + r_) = (l < big_l) ? 1.0 : tail_weight[r_];
     }
   }
   Vector rhs(n, 0.0);
   rhs[0] = 1.0;
-
-  // Solve x * system = rhs  <=>  system^T x^T = rhs.
-  const Vector x = LuFactorization(system.transpose()).solve(rhs);
+  const Vector x = LuFactorization(std::move(system)).solve(rhs);
 
   sol.boundary.resize(big_l + 1);
+  double mean = 0.0;
   for (std::size_t l = 0; l <= big_l; ++l) {
     sol.boundary[l].assign(x.begin() + static_cast<long>(l * m),
                            x.begin() + static_cast<long>((l + 1) * m));
     for (double v : sol.boundary[l]) {
       ESCHED_ASSERT(v > -1e-9, "negative stationary probability");
     }
-  }
-  sol.r = std::move(r);
-  return sol;
-}
-
-double QbdSolution::mean_level() const {
-  ESCHED_CHECK(!boundary.empty(), "unsolved QBD solution");
-  const std::size_t big_l = first_repeating;
-  double mean = 0.0;
-  for (std::size_t l = 0; l < big_l; ++l) {
-    mean += static_cast<double>(l) * sum(boundary[l]);
+    if (l < big_l) mean += static_cast<double>(l) * sum(sol.boundary[l]);
   }
   // Tail: sum_{n>=0} (L+n) pi_L R^n 1
-  //     = L pi_L (I-R)^{-1} 1 + pi_L R (I-R)^{-2} 1.
-  const std::size_t m = num_phases;
-  const Matrix i_minus_r = Matrix::identity(m) - r;
-  const LuFactorization imr_lu{i_minus_r};
-  const Vector w1 = imr_lu.solve(Vector(m, 1.0));   // (I-R)^{-1} 1
-  const Vector w2 = imr_lu.solve(w1);               // (I-R)^{-2} 1
-  const Vector& pi_l = boundary[big_l];
-  mean += static_cast<double>(big_l) * dot(pi_l, w1);
+  //     = L pi_L (I-R)^{-1} 1 + pi_L R (I-R)^{-2} 1,
+  // from the (I - R) factorization `lu` still holds.
+  const Vector w2 = lu.solve(tail_weight);  // (I-R)^{-2} 1
+  const Vector& pi_l = sol.boundary[big_l];
+  mean += static_cast<double>(big_l) * dot(pi_l, tail_weight);
   mean += dot(vecmat(pi_l, r), w2);
-  return mean;
+  sol.mean_level = mean;
+  sol.r = std::move(r);
+  return sol;
 }
 
 }  // namespace esched

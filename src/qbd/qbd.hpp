@@ -64,7 +64,7 @@ struct QbdSolution {
   double spectral_radius = 0.0;  // sp(R); < 1 iff positive recurrent
 
   /// E[level] — the stationary mean queue length of the level class.
-  double mean_level() const;
+  double mean_level = 0.0;
 };
 
 /// Solves the QBD: computes R by logarithmic reduction, then solves the

@@ -75,7 +75,7 @@ TEST(Qbd, MM1GeometricSolution) {
   EXPECT_NEAR(qbd_level_probability(sol, 0), 1.0 - rho, 1e-12);
   EXPECT_NEAR(qbd_level_probability(sol, 5), (1.0 - rho) * std::pow(rho, 5),
               1e-12);
-  EXPECT_NEAR(sol.mean_level(), MM1(lambda, mu).mean_jobs(), 1e-10);
+  EXPECT_NEAR(sol.mean_level, MM1(lambda, mu).mean_jobs(), 1e-10);
 }
 
 TEST(Qbd, MMkMatchesErlangC) {
@@ -83,7 +83,7 @@ TEST(Qbd, MMkMatchesErlangC) {
     const double mu = 1.0;
     const double lambda = 0.75 * k * mu;
     const QbdSolution sol = solve_qbd(mmk_qbd(lambda, mu, k));
-    EXPECT_NEAR(sol.mean_level(), MMk(lambda, mu, k).mean_jobs(), 1e-9)
+    EXPECT_NEAR(sol.mean_level, MMk(lambda, mu, k).mean_jobs(), 1e-9)
         << "k=" << k;
   }
 }
@@ -153,7 +153,7 @@ TEST(Qbd, TwoPhaseAgreesWithTruncatedGth) {
           << "level " << l;
     }
   }
-  EXPECT_NEAR(sol.mean_level(), mean, 1e-6);
+  EXPECT_NEAR(sol.mean_level, mean, 1e-6);
 
   // Phase marginal must also agree.
   const Vector marginal = qbd_phase_marginal(sol);
@@ -205,7 +205,7 @@ TEST(Qbd, NearlyCriticalMM1MeanLevel) {
   const double rho = 1.0 - 1e-6;
   const QbdSolution sol = solve_qbd(mm1_qbd(rho, 1.0));
   const double expected = rho / (1.0 - rho);
-  EXPECT_NEAR(sol.mean_level(), expected, 1e-3 * expected);
+  EXPECT_NEAR(sol.mean_level, expected, 1e-3 * expected);
 }
 
 TEST(Qbd, ValidateCatchesShapeErrors) {

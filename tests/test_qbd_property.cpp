@@ -127,7 +127,7 @@ TEST_P(RandomQbd, MatrixAnalyticAgreesWithGth) {
   const std::size_t levels = 80;
   double ref_mean = 0.0;
   const Vector ref = truncated_reference(p, levels, &ref_mean);
-  EXPECT_NEAR(sol.mean_level(), ref_mean, 1e-6 * (1.0 + ref_mean));
+  EXPECT_NEAR(sol.mean_level, ref_mean, 1e-6 * (1.0 + ref_mean));
   for (std::size_t l = 0; l < 6; ++l) {
     double ref_level = 0.0;
     for (std::size_t r = 0; r < p.num_phases; ++r) {
