@@ -1,13 +1,13 @@
 #include "engine/report.hpp"
 
 #include <algorithm>
-#include <cstdarg>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <ostream>
 #include <sstream>
 
+#include "common/appendf.hpp"
 #include "common/atomic_file.hpp"
 #include "common/csv.hpp"
 #include "common/error.hpp"
@@ -530,17 +530,6 @@ void print_stats_line(std::ostream& os, const SweepStats& stats) {
 
 namespace {
 
-/// printf into an ostream — the views reproduce printf-era layouts, and
-/// matching the historical output exactly is easiest in printf terms.
-void osprintf(std::ostream& os, const char* fmt, ...) {
-  char buf[1024];
-  va_list args;
-  va_start(args, fmt);
-  std::vsnprintf(buf, sizeof(buf), fmt, args);
-  va_end(args);
-  os << buf;
-}
-
 /// Row-major shape of an expanded scenario: (cells, truncation, fit,
 /// size_dist, policy, solver), mirroring Scenario::expand.
 struct GridShape {
@@ -628,13 +617,13 @@ void print_heatmap_view(std::ostream& os, const Scenario& s,
 
   for (std::size_t r = 0; r < s.rho_values.size(); ++r) {
     const double rho = s.rho_values[r];
-    osprintf(os,
+    appendf(os,
              "\nrho = %.1f, k = %d (rows mu_E top-down, cols mu_I "
              "left-right; %c = %s wins, %c = %s wins)\n",
              rho, k, pol0[0], pol0.c_str(), pol1[0], pol1.c_str());
-    osprintf(os, "%7s", "mu_E\\I");
-    for (const double mu_i : grid) osprintf(os, "%5.2f", mu_i);
-    osprintf(os, "\n");
+    appendf(os, "%7s", "mu_E\\I");
+    for (const double mu_i : grid) appendf(os, "%5.2f", mu_i);
+    appendf(os, "\n");
 
     int first_wins = 0;
     int second_wins = 0;
@@ -642,7 +631,7 @@ void print_heatmap_view(std::ostream& os, const Scenario& s,
     int points_upper = 0;
     for (std::size_t b = nmu; b-- > 0;) {
       const double mu_e = grid[b];
-      osprintf(os, "%6.2f ", mu_e);
+      appendf(os, "%6.2f ", mu_e);
       for (std::size_t a = 0; a < nmu; ++a) {
         const double mu_i = grid[a];
         const double et0 = result_at(r, a, b, 0).mean_response_time;
@@ -653,11 +642,11 @@ void print_heatmap_view(std::ostream& os, const Scenario& s,
           ++points_upper;
           if (first_better) ++first_wins_upper;
         }
-        osprintf(os, "%5c", first_better ? pol0[0] : pol1[0]);
+        appendf(os, "%5c", first_better ? pol0[0] : pol1[0]);
       }
-      osprintf(os, "\n");
+      appendf(os, "\n");
     }
-    osprintf(os,
+    appendf(os,
              "summary: %s wins %d points, %s wins %d points; "
              "%s wins %d/%d points with mu_I >= mu_E (paper: all)\n",
              pol0.c_str(), first_wins, pol1.c_str(), second_wins,
@@ -693,7 +682,7 @@ void print_vs_mu_view(std::ostream& os, const Scenario& s,
       table.add_row({format_double(s.mu_i_values[m]), format_double(et0),
                      format_double(et1), et0 <= et1 ? pol0 : pol1});
     }
-    osprintf(os, "\n--- rho = %.1f ---\n", s.rho_values[r]);
+    appendf(os, "\n--- rho = %.1f ---\n", s.rho_values[r]);
     table.print(os);
   }
 }
@@ -727,7 +716,7 @@ void print_vs_k_view(std::ostream& os, const Scenario& s,
       table.add_row({std::to_string(s.k_values[n]), format_double(et0),
                      format_double(et1), format_double(et1 - et0)});
     }
-    osprintf(os, "\n--- mu_I = %s, mu_E = %s ---\n",
+    appendf(os, "\n--- mu_I = %s, mu_E = %s ---\n",
              format_double(s.mu_i_values[panel]).c_str(),
              format_double(s.mu_e_values.front()).c_str());
     table.print(os);
@@ -779,7 +768,7 @@ void print_family_view(std::ostream& os, const Scenario& s,
     table.add_row(std::move(row));
   }
   table.print(os);
-  osprintf(os,
+  appendf(os,
            "\nTheorem 5 (mu_I >= mu_E => %s optimal in family): %d/%d "
            "settings hold.\n",
            s.policies[0].c_str(), theorem5_holds, theorem5_checks);
@@ -822,7 +811,7 @@ void print_accuracy_view(std::ostream& os, const Scenario& s,
     }
   }
   table.print(os);
-  osprintf(os,
+  appendf(os,
            "\nworst QBD-vs-exact error: %.3f%% (paper: <1%%; errors vs "
            "simulation include Monte Carlo noise)\n",
            100.0 * worst_exact_err);
@@ -888,7 +877,7 @@ void print_truncation_view(std::ostream& os, const Scenario& s,
            format_double(relative_error(r.mean_response_time, reference), 3),
            format_double(r.boundary_mass, 3)});
     }
-    osprintf(os,
+    appendf(os,
              "\n--- rho = %.1f (reference E[T] = %.6f at truncation %ld; "
              "suggested_truncation = %ld; QBD analysis = %.6f, err "
              "%.4f%%, ~0.1 ms) ---\n",
@@ -940,7 +929,7 @@ void print_fit_order_view(std::ostream& os, const Scenario& s,
     }
   }
   table.print(os);
-  osprintf(os,
+  appendf(os,
            "\nmean error: 1-moment %.3f%%, 2-moment %.3f%%, 3-moment "
            "%.4f%% — each extra busy-period moment buys roughly an "
            "order of magnitude, which is why §5.2 matches three.\n",
@@ -980,11 +969,11 @@ void print_dominance_view(std::ostream& os, const Scenario& s,
     }
   }
   table.print(os);
-  osprintf(os,
+  appendf(os,
            "\nworst pointwise violation over all runs: %.3g "
            "(theory: exactly 0; float error only)\n",
            worst_violation);
-  osprintf(os, "avg W gap >= 0 everywhere: IF keeps the least work in "
+  appendf(os, "avg W gap >= 0 everywhere: IF keeps the least work in "
                "system, as Theorem 3 proves.\n");
 }
 
@@ -1030,13 +1019,13 @@ void print_scv_view(std::ostream& os, const Scenario& s,
       table.add_row(std::move(row));
     }
     if (winner_stable) ++stable_cases;
-    osprintf(os, "\n--- k = %d, mu_I = %s, mu_E = %s, rho = %s ---\n",
+    appendf(os, "\n--- k = %d, mu_I = %s, mu_E = %s, rho = %s ---\n",
              setting.k, format_double(setting.mu_i).c_str(),
              format_double(setting.mu_e).c_str(),
              format_double(setting.rho).c_str());
     table.print(os);
   }
-  osprintf(os,
+  appendf(os,
            "\nwinner stable across the SCV axis in %zu/%zu settings — where "
            "it is, the paper's Exp(mu) policy conclusions carry over to "
            "that size distribution family.\n",

@@ -2,13 +2,13 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdarg>
 #include <cstdio>
 #include <fstream>
 #include <map>
 #include <ostream>
 #include <tuple>
 
+#include "common/appendf.hpp"
 #include "common/error.hpp"
 #include "common/json.hpp"
 
@@ -170,19 +170,6 @@ TraceForest build_trace_forest(const std::vector<std::string>& files) {
   }
   return forest;
 }
-
-namespace {
-
-void appendf(std::ostream& out, const char* fmt, ...) {
-  va_list ap;
-  va_start(ap, fmt);
-  char buf[512];
-  std::vsnprintf(buf, sizeof(buf), fmt, ap);
-  va_end(ap);
-  out << buf;
-}
-
-}  // namespace
 
 void print_trace_report(const TraceForest& forest, std::ostream& out,
                         std::size_t rows) {

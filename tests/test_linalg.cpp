@@ -2,6 +2,11 @@
 // representation behind the stationary solvers.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstdio>
+#include <limits>
+#include <string>
+
 #include "common/error.hpp"
 #include "linalg/csr.hpp"
 #include "linalg/lu.hpp"
@@ -54,6 +59,78 @@ TEST(Matrix, MatmulKnownProduct) {
   EXPECT_DOUBLE_EQ(p(0, 1), 64.0);
   EXPECT_DOUBLE_EQ(p(1, 0), 139.0);
   EXPECT_DOUBLE_EQ(p(1, 1), 154.0);
+}
+
+std::string hexfloat(double x) {
+  char buf[40];
+  std::snprintf(buf, sizeof buf, "%a", x);
+  return buf;
+}
+
+TEST(Matrix, MatmulMatchesNaiveLoopBitwise) {
+  // matmul_into blocks each output row over column chunks; every element
+  // must still see the naive loop's operations in the same order: start
+  // from +0.0, add a(i, l) * b(l, j) for l ascending, skip a(i, l) == 0.
+  // Zeros of both signs catch a kernel that seeds the sum with its first
+  // product (-0.0 would survive); the infinity in b row 0, met only by
+  // zeros of a, catches a kernel that drops the skip (0 * inf = NaN).
+  Xoshiro256 rng(20261020);
+  const auto entry = [&rng] {
+    const std::uint64_t bits = rng();
+    switch (bits & 7) {
+      case 0:
+      case 1: return 0.0;
+      case 2: return -0.0;
+      default:
+        return static_cast<double>(bits >> 11) * 0x1.0p-52 - 1.0;  // [-1, 1)
+    }
+  };
+  const auto naive = [](const Matrix& a, const Matrix& b) {
+    Matrix out(a.rows(), b.cols(), 0.0);
+    for (std::size_t i = 0; i < a.rows(); ++i) {
+      for (std::size_t l = 0; l < a.cols(); ++l) {
+        const double ail = a(i, l);
+        if (ail == 0.0) continue;
+        for (std::size_t j = 0; j < b.cols(); ++j) out(i, j) += ail * b(l, j);
+      }
+    }
+    return out;
+  };
+  for (const std::size_t rows : {1u, 3u, 6u}) {
+    for (const std::size_t inner : {1u, 2u, 5u, 18u}) {
+      for (const std::size_t width : {1u, 2u, 3u, 4u, 5u, 6u, 7u, 8u, 9u,
+                                      18u}) {
+        Matrix a(rows, inner);
+        Matrix b(inner, width);
+        for (std::size_t r = 0; r < rows; ++r) {
+          for (std::size_t c = 0; c < inner; ++c) a(r, c) = entry();
+          a(r, 0) = r % 2 == 0 ? 0.0 : -0.0;
+        }
+        for (std::size_t r = 0; r < inner; ++r) {
+          for (std::size_t c = 0; c < width; ++c) b(r, c) = entry();
+        }
+        b(0, width - 1) = std::numeric_limits<double>::infinity();
+        Matrix out(rows, width, 1.0);  // stale contents must not leak
+        matmul_into(a, b, out);
+        const Matrix expected = naive(a, b);
+        for (std::size_t r = 0; r < rows; ++r) {
+          for (std::size_t c = 0; c < width; ++c) {
+            EXPECT_EQ(hexfloat(out(r, c)), hexfloat(expected(r, c)))
+                << rows << "x" << inner << "x" << width << " (" << r << ", "
+                << c << ")";
+          }
+        }
+      }
+    }
+  }
+  // The output must have the product's shape and must not alias an input.
+  Matrix a(2, 2, 1.0);
+  Matrix wrong(2, 3);
+  EXPECT_THROW(matmul_into(a, a, wrong), Error);
+  EXPECT_THROW(matmul_into(a, Matrix(3, 2), wrong), Error);
+  Matrix b(2, 2, 1.0);
+  EXPECT_THROW(matmul_into(a, b, a), Error);
+  EXPECT_THROW(matmul_into(a, b, b), Error);
 }
 
 TEST(Matrix, VectorProducts) {

@@ -433,6 +433,28 @@ TEST(TraceReport, ReconstructsSpanTreesFromInterleavedTwoProcessTrace) {
   EXPECT_EQ(folded.str(), expected);
 }
 
+TEST(TraceReport, LongSpanNamePrintsWholeRow) {
+  // A 600-byte span name: its phase-breakdown row must keep the count and
+  // time columns and its newline, and the next section its own line.
+  const std::string dir = fresh_dir("esched_trace_long_name");
+  const std::string path = dir + "/t.jsonl";
+  const std::string name(600, 'x');
+  write_file(path,
+             "{\"t\":0.0,\"ev\":\"span_begin\",\"pid\":1,\"seq\":0,\"span\":1,"
+             "\"parent\":0,\"name\":\"" + name + "\"}\n"
+             "{\"t\":0.5,\"ev\":\"span_end\",\"pid\":1,\"seq\":1,\"span\":1,"
+             "\"name\":\"" + name + "\"}\n");
+  const TraceForest forest = build_trace_forest({path});
+  ASSERT_EQ(forest.spans.size(), 1u);
+  std::ostringstream text;
+  print_trace_report(forest, text, 5);
+  EXPECT_NE(text.str().find("  " + name +
+                            "        1     0.500000     0.500000     "
+                            "0.500000\n\nslowest " + name + " spans:\n"),
+            std::string::npos)
+      << text.str();
+}
+
 TEST(TraceReport, SortsEqualTimestampsByPidThenSeq) {
   const std::string dir = fresh_dir("esched_trace_order");
   const std::string path = dir + "/t.jsonl";

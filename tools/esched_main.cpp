@@ -32,7 +32,6 @@
 #include <algorithm>
 #include <cerrno>
 #include <chrono>
-#include <cstdarg>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
@@ -50,6 +49,7 @@
 #include <unistd.h>
 #endif
 
+#include "common/appendf.hpp"
 #include "common/error.hpp"
 #include "common/json.hpp"
 #include "dist/work_queue.hpp"
@@ -654,26 +654,10 @@ int run_work(const std::vector<std::string>& args) {
   return 0;
 }
 
-/// printf-style append. Status frames are assembled fully before any
-/// write so `--watch` repaints with one fputs — no torn frames when the
-/// terminal is shared with worker stderr.
-void appendf(std::string* out, const char* fmt, ...) {
-  va_list ap;
-  va_start(ap, fmt);
-  va_list sizing;
-  va_copy(sizing, ap);
-  const int len = std::vsnprintf(nullptr, 0, fmt, sizing);
-  va_end(sizing);
-  if (len > 0) {
-    // vsnprintf writes a terminating NUL; C++17 lets it land on the
-    // string's own terminator, so size the string to the text alone.
-    const std::size_t at = out->size();
-    out->resize(at + static_cast<std::size_t>(len));
-    std::vsnprintf(out->data() + at, static_cast<std::size_t>(len) + 1, fmt,
-                   ap);
-  }
-  va_end(ap);
-}
+// Status frames are assembled fully in a string before any write, so
+// `--watch` repaints with one fputs: no torn frames when the terminal is
+// shared with worker stderr.
+using esched::appendf;
 
 /// One `esched status` frame. The one-shot sections are byte-identical
 /// to the historical output; `watch` adds per-worker throughput and a
