@@ -77,7 +77,7 @@ ResponseTimeAnalysis analyze_elastic_first(const SystemParams& params,
 
   const QbdSolution sol = solve_qbd(process);
   out.qbd_iterations = sol.r_iterations;
-  out.qbd_spectral_radius = sol.spectral_radius;
+  out.qbd_residual = sol.r_residual;
 
   out.mean_jobs_i = sol.mean_level;
   out.mean_response_time_i =

@@ -80,7 +80,7 @@ ResponseTimeAnalysis analyze_inelastic_first(const SystemParams& params,
 
   const QbdSolution sol = solve_qbd(process);
   out.qbd_iterations = sol.r_iterations;
-  out.qbd_spectral_radius = sol.spectral_radius;
+  out.qbd_residual = sol.r_residual;
 
   out.mean_jobs_e = sol.mean_level;
   out.mean_response_time_e =

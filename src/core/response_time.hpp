@@ -32,7 +32,7 @@ struct ResponseTimeAnalysis {
 
   // Solver diagnostics.
   int qbd_iterations = 0;
-  double qbd_spectral_radius = 0.0;
+  double qbd_residual = 0.0;  ///< max-abs of A0 + R A1 + R^2 A2
 };
 
 }  // namespace esched

@@ -107,8 +107,9 @@ std::string RunPoint::cache_key() const {
     case SolverKind::kQbdAnalysis:
       key += ";fit=" + std::to_string(static_cast<int>(options.fit_order));
       // Revision bumped like the exact one below. rev=1: R comes from
-      // logarithmic reduction instead of Neuts' fixed point.
-      key += ";rev=1";
+      // logarithmic reduction instead of Neuts' fixed point. rev=2: the
+      // residual is max-abs(A0 + R A1 + R^2 A2), no longer sp(R).
+      key += ";rev=2";
       break;
     case SolverKind::kExactCtmc:
       append_key_double(key, ";eps=", options.truncation_epsilon);

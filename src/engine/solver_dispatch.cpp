@@ -95,7 +95,7 @@ RunResult run_qbd_analysis(const RunPoint& point) {
   result.mean_jobs_i = analysis.mean_jobs_i;
   result.mean_jobs_e = analysis.mean_jobs_e;
   result.solver_iterations = analysis.qbd_iterations;
-  result.solve_residual = analysis.qbd_spectral_radius;
+  result.solve_residual = analysis.qbd_residual;
   return result;
 }
 

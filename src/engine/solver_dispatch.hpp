@@ -48,7 +48,7 @@ struct RunResult {
 
   // Solver cost, recorded per point.
   int solver_iterations = 0;    ///< QBD log-reduction steps, else 0
-  double solve_residual = 0.0;  ///< stationary residual / QBD sp(R)
+  double solve_residual = 0.0;  ///< stationary / QBD R-equation residual
   double solve_seconds = 0.0;   ///< wall time of this point's solve
   bool from_cache = false;      ///< set by the sweep runner on disk hits
                                 ///< and in-call repeats

@@ -114,17 +114,6 @@ Vector vecmat(const Vector& x, const Matrix& a) {
   return out;
 }
 
-void matvec_into(const Matrix& a, const Vector& x, Vector& out) {
-  ESCHED_CHECK(x.size() == a.cols(), "shape mismatch in matvec");
-  ESCHED_CHECK(out.size() == a.rows(), "output shape mismatch in matvec_into");
-  ESCHED_CHECK(&out != &x, "matvec_into output must not alias its input");
-  for (std::size_t r = 0; r < a.rows(); ++r) {
-    double acc = 0.0;
-    for (std::size_t c = 0; c < a.cols(); ++c) acc += a(r, c) * x[c];
-    out[r] = acc;
-  }
-}
-
 double dot(const Vector& a, const Vector& b) {
   ESCHED_CHECK(a.size() == b.size(), "shape mismatch in dot");
   double acc = 0.0;

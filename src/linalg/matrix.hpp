@@ -65,9 +65,6 @@ void transpose_into(const Matrix& a, Matrix& out);
 /// Row-vector times matrix: (x^T A)^T.
 Vector vecmat(const Vector& x, const Matrix& a);
 
-/// Matrix times column vector A x into `out` (a.rows() entries).
-void matvec_into(const Matrix& a, const Vector& x, Vector& out);
-
 /// Dot product.
 double dot(const Vector& a, const Vector& b);
 

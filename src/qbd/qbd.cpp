@@ -1,6 +1,5 @@
 #include "qbd/qbd.hpp"
 
-#include <cmath>
 #include <string>
 #include <utility>
 
@@ -51,24 +50,37 @@ Matrix with_diagonal(const Matrix& local, const Matrix& up,
   return a1;
 }
 
-/// Spectral radius via power iteration on |R| (R is non-negative here).
-double spectral_radius(const Matrix& r) {
-  const std::size_t n = r.rows();
-  Vector v(n, 1.0);
-  Vector next(n);
-  double lambda = 0.0;
-  for (int iter = 0; iter < 2000; ++iter) {
-    matvec_into(r, v, next);
-    const double norm = max_abs(next);
-    if (norm == 0.0) return 0.0;
-    for (double& x : next) x /= norm;
-    if (std::abs(norm - lambda) < 1e-13 * std::max(1.0, norm)) {
-      return norm;
-    }
-    lambda = norm;
-    v.swap(next);
+/// Checks positive recurrence by the mean-drift condition (Neuts 1981):
+/// with alpha the stationary law of the phase generator A = A0 + A1 + A2
+/// (alpha A = 0, alpha 1 = 1), the QBD is positive recurrent iff
+/// alpha A0 1 < alpha A2 1, required here with a relative margin of 1e-9.
+void check_mean_drift(const Matrix& a0, const Matrix& a1, const Matrix& a2) {
+  const std::size_t m = a0.rows();
+  Matrix a = a0;
+  a += a1;
+  a += a2;
+  // alpha A = 0 with its last equation replaced by alpha 1 = 1. The system
+  // is singular exactly when A has more than one closed class.
+  for (std::size_t r = 0; r < m; ++r) a(r, m - 1) = 1.0;
+  Vector last(m, 0.0);
+  last[m - 1] = 1.0;
+  Vector alpha;
+  try {
+    alpha = LuFactorization(std::move(a)).solve_transposed(last);
+  } catch (const Error&) {
+    throw Error(
+        "QBD is not positive recurrent: its phase process A0 + A1 + A2 has "
+        "more than one closed class; check stability");
   }
-  return lambda;
+  double up_drift = 0.0;
+  double down_drift = 0.0;
+  for (std::size_t r = 0; r < m; ++r) {
+    up_drift += alpha[r] * row_sum(a0, r);
+    down_drift += alpha[r] * row_sum(a2, r);
+  }
+  ESCHED_CHECK(up_drift < (1.0 - 1e-9) * down_drift,
+               "QBD is not positive recurrent (mean drift alpha A0 1 >= "
+               "alpha A2 1); check stability");
 }
 
 }  // namespace
@@ -119,6 +131,8 @@ QbdSolution solve_qbd(const QbdProcess& process) {
   Matrix u(m, m);
   Matrix increment(m, m);
   Matrix work(m, m);
+
+  check_mean_drift(a0, a1, a2);
 
   // --- Logarithmic reduction (Latouche & Ramaswami 1993) for G, the
   // minimal solution of A2 + A1 G + A0 G^2 = 0. Step n accumulates the
@@ -181,9 +195,6 @@ QbdSolution solve_qbd(const QbdProcess& process) {
   sol.first_repeating = big_l;
   sol.r_iterations = steps;
   sol.r_residual = max_abs(u);
-  sol.spectral_radius = spectral_radius(r);
-  ESCHED_CHECK(sol.spectral_radius < 1.0 - 1e-9,
-               "QBD is not positive recurrent (sp(R) >= 1); check stability");
 
   // --- Boundary system: unknowns pi_0..pi_L stacked into x (row vector).
   // Balance at levels 0..L with pi_{L+1} = pi_L R, plus normalization

@@ -59,18 +59,17 @@ struct QbdSolution {
   std::size_t num_phases = 0;
   std::size_t first_repeating = 0;
 
-  int r_iterations = 0;          // logarithmic-reduction steps
-  double r_residual = 0.0;       // max-abs of A0 + R A1 + R^2 A2
-  double spectral_radius = 0.0;  // sp(R); < 1 iff positive recurrent
+  int r_iterations = 0;     // logarithmic-reduction steps
+  double r_residual = 0.0;  // max-abs of A0 + R A1 + R^2 A2
 
   /// E[level] — the stationary mean queue length of the level class.
   double mean_level = 0.0;
 };
 
-/// Solves the QBD: computes R by logarithmic reduction, then solves the
-/// finite boundary system with the normalization sum_l pi_l 1 = 1
-/// (geometric tail folded in). Throws esched::Error when the reduction does
-/// not converge or sp(R) >= 1, i.e. the process is not positive recurrent.
+/// Solves the QBD: checks the mean drift of A0 + A1 + A2, computes R by
+/// logarithmic reduction, then solves the boundary system normalized by
+/// sum_l pi_l 1 = 1 (geometric tail folded in). Throws esched::Error before
+/// the reduction if the process is not positive recurrent, or if it stalls.
 QbdSolution solve_qbd(const QbdProcess& process);
 
 }  // namespace esched

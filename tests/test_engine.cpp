@@ -157,8 +157,9 @@ TEST(Scenario, CacheKeyIsBackendCanonical) {
   // from before nested-dissection ordering misses.
   EXPECT_NE(exact.cache_key().find(";rev=4"), std::string::npos);
   // QBD keys carry their own revision: rows from the Neuts fixed point
-  // (different iteration counts and last digits) must miss.
-  EXPECT_NE(qbd.cache_key().find(";fit=3;rev=1"), std::string::npos);
+  // (different iteration counts and last digits) and rows whose residual
+  // column holds sp(R) must miss.
+  EXPECT_NE(qbd.cache_key().find(";fit=3;rev=2"), std::string::npos);
 
   RunPoint sim{p, "IF", SolverKind::kSimulation, {}};
   RunPoint sim2 = sim;
@@ -177,7 +178,7 @@ TEST(Scenario, CacheKeyBytesArePinned) {
   EXPECT_EQ(qbd.cache_key(),
             "k=4;li=0.77212121212121199;le=0.77212121212121199;"
             "mi=0.34999999999999998;me=1.3;cap=0;policy=IF;solver=qbd;"
-            "fit=3;rev=1");
+            "fit=3;rev=2");
 
   SystemParams edge;
   edge.k = 2;

@@ -142,10 +142,6 @@ TEST(Matrix, VectorProducts) {
   const Vector xm = vecmat({1.0, 1.0}, a);  // [4, 6]
   EXPECT_DOUBLE_EQ(xm[0], 4.0);
   EXPECT_DOUBLE_EQ(xm[1], 6.0);
-  Vector mx(2);
-  matvec_into(a, {1.0, 1.0}, mx);  // [3, 7]
-  EXPECT_DOUBLE_EQ(mx[0], 3.0);
-  EXPECT_DOUBLE_EQ(mx[1], 7.0);
   EXPECT_DOUBLE_EQ(dot({1.0, 2.0}, {3.0, 4.0}), 11.0);
   EXPECT_DOUBLE_EQ(sum(Vector{1.0, 2.0, 3.0}), 6.0);
 }

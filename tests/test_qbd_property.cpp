@@ -121,7 +121,6 @@ TEST_P(RandomQbd, MatrixAnalyticAgreesWithGth) {
   ASSERT_NO_THROW(p.validate());
   const QbdSolution sol = solve_qbd(p);
   EXPECT_LT(sol.r_residual, 1e-9);
-  EXPECT_LT(sol.spectral_radius, 1.0);
 
   // Deep truncation: the strong down-drift makes 80 levels plenty.
   const std::size_t levels = 80;
