@@ -49,34 +49,68 @@ void LuFactorization::decompose() {
   }
 }
 
-// Forward then back substitution for `cols` right-hand sides at once, row by
-// row over row-major b and x (dim() x cols). Every column sees the
-// operations of a one-column solve in the same order, so the bits do not
-// depend on how many columns are solved together.
-void LuFactorization::substitute(const double* b, std::size_t cols,
-                                 double* x) const {
-  const std::size_t n = dim();
+namespace {
+
+/// Columns [j0, j0 + W) of the forward then back substitution. Each row
+/// keeps its W partial results in registers across its inner loop, and
+/// every column sees the operations of a one-column solve in order.
+template <std::size_t W>
+void substitute_block(const Matrix& lu, const std::size_t* perm,
+                      const double* b, std::size_t cols, std::size_t j0,
+                      double* x) {
+  const std::size_t n = lu.rows();
   // Forward substitution with the permuted rhs.
   for (std::size_t r = 0; r < n; ++r) {
-    double* x_r = x + r * cols;
-    const double* b_r = b + perm_[r] * cols;
-    for (std::size_t j = 0; j < cols; ++j) x_r[j] = b_r[j];
+    double acc[W];
+    const double* b_r = b + perm[r] * cols + j0;
+    for (std::size_t j = 0; j < W; ++j) acc[j] = b_r[j];
     for (std::size_t c = 0; c < r; ++c) {
-      const double coeff = lu_(r, c);
-      const double* x_c = x + c * cols;
-      for (std::size_t j = 0; j < cols; ++j) x_r[j] -= coeff * x_c[j];
+      const double coeff = lu(r, c);
+      const double* x_c = x + c * cols + j0;
+      for (std::size_t j = 0; j < W; ++j) acc[j] -= coeff * x_c[j];
     }
+    for (std::size_t j = 0; j < W; ++j) x[r * cols + j0 + j] = acc[j];
   }
   // Back substitution.
   for (std::size_t r = n; r-- > 0;) {
-    double* x_r = x + r * cols;
+    double acc[W];
+    double* x_r = x + r * cols + j0;
+    for (std::size_t j = 0; j < W; ++j) acc[j] = x_r[j];
     for (std::size_t c = r + 1; c < n; ++c) {
-      const double coeff = lu_(r, c);
-      const double* x_c = x + c * cols;
-      for (std::size_t j = 0; j < cols; ++j) x_r[j] -= coeff * x_c[j];
+      const double coeff = lu(r, c);
+      const double* x_c = x + c * cols + j0;
+      for (std::size_t j = 0; j < W; ++j) acc[j] -= coeff * x_c[j];
     }
-    const double diag = lu_(r, r);
-    for (std::size_t j = 0; j < cols; ++j) x_r[j] /= diag;
+    const double diag = lu(r, r);
+    for (std::size_t j = 0; j < W; ++j) x_r[j] = acc[j] / diag;
+  }
+}
+
+}  // namespace
+
+// Forward then back substitution for `cols` right-hand sides at once over
+// row-major b and x (dim() x cols), in blocks of 4 columns with a 3/2/1
+// tail. Every column sees the operations of a one-column solve in the same
+// order, so the bits do not depend on how many columns are solved together.
+void LuFactorization::substitute(const double* b, std::size_t cols,
+                                 double* x) const {
+  const std::size_t* perm = perm_.data();
+  std::size_t j0 = 0;
+  for (; j0 + 4 <= cols; j0 += 4) {
+    substitute_block<4>(lu_, perm, b, cols, j0, x);
+  }
+  switch (cols - j0) {  // the 3/2/1-column tail
+    case 3:
+      substitute_block<3>(lu_, perm, b, cols, j0, x);
+      break;
+    case 2:
+      substitute_block<2>(lu_, perm, b, cols, j0, x);
+      break;
+    case 1:
+      substitute_block<1>(lu_, perm, b, cols, j0, x);
+      break;
+    default:
+      break;
   }
 }
 
