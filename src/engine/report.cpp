@@ -618,9 +618,9 @@ void print_heatmap_view(std::ostream& os, const Scenario& s,
   for (std::size_t r = 0; r < s.rho_values.size(); ++r) {
     const double rho = s.rho_values[r];
     appendf(os,
-             "\nrho = %.1f, k = %d (rows mu_E top-down, cols mu_I "
-             "left-right; %c = %s wins, %c = %s wins)\n",
-             rho, k, pol0[0], pol0.c_str(), pol1[0], pol1.c_str());
+            "\nrho = %.1f, k = %d (rows mu_E top-down, cols mu_I "
+            "left-right; %c = %s wins, %c = %s wins)\n",
+            rho, k, pol0[0], pol0.c_str(), pol1[0], pol1.c_str());
     appendf(os, "%7s", "mu_E\\I");
     for (const double mu_i : grid) appendf(os, "%5.2f", mu_i);
     appendf(os, "\n");
@@ -647,10 +647,10 @@ void print_heatmap_view(std::ostream& os, const Scenario& s,
       appendf(os, "\n");
     }
     appendf(os,
-             "summary: %s wins %d points, %s wins %d points; "
-             "%s wins %d/%d points with mu_I >= mu_E (paper: all)\n",
-             pol0.c_str(), first_wins, pol1.c_str(), second_wins,
-             pol0.c_str(), first_wins_upper, points_upper);
+            "summary: %s wins %d points, %s wins %d points; "
+            "%s wins %d/%d points with mu_I >= mu_E (paper: all)\n",
+            pol0.c_str(), first_wins, pol1.c_str(), second_wins,
+            pol0.c_str(), first_wins_upper, points_upper);
   }
 }
 
@@ -717,8 +717,8 @@ void print_vs_k_view(std::ostream& os, const Scenario& s,
                      format_double(et1), format_double(et1 - et0)});
     }
     appendf(os, "\n--- mu_I = %s, mu_E = %s ---\n",
-             format_double(s.mu_i_values[panel]).c_str(),
-             format_double(s.mu_e_values.front()).c_str());
+            format_double(s.mu_i_values[panel]).c_str(),
+            format_double(s.mu_e_values.front()).c_str());
     table.print(os);
   }
 }
@@ -769,9 +769,9 @@ void print_family_view(std::ostream& os, const Scenario& s,
   }
   table.print(os);
   appendf(os,
-           "\nTheorem 5 (mu_I >= mu_E => %s optimal in family): %d/%d "
-           "settings hold.\n",
-           s.policies[0].c_str(), theorem5_holds, theorem5_checks);
+          "\nTheorem 5 (mu_I >= mu_E => %s optimal in family): %d/%d "
+          "settings hold.\n",
+          s.policies[0].c_str(), theorem5_holds, theorem5_checks);
 }
 
 // --- accuracy: QBD vs exact vs simulation per case -----------------------
@@ -812,9 +812,9 @@ void print_accuracy_view(std::ostream& os, const Scenario& s,
   }
   table.print(os);
   appendf(os,
-           "\nworst QBD-vs-exact error: %.3f%% (paper: <1%%; errors vs "
-           "simulation include Monte Carlo noise)\n",
-           100.0 * worst_exact_err);
+          "\nworst QBD-vs-exact error: %.3f%% (paper: <1%%; errors vs "
+          "simulation include Monte Carlo noise)\n",
+          100.0 * worst_exact_err);
 }
 
 // --- tail: per-class response-time percentiles per case ------------------
@@ -878,12 +878,12 @@ void print_truncation_view(std::ostream& os, const Scenario& s,
            format_double(r.boundary_mass, 3)});
     }
     appendf(os,
-             "\n--- rho = %.1f (reference E[T] = %.6f at truncation %ld; "
-             "suggested_truncation = %ld; QBD analysis = %.6f, err "
-             "%.4f%%, ~0.1 ms) ---\n",
-             rho, reference, s.trunc_values[last],
-             suggested_truncation(rho, 1e-10), et_qbd,
-             100.0 * relative_error(et_qbd, reference));
+            "\n--- rho = %.1f (reference E[T] = %.6f at truncation %ld; "
+            "suggested_truncation = %ld; QBD analysis = %.6f, err "
+            "%.4f%%, ~0.1 ms) ---\n",
+            rho, reference, s.trunc_values[last],
+            suggested_truncation(rho, 1e-10), et_qbd,
+            100.0 * relative_error(et_qbd, reference));
     table.print(os);
   }
 }
@@ -930,11 +930,11 @@ void print_fit_order_view(std::ostream& os, const Scenario& s,
   }
   table.print(os);
   appendf(os,
-           "\nmean error: 1-moment %.3f%%, 2-moment %.3f%%, 3-moment "
-           "%.4f%% — each extra busy-period moment buys roughly an "
-           "order of magnitude, which is why §5.2 matches three.\n",
-           100.0 * err1_acc.mean(), 100.0 * err2_acc.mean(),
-           100.0 * err3_acc.mean());
+          "\nmean error: 1-moment %.3f%%, 2-moment %.3f%%, 3-moment "
+          "%.4f%% — each extra busy-period moment buys roughly an "
+          "order of magnitude, which is why §5.2 matches three.\n",
+          100.0 * err1_acc.mean(), 100.0 * err2_acc.mean(),
+          100.0 * err3_acc.mean());
 }
 
 // --- dominance: Thm. 3 pointwise work-dominance check --------------------
@@ -970,11 +970,11 @@ void print_dominance_view(std::ostream& os, const Scenario& s,
   }
   table.print(os);
   appendf(os,
-           "\nworst pointwise violation over all runs: %.3g "
-           "(theory: exactly 0; float error only)\n",
-           worst_violation);
+          "\nworst pointwise violation over all runs: %.3g "
+          "(theory: exactly 0; float error only)\n",
+          worst_violation);
   appendf(os, "avg W gap >= 0 everywhere: IF keeps the least work in "
-               "system, as Theorem 3 proves.\n");
+              "system, as Theorem 3 proves.\n");
 }
 
 // --- scv: size-distribution (SCV) robustness sweep -----------------------
@@ -1020,16 +1020,16 @@ void print_scv_view(std::ostream& os, const Scenario& s,
     }
     if (winner_stable) ++stable_cases;
     appendf(os, "\n--- k = %d, mu_I = %s, mu_E = %s, rho = %s ---\n",
-             setting.k, format_double(setting.mu_i).c_str(),
-             format_double(setting.mu_e).c_str(),
-             format_double(setting.rho).c_str());
+            setting.k, format_double(setting.mu_i).c_str(),
+            format_double(setting.mu_e).c_str(),
+            format_double(setting.rho).c_str());
     table.print(os);
   }
   appendf(os,
-           "\nwinner stable across the SCV axis in %zu/%zu settings — where "
-           "it is, the paper's Exp(mu) policy conclusions carry over to "
-           "that size distribution family.\n",
-           stable_cases, s.cases.size());
+          "\nwinner stable across the SCV axis in %zu/%zu settings — where "
+          "it is, the paper's Exp(mu) policy conclusions carry over to "
+          "that size distribution family.\n",
+          stable_cases, s.cases.size());
 }
 
 }  // namespace
